@@ -11,7 +11,9 @@ from .analytic import (
     REGION_I,
     REGION_II,
     REGION_III,
+    REGIONS,
     DetectionReport,
+    GridSolution,
     binary_trace_norm,
     classify,
     eta_guess_absent,
@@ -22,6 +24,7 @@ from .analytic import (
     perr_quantum,
     report,
     schmidt_squares,
+    solve_grid,
 )
 from .linalg import (
     EigenDecomposition,

@@ -22,6 +22,7 @@ from .tolerances import BOUNDARY_TOL, ZERO_EIGENVALUE_TOL
 REGION_I = "I"
 REGION_II = "II"
 REGION_III = "III"
+REGIONS = (REGION_I, REGION_II, REGION_III)  # indexed by the region codes of solve_grid
 
 
 def eta_star(p0: float, p1: float) -> float:
@@ -58,18 +59,21 @@ def _classify_mode(s: Scenario, lam: float) -> str:
     return REGION_III
 
 
+def _classify(s: Scenario, dp: DerivedParams) -> tuple[str, str]:
+    if s.p0 <= 0.0:
+        return REGION_I, REGION_I
+    if s.p0 >= 1.0:
+        return REGION_II, REGION_II
+    return _classify_mode(s, dp.lambda_d), _classify_mode(s, dp.lambda_h)
+
+
 def classify(s: Scenario) -> tuple[str, str]:
     """Region labels (conventional, quantum) for a scenario.
 
     The degenerate priors p0 = 0 and p0 = 1 are labeled I and II by limit;
     their minimal error is 0 in both modes.
     """
-    if s.p0 <= 0.0:
-        return REGION_I, REGION_I
-    if s.p0 >= 1.0:
-        return REGION_II, REGION_II
-    dp = derived_params(s)
-    return _classify_mode(s, dp.lambda_d), _classify_mode(s, dp.lambda_h)
+    return _classify(s, derived_params(s))
 
 
 def _perr(s: Scenario, region: str, lam: float, dp: DerivedParams) -> float:
@@ -82,9 +86,8 @@ def _perr(s: Scenario, region: str, lam: float, dp: DerivedParams) -> float:
 
 def perr_conventional(s: Scenario) -> float:
     """Minimal one-shot error over all single-signal probe states."""
-    region = classify(s)[0]
     dp = derived_params(s)
-    return _perr(s, region, dp.lambda_d, dp)
+    return _perr(s, _classify(s, dp)[0], dp.lambda_d, dp)
 
 
 def perr_quantum(s: Scenario) -> float:
@@ -92,9 +95,81 @@ def perr_quantum(s: Scenario) -> float:
 
     Never exceeds :func:`perr_conventional` for the same scenario.
     """
-    region = classify(s)[1]
     dp = derived_params(s)
-    return _perr(s, region, dp.lambda_h, dp)
+    return _perr(s, _classify(s, dp)[1], dp.lambda_h, dp)
+
+
+@dataclass(frozen=True)
+class GridSolution:
+    """Closed-form answers on the grid ``p0[i] x eta[j]``.
+
+    ``eta_star``, ``eta_c`` and ``eta_q`` are the raw (unclamped) region
+    boundaries per ``p0``, shape ``(n,)``. ``region_c``/``region_q`` hold
+    region codes (indices into :data:`REGIONS`) and ``perr_c``/``perr_q``
+    the minimal errors, shape ``(n, m)``.
+    """
+
+    eta_star: np.ndarray
+    eta_c: np.ndarray
+    eta_q: np.ndarray
+    region_c: np.ndarray
+    region_q: np.ndarray
+    perr_c: np.ndarray
+    perr_q: np.ndarray
+
+
+def _absent_boundary(ratio: np.ndarray, p1: np.ndarray, lam: float) -> np.ndarray:
+    # Array form of eta_guess_absent, with the same arithmetic.
+    if 1.0 - lam <= 0.0:
+        edge = np.where(ratio == 0.0, 0.0, np.copysign(np.inf, ratio))
+    else:
+        edge = ratio * lam / (1.0 - lam)
+    return np.where(p1 > 0.0, edge, np.inf)
+
+
+def _grid_mode(p0, p1, eta, star, absent, lam: float):
+    # Array form of _classify/_perr for one mode; rows are p0, columns eta.
+    code = np.select(
+        [
+            p0 <= 0.0,
+            p0 >= 1.0,
+            (p0 < p1) & (eta < star - BOUNDARY_TOL),
+            (p0 > p1) & (eta < absent - BOUNDARY_TOL),
+        ],
+        [0, 1, 0, 1],
+        default=2,
+    ).astype(np.int8)
+    gamma = p1 * (1.0 - eta) - p0
+    perr = np.choose(code, [p0, p1, p0 + gamma * (1.0 - lam)])
+    return code, perr
+
+
+def solve_grid(p0, eta, lambda_d: float, lambda_h: float) -> GridSolution:
+    """Regions, minimal errors and region boundaries on a whole (p0, eta) grid at once.
+
+    ``p0`` and ``eta`` are 1-D columns of values in [0, 1]; ``lambda_d`` and
+    ``lambda_h`` are the environment's :attr:`~EnvironmentState.lambda_min`
+    and :attr:`~EnvironmentState.lambda_harmonic`. Every cell equals what
+    :func:`classify`, :func:`perr_conventional`, :func:`perr_quantum`,
+    :func:`eta_star` and :func:`eta_guess_absent` return for it, bit for bit:
+    the same limit labels at p0 in {0, 1}, III within ``BOUNDARY_TOL`` of a
+    boundary, and the same floating-point operations in the same order.
+    """
+    p0 = np.asarray(p0, dtype=float).reshape(-1)
+    eta = np.asarray(eta, dtype=float).reshape(-1)
+    p1 = 1.0 - p0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        star = np.where(p1 > 0.0, 1.0 - p0 / p1, -np.inf)
+        ratio = p0 / p1 - 1.0
+        eta_c = _absent_boundary(ratio, p1, lambda_d)
+        eta_q = _absent_boundary(ratio, p1, lambda_h)
+    rows = p0[:, None], p1[:, None], eta, star[:, None]
+    region_c, perr_c = _grid_mode(*rows, eta_c[:, None], lambda_d)
+    region_q, perr_q = _grid_mode(*rows, eta_q[:, None], lambda_h)
+    return GridSolution(
+        eta_star=star, eta_c=eta_c, eta_q=eta_q,
+        region_c=region_c, region_q=region_q, perr_c=perr_c, perr_q=perr_q,
+    )
 
 
 def optimal_probe_conventional(s: Scenario) -> np.ndarray:
@@ -201,8 +276,8 @@ class DetectionReport:
 
 def report(s: Scenario) -> DetectionReport:
     """Classify, evaluate both minimal errors, and construct both optimal probes."""
-    region_c, region_q = classify(s)
     dp = derived_params(s)
+    region_c, region_q = _classify(s, dp)
     perr_c = _perr(s, region_c, dp.lambda_d, dp)
     perr_q = _perr(s, region_q, dp.lambda_h, dp)
     return DetectionReport(

@@ -50,8 +50,9 @@ SPECTRUM_SUM_TOL = 1e-6
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout)
-    sys.stdout.write("\n")
+    # Serialized in full before writing: a non-finite value raises ValueError
+    # (exit 2) with nothing on stdout, never NaN/Infinity tokens.
+    sys.stdout.write(json.dumps(payload, allow_nan=False) + "\n")
 
 
 def _read_json(path: str):
@@ -75,7 +76,7 @@ def _parse_spectrum(text: str) -> list[float]:
     if not values:
         raise ValueError("spectrum must not be empty")
     total = sum(values)
-    if abs(total - 1.0) > SPECTRUM_SUM_TOL:
+    if not abs(total - 1.0) <= SPECTRUM_SUM_TOL:  # also rejects a NaN sum
         raise ValueError(
             f"spectrum sums to {total!r}; more than {SPECTRUM_SUM_TOL:g} away from 1"
         )
@@ -188,10 +189,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials is not None and args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    trials = {} if args.trials is None else {"trials": args.trials}
     runners = {
-        "lemmas": lambda: run_lemma_suite(seed=args.seed, trials=args.trials or 10000),
+        "lemmas": lambda: run_lemma_suite(seed=args.seed, **trials),
         "oracle": lambda: run_oracle_suite(seed=args.seed),
-        "montecarlo": lambda: run_montecarlo_suite(seed=args.seed, trials=args.trials or 100000),
+        "montecarlo": lambda: run_montecarlo_suite(seed=args.seed, **trials),
     }
     names = list(runners) if args.suite == "all" else [args.suite]
     suites = []

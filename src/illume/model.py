@@ -12,6 +12,7 @@ detection-error information: the minimal discrimination error is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,8 @@ class EnvironmentState:
         spectrum = np.asarray(spectrum, dtype=float).reshape(-1)
         if spectrum.size < 1:
             raise ValueError("spectrum must have at least one eigenvalue")
+        if not np.isfinite(spectrum).all():
+            raise ValueError(f"spectrum must be finite, got {spectrum.tolist()!r}")
         if np.any(spectrum < -ZERO_EIGENVALUE_TOL):
             raise ValueError(f"spectrum has a negative eigenvalue: {spectrum.min()!r}")
         total = float(spectrum.sum())
@@ -57,6 +60,8 @@ class EnvironmentState:
             basis = np.asarray(basis, dtype=np.complex128)
             if basis.shape != (d, d):
                 raise ValueError(f"basis shape {basis.shape} does not match dimension {d}")
+            if not np.isfinite(basis).all():
+                raise ValueError("basis entries must be finite")
             gram = basis @ basis.conj().T
             if np.max(np.abs(gram - np.eye(d))) > ORTHONORMALITY_TOL:
                 raise ValueError("basis rows are not orthonormal")
@@ -70,17 +75,17 @@ class EnvironmentState:
         """Environment I/d."""
         return cls(np.full(dim, 1.0 / dim))
 
-    @property
+    @cached_property
     def lambda_min(self) -> float:
-        """Smallest eigenvalue of the environment."""
+        """Smallest eigenvalue of the environment (computed once)."""
         return float(self.spectrum[-1])
 
-    @property
+    @cached_property
     def lambda_harmonic(self) -> float:
         """Inverse of the summed inverse eigenvalues; 0 if any eigenvalue is (numerically) 0.
 
         Always at most ``lambda_min``, and strictly below it for d >= 2 with a
-        fully positive spectrum.
+        fully positive spectrum. Computed once per environment.
         """
         if np.any(self.spectrum <= ZERO_EIGENVALUE_TOL):
             return 0.0

@@ -7,18 +7,24 @@ outer loop. Plotting is out of scope; the CSV is the deliverable.
 
 from __future__ import annotations
 
-import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from .analytic import classify, eta_guess_absent, eta_star, perr_conventional, perr_quantum
+from .analytic import REGIONS, solve_grid
 from .model import CONVENTIONAL, QUANTUM, EnvironmentState, Scenario
 from .oracle import MAX_QUANTUM_SEARCH_DIM, SearchConfig, maximize_trace_norm
 
 CSV_FIELDS = ("p0", "eta", "region_c", "region_q", "perr_c", "perr_q", "advantage")
 CSV_ORACLE_FIELDS = CSV_FIELDS + ("oracle_perr_c", "oracle_perr_q")
+_CSV_ROW = "%.12g,%.12g,%s,%s,%.12g,%.12g,%.12g\n"
+_CSV_ORACLE_ROW = "%.12g,%.12g,%s,%s,%.12g,%.12g,%.12g,%.12g,%.12g\n"
+
+# Largest grid a spec may ask for (2001 x 2001). The whole grid is evaluated
+# in memory at once, so larger specs are rejected before anything is built.
+MAX_GRID_CELLS = 4_000_000
 
 
 def _check_range(name: str, rng: tuple) -> tuple[float, float, int]:
@@ -41,11 +47,14 @@ class SweepSpec:
     oracle_cfg: SearchConfig | None = None
 
     def __post_init__(self):
-        _check_range("p0_range", self.p0_range)
-        _check_range("eta_range", self.eta_range)
+        n_p0 = _check_range("p0_range", self.p0_range)[2]
+        n_eta = _check_range("eta_range", self.eta_range)[2]
+        cells = n_p0 * n_eta
+        if cells > MAX_GRID_CELLS:
+            raise ValueError(f"grid has {cells} cells, more than the limit of {MAX_GRID_CELLS}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SweepRecord:
     """One grid cell of a sweep."""
 
@@ -60,17 +69,6 @@ class SweepRecord:
     oracle_perr_q: float | None = None
 
 
-def _analytic_record(p0: float, eta: float, env: EnvironmentState) -> SweepRecord:
-    s = Scenario(p0, eta, env)
-    region_c, region_q = classify(s)
-    perr_c = perr_conventional(s)
-    perr_q = perr_quantum(s)
-    return SweepRecord(
-        p0=p0, eta=eta, region_c=region_c, region_q=region_q,
-        perr_c=perr_c, perr_q=perr_q, advantage=perr_c - perr_q,
-    )
-
-
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     """Evaluate every grid cell; oracle columns are filled only when requested.
 
@@ -83,16 +81,24 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
             f"oracle sweep needs environment dimension <= {MAX_QUANTUM_SEARCH_DIM}, "
             f"got {spec.env.dim}"
         )
-    lo, hi, n = _check_range("p0_range", spec.p0_range)
-    p0s = np.linspace(lo, hi, n)
-    lo, hi, n = _check_range("eta_range", spec.eta_range)
-    etas = np.linspace(lo, hi, n)
+    p0s = np.linspace(*_check_range("p0_range", spec.p0_range))
+    etas = np.linspace(*_check_range("eta_range", spec.eta_range))
+    grid = solve_grid(p0s, etas, spec.env.lambda_min, spec.env.lambda_harmonic)
 
-    records = [
-        _analytic_record(float(p0), float(eta), spec.env)
-        for p0 in p0s
-        for eta in etas
-    ]
+    # Columns become plain Python values; the p0 and eta floats and the
+    # region labels are shared between records rather than copied per cell.
+    labels = np.array(REGIONS, dtype=object)
+    n = etas.size
+    records = list(map(
+        SweepRecord,
+        [p0 for p0 in p0s.tolist() for _ in range(n)],
+        etas.tolist() * p0s.size,
+        labels[grid.region_c].ravel().tolist(),
+        labels[grid.region_q].ravel().tolist(),
+        grid.perr_c.ravel().tolist(),
+        grid.perr_q.ravel().tolist(),
+        (grid.perr_c - grid.perr_q).ravel().tolist(),
+    ))
     if not spec.include_oracle:
         return records
 
@@ -112,22 +118,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     return records
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def records_to_csv(records: list[SweepRecord], include_oracle: bool = False) -> str:
     """Render records as CSV text (12 significant digits, LF newlines)."""
     fields = CSV_ORACLE_FIELDS if include_oracle else CSV_FIELDS
-    out = io.StringIO()
-    out.write(",".join(fields) + "\n")
-    for r in records:
-        row = [_fmt(r.p0), _fmt(r.eta), r.region_c, r.region_q,
-               _fmt(r.perr_c), _fmt(r.perr_q), _fmt(r.advantage)]
-        if include_oracle:
-            row += [_fmt(r.oracle_perr_c), _fmt(r.oracle_perr_q)]
-        out.write(",".join(row) + "\n")
-    return out.getvalue()
+    row = _CSV_ORACLE_ROW if include_oracle else _CSV_ROW
+    values = attrgetter(*fields)
+    return ",".join(fields) + "\n" + "".join([row % values(r) for r in records])
 
 
 def write_csv(records: list[SweepRecord], path, include_oracle: bool = False) -> None:
@@ -157,16 +153,12 @@ class BoundaryCurves:
 
 def region_boundaries(env: EnvironmentState, p0_range: tuple) -> BoundaryCurves:
     """Boundary curves eta*, eta_c, eta_q as functions of p0 for a fixed environment."""
-    lo, hi, n = _check_range("p0_range", p0_range)
-    p0s = np.linspace(lo, hi, n)
-    lam_d = env.lambda_min
-    lam_h = env.lambda_harmonic
-    star = np.array([eta_star(p0, 1.0 - p0) for p0 in p0s])
-    etac = np.array([eta_guess_absent(p0, 1.0 - p0, lam_d) for p0 in p0s])
-    etaq = np.array([eta_guess_absent(p0, 1.0 - p0, lam_h) for p0 in p0s])
+    p0s = np.linspace(*_check_range("p0_range", p0_range))
+    # An empty eta column: only the per-p0 boundary columns are needed.
+    grid = solve_grid(p0s, p0s[:0], env.lambda_min, env.lambda_harmonic)
     return BoundaryCurves(
         p0=p0s,
-        eta_star_raw=star, eta_star=np.clip(star, 0.0, 1.0),
-        eta_c_raw=etac, eta_c=np.clip(etac, 0.0, 1.0),
-        eta_q_raw=etaq, eta_q=np.clip(etaq, 0.0, 1.0),
+        eta_star_raw=grid.eta_star, eta_star=np.clip(grid.eta_star, 0.0, 1.0),
+        eta_c_raw=grid.eta_c, eta_c=np.clip(grid.eta_c, 0.0, 1.0),
+        eta_q_raw=grid.eta_q, eta_q=np.clip(grid.eta_q, 0.0, 1.0),
     )

@@ -66,6 +66,19 @@ class TestSolve:
         assert out == ""
         assert "spectrum" in err
 
+    @pytest.mark.parametrize("spectrum", ["nan,0.5,0.5", "0.5,nan,0.5,0.0"])
+    def test_nan_spectrum_is_input_error(self, capsys, tmp_path, spectrum):
+        code, out, err = run_cli(
+            capsys, "solve", "--p0", "0.5", "--eta", "0.6", "--spectrum", spectrum
+        )
+        assert (code, out) == (2, "")
+        assert "spectrum" in err
+        path = tmp_path / "scenario.json"
+        path.write_text('{"p0": 0.5, "eta": 0.6, "spectrum": [NaN, 0.5, 0.5]}')
+        code, out, err = run_cli(capsys, "solve", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
     def test_missing_flags(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--p0", "0.5")
         assert code == 2
@@ -156,6 +169,14 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--spec", str(path), "--out", str(tmp_path / "x.csv"))
         assert code == 2
 
+    def test_oversized_grid_is_input_error(self, capsys, tmp_path):
+        spec = self.write_spec(tmp_path, p0_range=[0, 1, 100000], eta_range=[0, 1, 100000])
+        out_csv = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out_csv))
+        assert (code, out) == (2, "")
+        assert "cells" in err
+        assert not out_csv.exists()
+
     def test_bad_threads_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("ILLUME_THREADS", "many")
         spec = self.write_spec(tmp_path, p0_range=[0, 1, 2], eta_range=[0, 1, 2], oracle=True,
@@ -197,6 +218,35 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "lemmas", "--trials", "1")
         assert code == 1
         assert json.loads(out)["violations"] == 1
+
+
+    @pytest.mark.parametrize("suite", ["lemmas", "montecarlo", "all"])
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_is_input_error(self, capsys, monkeypatch, suite, trials):
+        import illume.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("no suite may run")
+
+        for name in ("run_lemma_suite", "run_oracle_suite", "run_montecarlo_suite"):
+            monkeypatch.setattr(cli_mod, name, never)
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--trials", trials)
+        assert (code, out) == (2, "")
+        assert "--trials" in err
+
+    def test_trials_default_only_when_absent(self, capsys, monkeypatch):
+        import illume.cli as cli_mod
+
+        seen = []
+
+        def fake_suite(seed, trials="suite default"):
+            seen.append(trials)
+            return {"suite": "lemmas", "seed": seed, "checks": [], "violations": 0}
+
+        monkeypatch.setattr(cli_mod, "run_lemma_suite", fake_suite)
+        assert run_cli(capsys, "verify", "--suite", "lemmas")[0] == 0
+        assert run_cli(capsys, "verify", "--suite", "lemmas", "--trials", "1")[0] == 0
+        assert seen == ["suite default", 1]
 
 
 class TestSimulate:

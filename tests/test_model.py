@@ -50,6 +50,17 @@ class TestEnvironmentState:
         with pytest.raises(ValueError, match="orthonormal"):
             EnvironmentState([0.5, 0.5], basis=bad)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_spectrum(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            EnvironmentState([value, 0.5, 0.5])
+
+    def test_rejects_non_finite_basis(self):
+        bad = np.eye(2, dtype=complex)
+        bad[0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            EnvironmentState([0.5, 0.5], basis=bad)
+
     def test_completely_mixed(self):
         env = EnvironmentState.completely_mixed(4)
         np.testing.assert_allclose(env.spectrum, 0.25)

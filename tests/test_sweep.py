@@ -1,17 +1,63 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from illume import (
     EnvironmentState,
+    Scenario,
     SearchConfig,
     SweepSpec,
+    classify,
+    eta_guess_absent,
+    eta_star,
+    perr_conventional,
+    perr_quantum,
     records_to_csv,
     region_boundaries,
     run_sweep,
     write_csv,
 )
+from illume.sweep import MAX_GRID_CELLS
+from illume.tolerances import BOUNDARY_TOL
 
 SKEW3 = [0.5, 0.3, 0.2]
+
+_weights = st.lists(st.floats(0.01, 1.0), min_size=2, max_size=8)
+SPECTRA = st.one_of(
+    st.just([1.0]),                                          # d = 1: lambda_d = lambda_h = 1
+    st.integers(2, 16).map(lambda d: [1.0 / d] * d),         # completely mixed
+    _weights.map(lambda w: [x / sum(w) for x in w]),         # fully positive
+    _weights.map(lambda w: [x / sum(w) for x in w] + [0.0]),  # one zero eigenvalue
+)
+_unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def sweep_specs(draw):
+    """Small sub-range grids, some pinned to p0 in {0, 1} or to a region boundary."""
+    env = EnvironmentState(draw(SPECTRA))
+    p0_lo, p0_hi = sorted((draw(_unit), draw(_unit)))
+    p0_range = (draw(st.sampled_from([0.0, p0_lo])), draw(st.sampled_from([1.0, p0_hi])),
+                draw(st.integers(2, 7)))
+    eta_lo, eta_hi = sorted((draw(_unit), draw(_unit)))
+    eta_range = (eta_lo, eta_hi, draw(st.integers(2, 7)))
+
+    # eta exactly on a boundary of one p0 row, or BOUNDARY_TOL to either side
+    p0 = draw(_unit)
+    p1 = 1.0 - p0
+    edges = [b for b in (eta_star(p0, p1), eta_guess_absent(p0, p1, env.lambda_min),
+                         eta_guess_absent(p0, p1, env.lambda_harmonic))
+             if 2 * BOUNDARY_TOL <= b <= 1.0 - 2 * BOUNDARY_TOL]
+    if edges and draw(st.booleans()):
+        b = draw(st.sampled_from(edges))
+        lo, hi = sorted(draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=2, max_size=2)))
+        p0_range = (p0, p0, 2)
+        eta_range = (b + lo * BOUNDARY_TOL, b + hi * BOUNDARY_TOL, draw(st.sampled_from([2, 3])))
+    return SweepSpec(p0_range, eta_range, env)
 
 
 class TestRunSweep:
@@ -105,6 +151,38 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="0 <= min <= max <= 1"):
             SweepSpec((0.0, 1.2, 5), (0.0, 1.0, 5), env)
 
+    def test_grid_size_limit(self):
+        env = EnvironmentState([0.5, 0.5])
+        SweepSpec((0.0, 1.0, 2000), (0.0, 1.0, MAX_GRID_CELLS // 2000), env)
+        with pytest.raises(ValueError, match="cells"):
+            SweepSpec((0.0, 1.0, 2000), (0.0, 1.0, MAX_GRID_CELLS // 2000 + 1), env)
+
+    def test_oversized_grid_rejected_before_allocation(self):
+        env = EnvironmentState([0.5, 0.5])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cells"):
+                SweepSpec((0.0, 1.0, 100_000), (0.0, 1.0, 100_000), env)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=sweep_specs())
+    def test_rows_equal_scalar_path(self, spec):
+        records = run_sweep(spec)
+        p0s = np.linspace(*spec.p0_range)
+        etas = np.linspace(*spec.eta_range)
+        assert len(records) == p0s.size * etas.size
+        for k, r in enumerate(records):
+            assert (r.p0, r.eta) == (p0s[k // etas.size], etas[k % etas.size])
+            s = Scenario(r.p0, r.eta, spec.env)
+            assert (r.region_c, r.region_q) == classify(s)
+            assert r.perr_c == perr_conventional(s)
+            assert r.perr_q == perr_quantum(s)
+            assert r.advantage == r.perr_c - r.perr_q
+
 
 class TestCsv:
     def test_header_and_formatting(self):
@@ -127,6 +205,18 @@ class TestCsv:
         write_csv(run_sweep(spec), a)
         write_csv(run_sweep(spec), b)
         assert a.read_bytes() == b.read_bytes()
+
+    # sha256 of each CSV as rendered by the per-cell scalar implementation
+    # this sweep replaced; any byte drift in values, labels or formatting fails.
+    @pytest.mark.parametrize("spec, digest", [
+        (SweepSpec((0.0, 1.0, 201), (0.0, 1.0, 201), EnvironmentState(SKEW3)),
+         "afdcbe026fd653d72a6a00a9e54568a2cd14728c7e812285c6eeeaa5e41e8dca"),
+        (SweepSpec((0.35, 1.0, 131), (0.0, 0.3, 61), EnvironmentState.completely_mixed(10)),
+         "077ec527b24cc0cf13ece1b44223646c9cff30a478edef9601c0fe9628f39651"),
+    ])
+    def test_golden_bytes(self, spec, digest):
+        text = records_to_csv(run_sweep(spec))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_oracle_header(self):
         cfg = SearchConfig(restarts=2, steps_per_restart=50, seed=1, tolerance=1e-4)
@@ -160,3 +250,16 @@ class TestRegionBoundaries:
         # raw eta* is negative where p0 > p1; raw eta_c explodes near p0 = 1
         assert curves.eta_star_raw[-6] < 0.0
         assert not np.isfinite(curves.eta_c_raw[-1]) or curves.eta_c_raw[-1] > 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=sweep_specs())
+    def test_equal_scalar_formulas(self, spec):
+        env = spec.env
+        curves = region_boundaries(env, spec.p0_range)
+        p0s = curves.p0.tolist()
+        assert p0s == np.linspace(*spec.p0_range).tolist()
+        assert curves.eta_star_raw.tolist() == [eta_star(p0, 1.0 - p0) for p0 in p0s]
+        assert curves.eta_c_raw.tolist() == [
+            eta_guess_absent(p0, 1.0 - p0, env.lambda_min) for p0 in p0s]
+        assert curves.eta_q_raw.tolist() == [
+            eta_guess_absent(p0, 1.0 - p0, env.lambda_harmonic) for p0 in p0s]
