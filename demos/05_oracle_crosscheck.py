@@ -3,7 +3,7 @@
 
 Nothing here uses the analytic formulas internally: the oracle builds the
 hypothesis-difference operator explicitly, maximizes its trace norm over
-pure probe states by seeded stochastic hill climbing, and spot-checks the
+pure probe states by a seeded multi-start see-saw, and spot-checks the
 eigenvalue structure the derivations rest on. The search can never beat a
 true optimum, so agreement from below is the strongest evidence a desk
 check can give.
@@ -28,7 +28,7 @@ from illume import (
 env = EnvironmentState([0.5, 0.3, 0.2])
 cfg = SearchConfig(seed=7)
 
-print("stochastic search vs closed forms")
+print("see-saw search vs closed forms")
 for p0, eta in ((0.5, 0.6), (0.3, 0.5), (0.6, 0.08)):
     s = Scenario(p0, eta, env)
     conv = maximize_trace_norm(s, CONVENTIONAL, cfg)
@@ -37,7 +37,7 @@ for p0, eta in ((0.5, 0.6), (0.3, 0.5), (0.6, 0.08)):
           f" conv search {conv.perr:.9f} (formula {perr_conventional(s):.9f}),"
           f" quant search {quant.perr:.9f} (formula {perr_quantum(s):.9f})")
 
-print("\nthe search walks the unit sphere; the best conventional probe it")
+print("\nthe search moves over the unit sphere; the best conventional probe it")
 print("finds overlaps the least-weight environment eigenvector:")
 s = Scenario(0.5, 0.6, env)
 best = maximize_trace_norm(s, CONVENTIONAL, cfg).best_state

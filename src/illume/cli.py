@@ -7,8 +7,9 @@ suites) and ``simulate`` (Monte-Carlo measurement run).
 
 stdout carries machine-readable JSON/CSV payloads only; diagnostics go to
 stderr. Exit codes: 0 success, 1 verification failure, 2 input error,
-3 I/O error. ``ILLUME_THREADS`` caps internal worker counts (default:
-machine parallelism).
+3 I/O error. ``ILLUME_THREADS`` sets the number of worker threads of
+``sweep --oracle`` (default 1: its small eigen-solves hold the GIL, so more
+threads only contend).
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def _scenario_from_args(args) -> Scenario:
 def _worker_count() -> int:
     raw = os.environ.get("ILLUME_THREADS")
     if raw is None or raw.strip() == "":
-        return os.cpu_count() or 1
+        return 1
     try:
         n = int(raw)
     except ValueError as exc:
@@ -114,6 +115,8 @@ def _worker_count() -> int:
 
 
 def _search_config_from_dict(data: dict) -> SearchConfig:
+    if not isinstance(data, dict):
+        raise ValueError("oracle_cfg must be a JSON object")
     allowed = {f.name for f in dataclasses.fields(SearchConfig)}
     unknown = sorted(set(data) - allowed)
     if unknown:
@@ -256,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="evaluate a (p0, eta) grid and write CSV")
     p.add_argument("--spec", required=True, help="path to a sweep spec JSON file")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--oracle", action="store_true", help="also fill stochastic-oracle columns")
+    p.add_argument("--oracle", action="store_true", help="also fill see-saw oracle columns")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run randomized verification suites")

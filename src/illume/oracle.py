@@ -1,14 +1,16 @@
 """First-principles verification, independent of the closed-form solver.
 
 Everything here goes through explicit operators and eigendecompositions:
-the error of an arbitrary probe state, a seeded multi-start stochastic hill
-climb over pure probes (an independent upper bound on the minimal error),
-spot checks of the eigenvalue structure the closed forms rely on, and a
-Monte-Carlo simulation of the optimal binary measurement.
+the error of an arbitrary probe state, a seeded multi-start see-saw
+maximization of the trace norm over pure probes (an independent upper bound
+on the minimal error), spot checks of the eigenvalue structure the closed
+forms rely on, and a Monte-Carlo simulation of the optimal binary
+measurement.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,34 +43,33 @@ from .model import (
     omega_q,
     omega_q_density,
 )
-from .tolerances import DENSITY_EIG_TOL, POSITIVE_PART_TOL
+from .tolerances import DENSITY_EIG_TOL, POSITIVE_PART_TOL, SEARCH_CONVERGED_GAIN
 
-# Quantum-probe searches walk the d^2-dimensional complex sphere; beyond
-# d = 8 only the analytic formulas are offered.
+# Quantum-probe searches run on d^2-dimensional probes; beyond d = 8 only
+# the analytic formulas are offered.
 MAX_QUANTUM_SEARCH_DIM = 8
 
-# Consecutive rejected proposals before the walk contracts its step.
-STALL_WINDOW = 8
+# Step lengths tried along each see-saw move, in order; a longer one is
+# tried only while the previous one still improved the trace norm.
+EXTRAPOLATION_STEPS = (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0)
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget and seeding for the stochastic trace-norm maximization."""
+    """Budget and seeding for the see-saw trace-norm maximization."""
 
     restarts: int = 32
     steps_per_restart: int = 2000
-    initial_step: float = 0.5
-    shrink_factor: float = 0.9
     seed: int = 0
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if not 0.0 < self.shrink_factor < 1.0:
-            raise ValueError("shrink_factor must lie strictly between 0 and 1")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        for name, least in (("restarts", 1), ("steps_per_restart", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not isinstance(self.tolerance, numbers.Real) or not self.tolerance > 0.0:
+            raise ValueError(f"tolerance must be a positive number, got {self.tolerance!r}")
 
 
 @dataclass
@@ -79,6 +80,8 @@ class OracleResult:
     best_state: np.ndarray
     perr: float
     evaluations: int
+    iterations: list[int]  # see-saw iterations run by each restart
+    budget_stops: int  # restarts stopped by the iteration cap instead of converging
 
 
 @dataclass
@@ -112,31 +115,38 @@ def perr_of_state(s: Scenario, probe, mode: str) -> float:
     return (1.0 - trace_norm(omega)) / 2.0
 
 
-def _batched_objective(s: Scenario, mode: str):
-    """Vectorized trace-norm objective over a stack of candidate states."""
+def _see_saw_maps(s: Scenario, mode: str):
+    """Probe dimension, batched ``omega(psi)`` and the see-saw targets from its eigh."""
     d = s.env.dim
     rho_e = s.env.density()
     gamma = s.p1 * (1.0 - s.eta) - s.p0
     p1eta = s.p1 * s.eta
 
     if mode == CONVENTIONAL:
-        def value(states: np.ndarray) -> np.ndarray:
-            outers = np.einsum("ni,nj->nij", states, states.conj())
-            omegas = p1eta * outers + gamma * rho_e
-            return np.abs(np.linalg.eigvalsh(omegas)).sum(axis=1)
+        def omegas(states: np.ndarray) -> np.ndarray:
+            return p1eta * np.einsum("ni,nj->nij", states, states.conj()) + gamma * rho_e
 
-        return d, value
+        def targets(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+            return v[:, :, -1]  # the form is p1 eta S, whose top eigenvectors include omega's
 
-    def value(states: np.ndarray) -> np.ndarray:
+        return d, omegas, targets
+
+    def omegas(states: np.ndarray) -> np.ndarray:
         n = states.shape[0]
-        outers = np.einsum("ni,nj->nij", states, states.conj())
         mats = states.reshape(n, d, d)
         rho_b = np.einsum("nai,naj->nij", mats, mats.conj())
         background = np.einsum("ab,ncd->nacbd", rho_e, rho_b).reshape(n, d * d, d * d)
-        omegas = p1eta * outers + gamma * background
-        return np.abs(np.linalg.eigvalsh(omegas)).sum(axis=1)
+        return p1eta * np.einsum("ni,nj->nij", states, states.conj()) + gamma * background
 
-    return d * d, value
+    def targets(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # form = p1 eta S + gamma (I (x) tr_A[(rho_E (x) I) S])
+        n = w.shape[0]
+        sign = (v * np.sign(w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        idler = np.einsum("ba,nacbd->ncd", rho_e, sign.reshape(n, d, d, d, d))
+        lifted = np.einsum("ab,ncd->nacbd", np.eye(d), idler).reshape(n, d * d, d * d)
+        return np.linalg.eigh(p1eta * sign + gamma * lifted)[1][:, :, -1]
+
+    return d * d, omegas, targets
 
 
 def maximize_trace_norm(
@@ -147,19 +157,26 @@ def maximize_trace_norm(
 ) -> OracleResult:
     """Maximize the hypothesis-difference trace norm over pure probe states.
 
-    Multi-start stochastic hill climb on the complex unit sphere: each
-    restart perturbs its current state by a Gaussian step, renormalizes,
-    keeps the proposal if the trace norm increased, and contracts the step
-    geometrically after ``STALL_WINDOW`` consecutive rejections. A restart
-    ends once its step falls below ``cfg.tolerance`` (further moves cannot
-    change the value at the reported resolution) or its step budget runs
-    out, which is normal termination.
+    A batched see-saw over the restarts, resting on ``||w||_1 = max tr(S w)``
+    over ``-I <= S <= I``: each iteration of a restart at ``psi`` takes
+    ``psi'``, the top eigenvector of ``psi -> tr(S omega(psi))`` with
+    ``S = sign(omega(psi))``, and aligns its phase to ``psi``. The move
+    ``m = (psi' - psi) + beta m_prev`` adds the previous move with a
+    Polak-Ribiere weight (``beta >= 0``, a nonlinear conjugate-gradient
+    acceleration of the see-saw, which alone crawls on ill-conditioned
+    spectra). The search tries ``normalize(psi + t m)`` for ``t`` in
+    ``EXTRAPOLATION_STEPS`` and moves to the best only on strict
+    improvement, so every restart is monotone. A restart has converged once
+    a plain see-saw move (``beta = 0``; a stalled momentum move is retried
+    as one) gains at most ``SEARCH_CONVERGED_GAIN``; otherwise it stops
+    after ``cfg.steps_per_restart`` iterations (a budget stop).
+    ``evaluations`` counts every trace norm computed.
 
-    Restart ``r`` owns the private stream ``default_rng([cfg.seed, r])``, so
-    results are reproducible bit-for-bit given the config. If
-    ``initial_state`` is given, restart 0 starts there instead of at a Haar
-    draw. The returned ``perr`` is an upper bound on the true minimal error;
-    ties between restarts resolve to the lowest restart index.
+    Restart ``r`` draws its Haar-random start from ``default_rng([cfg.seed,
+    r])``, so results are reproducible bit-for-bit given the config. If
+    ``initial_state`` is given, restart 0 starts there instead. The returned
+    ``perr`` is an upper bound on the true minimal error; ties between
+    restarts resolve to the lowest restart index.
     """
     _check_mode(mode)
     if mode == QUANTUM and s.env.dim > MAX_QUANTUM_SEARCH_DIM:
@@ -167,50 +184,63 @@ def maximize_trace_norm(
             f"quantum search supports environment dimension <= {MAX_QUANTUM_SEARCH_DIM}, "
             f"got {s.env.dim}"
         )
-    dim, value_of = _batched_objective(s, mode)
+    dim, omegas, targets = _see_saw_maps(s, mode)
 
-    rngs = [np.random.default_rng([cfg.seed, r]) for r in range(cfg.restarts)]
+    def values_of(states: np.ndarray) -> np.ndarray:
+        return np.abs(np.linalg.eigvalsh(omegas(states))).sum(axis=1)
+
     states = np.empty((cfg.restarts, dim), dtype=np.complex128)
-    for r, rng in enumerate(rngs):
+    for r in range(cfg.restarts):
         if r == 0 and initial_state is not None:
             start = require_state_vector(initial_state)
             if start.size != dim:
                 raise ValueError(f"initial state has dimension {start.size}, expected {dim}")
             states[r] = start
         else:
-            states[r] = haar_random_state(dim, rng)
-    values = value_of(states)
+            states[r] = haar_random_state(dim, np.random.default_rng([cfg.seed, r]))
+    values = values_of(states)
     evaluations = cfg.restarts
-
-    steps = np.full(cfg.restarts, float(cfg.initial_step))
-    stalls = np.zeros(cfg.restarts, dtype=int)
+    iterations = np.zeros(cfg.restarts, dtype=int)
     active = np.ones(cfg.restarts, dtype=bool)
+    residuals = np.zeros_like(states)  # last see-saw step psi' - psi; zero restarts the momentum
+    moves = np.zeros_like(states)
 
     for _ in range(cfg.steps_per_restart):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        noise = np.empty((idx.size, dim), dtype=np.complex128)
-        for k, r in enumerate(idx):
-            draw = rngs[r].standard_normal((2, dim))
-            noise[k] = draw[0] + 1j * draw[1]
-        proposals = states[idx] + steps[idx, None] * noise
-        proposals /= np.linalg.norm(proposals, axis=1, keepdims=True)
-        trial = value_of(proposals)
-        evaluations += idx.size
+        iterations[idx] += 1
+        psi = states[idx]
+        target = targets(*np.linalg.eigh(omegas(psi)))
+        overlap = np.einsum("ni,ni->n", target.conj(), psi)
+        residual = target * np.exp(1j * np.angle(overlap))[:, None] - psi
+        previous = residuals[idx]
+        beta = np.einsum("ni,ni->n", residual.conj(), residual - previous).real
+        scale = np.einsum("ni,ni->n", previous.conj(), previous).real
+        beta = np.divide(np.maximum(beta, 0.0), scale, out=np.zeros_like(beta), where=scale > 0.0)
+        move = residual + beta[:, None] * moves[idx]
 
-        improved = trial > values[idx]
-        accepted = idx[improved]
-        states[accepted] = proposals[improved]
-        values[accepted] = trial[improved]
-        stalls[accepted] = 0
+        best_states = psi.copy()
+        best_values = values[idx]
+        live = np.arange(idx.size)
+        for t in EXTRAPOLATION_STEPS:
+            trial = psi[live] + t * move[live]
+            trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+            trial_values = values_of(trial)
+            evaluations += live.size
+            improved = trial_values > best_values[live]
+            live = live[improved]
+            best_states[live] = trial[improved]
+            best_values[live] = trial_values[improved]
+            if live.size == 0:
+                break
 
-        rejected = idx[~improved]
-        stalls[rejected] += 1
-        contract = rejected[stalls[rejected] >= STALL_WINDOW]
-        steps[contract] *= cfg.shrink_factor
-        stalls[contract] = 0
-        active[contract[steps[contract] < cfg.tolerance]] = False
+        stalled = best_values - values[idx] <= SEARCH_CONVERGED_GAIN
+        active[idx[stalled & (beta == 0.0)]] = False
+        residuals[idx] = np.where(stalled[:, None], 0.0, residual)
+        moves[idx] = move
+        states[idx] = best_states
+        values[idx] = best_values
 
     best = int(np.argmax(values))
     best_value = float(values[best])
@@ -219,6 +249,8 @@ def maximize_trace_norm(
         best_state=states[best].copy(),
         perr=(1.0 - best_value) / 2.0,
         evaluations=evaluations,
+        iterations=iterations.tolist(),
+        budget_stops=int(np.count_nonzero(active)),
     )
 
 
@@ -537,11 +569,12 @@ def run_lemma_suite(seed: int = 0, trials: int = 10000) -> dict:
 
 
 def run_oracle_suite(seed: int = 0, cfg: SearchConfig | None = None) -> dict:
-    """Stochastic search versus the closed forms on the bundled scenarios.
+    """See-saw search versus the closed forms on the bundled scenarios.
 
     A case passes when the search error agrees with the analytic error to
     the search tolerance (two-sided: the search must neither beat the
-    claimed optimum nor fall short of reaching it).
+    claimed optimum nor fall short of reaching it). Each check also reports
+    ``budget_stops``, the restarts that ended on the iteration cap.
     """
     checks = []
     for case in bundled_scenarios():
@@ -551,7 +584,8 @@ def run_oracle_suite(seed: int = 0, cfg: SearchConfig | None = None) -> dict:
         margin = case_cfg.tolerance - diff
         checks.append(
             {"name": case.name, "trials": result.evaluations,
-             "violations": int(margin < 0.0), "worst_margin": margin}
+             "violations": int(margin < 0.0), "worst_margin": margin,
+             "budget_stops": result.budget_stops}
         )
     total = sum(c["violations"] for c in checks)
     return {"suite": "oracle", "seed": seed, "checks": checks, "violations": total}

@@ -7,6 +7,7 @@ outer loop. Plotting is out of scope; the CSV is the deliverable.
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from operator import attrgetter
@@ -28,7 +29,9 @@ MAX_GRID_CELLS = 4_000_000
 
 
 def _check_range(name: str, rng: tuple) -> tuple[float, float, int]:
-    lo, hi, steps = float(rng[0]), float(rng[1]), int(rng[2])
+    lo, hi, steps = float(rng[0]), float(rng[1]), rng[2]
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise ValueError(f"{name} steps must be an integer, got {steps!r}")
     if steps < 2:
         raise ValueError(f"{name} needs at least 2 steps, got {steps}")
     if not (0.0 <= lo <= hi <= 1.0):

@@ -21,3 +21,6 @@ BOUNDARY_TOL = 1e-12         # reflectivities this close to a region boundary la
 
 # Measurement construction.
 POSITIVE_PART_TOL = 1e-12  # eigenvalues within this band of zero go to the "absent" projector
+
+# Oracle search.
+SEARCH_CONVERGED_GAIN = 1e-13  # a restart stops once a plain see-saw move gains no more

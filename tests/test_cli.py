@@ -187,6 +187,60 @@ class TestSweep:
         assert "ILLUME_THREADS" in err
 
 
+    @pytest.mark.parametrize("steps", [2.7, "4", True])
+    def test_non_integer_steps_is_input_error(self, capsys, tmp_path, steps):
+        spec = self.write_spec(tmp_path, p0_range=[0, 1, steps])
+        out_csv = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out_csv))
+        assert (code, out) == (2, "")
+        assert "steps must be an integer" in err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("field, value", [("initial_step", 0.5), ("shrink_factor", 0.9)])
+    def test_removed_oracle_cfg_field_is_input_error(self, capsys, tmp_path, field, value):
+        spec = self.write_spec(tmp_path, p0_range=[0, 1, 2], eta_range=[0, 1, 2], oracle=True,
+                               oracle_cfg={"restarts": 1, "seed": 0, field: value})
+        code, out, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (2, "")
+        assert f"unknown oracle_cfg fields: {field}" in err
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"steps_per_restart": 0}, "must be an integer >= 1"),
+        ({"restarts": 1.5}, "must be an integer >= 1"),
+        ({"seed": 1.5}, "must be an integer >= 0"),
+        (5, "must be a JSON object"),
+        ([1, 2], "must be a JSON object"),
+    ])
+    def test_invalid_oracle_cfg_is_input_error(self, capsys, tmp_path, cfg, message):
+        spec = self.write_spec(tmp_path, p0_range=[0, 1, 2], eta_range=[0, 1, 2], oracle=True,
+                               oracle_cfg=cfg)
+        code, out, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_oracle_workers_default_to_one(self, capsys, tmp_path, monkeypatch):
+        import illume.cli
+
+        seen = []
+        real_run_sweep = illume.cli.run_sweep
+
+        def spy(spec, workers=1):
+            seen.append(workers)
+            return real_run_sweep(spec, workers=workers)
+
+        monkeypatch.setattr(illume.cli, "run_sweep", spy)
+        monkeypatch.delenv("ILLUME_THREADS", raising=False)
+        spec = self.write_spec(tmp_path, p0_range=[0.4, 0.6, 2], eta_range=[0.5, 0.7, 2],
+                               oracle_cfg={"restarts": 2, "seed": 0})
+        code, _, _ = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(tmp_path / "x.csv"),
+                             "--oracle")
+        assert code == 0
+        monkeypatch.setenv("ILLUME_THREADS", "3")
+        assert run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(tmp_path / "y.csv"),
+                       "--oracle")[0] == 0
+        assert seen == [1, 3]
+        assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "y.csv").read_bytes()
+
 class TestVerify:
     def test_lemma_suite(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "lemmas", "--seed", "7",

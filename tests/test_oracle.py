@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_density, random_scenario
+from conftest import random_density, random_scenario, random_unitary
 from illume import (
     CONVENTIONAL,
     QUANTUM,
@@ -12,6 +12,7 @@ from illume import (
     EnvironmentState,
     Scenario,
     SearchConfig,
+    SweepSpec,
     bundled_scenarios,
     check_convexity_reduction,
     check_eigenvalue_lower_bound,
@@ -21,7 +22,9 @@ from illume import (
     derived_params,
     haar_random_state,
     maximize_trace_norm,
+    omega_c,
     omega_q,
+    omega_q_density,
     partial_trace_first,
     optimal_probe_conventional,
     optimal_probe_quantum,
@@ -32,6 +35,7 @@ from illume import (
     run_lemma_suite,
     run_montecarlo_suite,
     run_oracle_suite,
+    run_sweep,
     simulate_measurement,
     tensor,
 )
@@ -133,7 +137,7 @@ class TestMaximizeTraceNorm:
         with pytest.raises(ValueError):
             SearchConfig(restarts=0)
         with pytest.raises(ValueError):
-            SearchConfig(shrink_factor=1.0)
+            SearchConfig(steps_per_restart=0)
         with pytest.raises(ValueError):
             SearchConfig(tolerance=0.0)
 
@@ -149,6 +153,115 @@ class TestMaximizeTraceNorm:
                 result = maximize_trace_norm(s, mode, small)
                 assert result.perr >= analytic(s) - 1e-6
 
+
+class TestSeeSawSearch:
+    def test_conventional_d16_region_three_converges(self):
+        rng = np.random.default_rng(2024)
+        env = EnvironmentState(np.sort(rng.dirichlet(np.ones(16)))[::-1])
+        s = Scenario(0.5, 0.6, env)
+        assert classify(s)[0] == REGION_III
+        result = maximize_trace_norm(s, CONVENTIONAL, SearchConfig(restarts=8, seed=0))
+        assert abs(result.perr - perr_conventional(s)) <= 1e-9
+        assert result.budget_stops == 0
+
+    def test_quantum_d8_completely_mixed_converges(self):
+        s = Scenario(0.5, 0.6, EnvironmentState.completely_mixed(8))
+        assert classify(s)[1] == REGION_III
+        result = maximize_trace_norm(s, QUANTUM, SearchConfig(restarts=8, seed=3))
+        assert abs(result.perr - perr_quantum(s)) <= 1e-9
+        assert result.budget_stops == 0
+
+    def test_ill_conditioned_quantum_d5_converges(self):
+        # a near-zero eigenvalue next to a dominant one: the plain see-saw
+        # crawls here and stops on its iteration cap
+        spectrum = np.array([0.91282, 0.0403, 0.03108, 0.01566, 0.00015])
+        s = Scenario(0.2, 0.98, EnvironmentState(spectrum / spectrum.sum()))
+        assert classify(s)[1] == REGION_III
+        result = maximize_trace_norm(s, QUANTUM, SearchConfig(restarts=4, seed=1))
+        assert abs(result.perr - perr_quantum(s)) <= 1e-9
+        assert result.budget_stops == 0
+
+    @pytest.mark.parametrize("mode", [CONVENTIONAL, QUANTUM])
+    def test_single_restart_is_monotone(self, mode):
+        rng = np.random.default_rng(12)
+        s = random_scenario(rng, 3, gamma_sign=-1)
+        dim = 3 if mode == CONVENTIONAL else 9
+        for _ in range(3):
+            start = haar_random_state(dim, rng)
+            start_value = 1.0 - 2.0 * perr_of_state(s, start, mode)
+            previous = -np.inf
+            for cap in (1, 2, 3, 5, 8, 40):
+                cfg = SearchConfig(restarts=1, steps_per_restart=cap, seed=1)
+                value = maximize_trace_norm(s, mode, cfg, initial_state=start).best_value
+                assert value >= start_value - 1e-14
+                assert value >= previous  # a longer run extends the same trajectory
+                previous = value
+            assert previous > start_value + 1e-6
+
+    @pytest.mark.parametrize("mode", [CONVENTIONAL, QUANTUM])
+    def test_move_maximizes_the_see_saw_form(self, mode):
+        # psi' is a top eigenvector of the form phi -> tr(S omega(phi)), S =
+        # sign(omega(psi)), over unit vectors; its matrix is built here from
+        # the model's omega builders: Q_ij = tr(S [omega(|j><i|) - omega(0)])
+        from illume.oracle import _see_saw_maps
+
+        build = omega_c if mode == CONVENTIONAL else omega_q_density
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            d = int(rng.integers(2, 4))
+            base = random_scenario(rng, d, gamma_sign=-1)
+            env = EnvironmentState(base.env.spectrum, random_unitary(rng, d).T)
+            s = Scenario(base.p0, base.eta, env)
+            dim, omegas, targets = _see_saw_maps(s, mode)
+            w, v = np.linalg.eigh(omegas(haar_random_state(dim, rng)[None]))
+            sign = (v[0] * np.sign(w[0])) @ v[0].conj().T
+            basis = np.eye(dim)
+            offset = build(s, np.zeros((dim, dim)))
+            q = np.array([[np.trace(sign @ (build(s, np.outer(basis[j], basis[i])) - offset))
+                           for j in range(dim)] for i in range(dim)])
+            move = targets(w, v)[0]
+            assert np.vdot(move, q @ move).real >= np.linalg.eigvalsh(q)[-1] - 1e-12
+
+    def test_iterations_and_budget_stops(self):
+        s = Scenario(0.5, 0.6, EnvironmentState(SKEW3))
+        capped = maximize_trace_norm(s, QUANTUM, SearchConfig(restarts=5, steps_per_restart=1))
+        assert capped.iterations == [1] * 5
+        assert capped.budget_stops == 5
+        full = maximize_trace_norm(s, QUANTUM, SearchConfig(restarts=5, seed=2))
+        assert full.budget_stops == 0
+        assert len(full.iterations) == 5 and min(full.iterations) >= 1
+        # every iteration evaluates between one and six extrapolation candidates
+        assert 5 + sum(full.iterations) <= full.evaluations <= 5 + 6 * sum(full.iterations)
+
+    @pytest.mark.parametrize("field, value", [
+        ("restarts", 2.5), ("restarts", True), ("restarts", "4"),
+        ("steps_per_restart", -5), ("steps_per_restart", 2.0), ("steps_per_restart", None),
+        ("seed", -1), ("seed", 1.5), ("seed", "x"),
+        ("tolerance", float("nan")), ("tolerance", "a"),
+    ])
+    def test_rejects_malformed_budget(self, field, value):
+        with pytest.raises(ValueError, match=field.split("_")[0]):
+            SearchConfig(**{field: value})
+
+    def test_bit_identical_reruns(self):
+        s = Scenario(0.45, 0.7, EnvironmentState(SKEW3))
+        cfg = SearchConfig(restarts=6, seed=8)
+        for mode in (CONVENTIONAL, QUANTUM):
+            a = maximize_trace_norm(s, mode, cfg)
+            b = maximize_trace_norm(s, mode, cfg)
+            assert (a.best_value, a.evaluations, a.iterations) == (
+                b.best_value, b.evaluations, b.iterations)
+            assert a.best_state.tobytes() == b.best_state.tobytes()
+
+    def test_sweep_worker_count_is_bit_identical(self):
+        cfg = SearchConfig(restarts=4, seed=6)
+        spec = SweepSpec((0.3, 0.6, 3), (0.4, 0.9, 3), EnvironmentState(SKEW3),
+                         include_oracle=True, oracle_cfg=cfg)
+        serial = run_sweep(spec, workers=1)
+        assert [dataclasses.astuple(r) for r in serial] == [
+            dataclasses.astuple(r) for r in run_sweep(spec, workers=4)]
+        assert [dataclasses.astuple(r) for r in serial] == [
+            dataclasses.astuple(r) for r in run_sweep(spec, workers=1)]
 
 class TestSingleNegativeEigenvalue:
     def test_zero_shift_is_trivially_true(self):
@@ -361,6 +474,14 @@ class TestSuites:
         result = run_oracle_suite(seed=7)
         assert result["violations"] == 0
         assert min(c["worst_margin"] for c in result["checks"]) >= 0.0
+
+    def test_oracle_suite_reports_budget_stops(self):
+        result = run_oracle_suite(seed=3)
+        assert result["violations"] == 0
+        assert [c["budget_stops"] for c in result["checks"]] == [0] * 20
+        capped = run_oracle_suite(seed=3, cfg=SearchConfig(restarts=2, steps_per_restart=1))
+        assert {c["budget_stops"] for c in capped["checks"]} <= {0, 1, 2}
+        assert sum(c["budget_stops"] for c in capped["checks"]) > 0
 
     def test_montecarlo_suite_clean(self):
         result = run_montecarlo_suite(seed=11, trials=20_000)

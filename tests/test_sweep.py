@@ -151,6 +151,17 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="0 <= min <= max <= 1"):
             SweepSpec((0.0, 1.2, 5), (0.0, 1.0, 5), env)
 
+    @pytest.mark.parametrize("steps", [2.7, 4.0, "4", True, None])
+    def test_rejects_non_integer_steps(self, steps):
+        env = EnvironmentState([0.5, 0.5])
+        with pytest.raises(ValueError, match="p0_range steps must be an integer"):
+            SweepSpec((0.0, 1.0, steps), (0.0, 1.0, 3), env)
+        with pytest.raises(ValueError, match="eta_range steps must be an integer"):
+            SweepSpec((0.0, 1.0, 3), (0.0, 1.0, steps), env)
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            region_boundaries(env, (0.0, 1.0, steps))
+        assert len(run_sweep(SweepSpec((0.0, 1.0, np.int64(2)), (0.0, 1.0, 3), env))) == 6
+
     def test_grid_size_limit(self):
         env = EnvironmentState([0.5, 0.5])
         SweepSpec((0.0, 1.0, 2000), (0.0, 1.0, MAX_GRID_CELLS // 2000), env)
