@@ -47,6 +47,7 @@ from .model import (
     EnvironmentState,
     Scenario,
     channel_absent,
+    channel_absent_bipartite,
     channel_present,
     derived_params,
     environment_from_dict,

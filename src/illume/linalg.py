@@ -54,7 +54,7 @@ def require_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     residual = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if residual > tol:
+    if not residual <= tol:  # also rejects NaN entries
         raise ValueError(f"matrix is not Hermitian: max |A - A^dagger| = {residual:.3e} > {tol:.1e}")
     return a
 
@@ -65,7 +65,7 @@ def require_state_vector(v, tol: float = STATE_NORM_TOL) -> np.ndarray:
     if v.size < 1:
         raise ValueError("state vector must have dimension >= 1")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= tol:  # also rejects NaN entries
         raise ValueError(f"state vector is not normalized: ||psi|| = {norm!r}")
     return v
 
@@ -74,10 +74,10 @@ def require_density_matrix(a) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, positive semidefinite."""
     a = require_hermitian(a)
     tr = complex(np.trace(a))
-    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
+    if not abs(tr - 1.0) <= DENSITY_TRACE_TOL:
         raise ValueError(f"density matrix must have unit trace, got {tr!r}")
     smallest = float(np.linalg.eigvalsh(a)[0])
-    if smallest < -DENSITY_EIG_TOL:
+    if not smallest >= -DENSITY_EIG_TOL:
         raise ValueError(f"density matrix has a negative eigenvalue: {smallest:.3e}")
     return a
 

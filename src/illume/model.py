@@ -168,6 +168,16 @@ def channel_present(s: Scenario, probe) -> np.ndarray:
     return s.eta * probe + (1.0 - s.eta) * s.env.density()
 
 
+def channel_absent_bipartite(s: Scenario, probe_ab) -> np.ndarray:
+    """Target-absent state of a signal-idler probe: ``rho_E (x) tr_A rho_AB``.
+
+    The signal is lost, the environment returns and the idler is kept.
+    """
+    d = s.env.dim
+    probe_ab = _check_probe_dim(s, probe_ab, d * d)
+    return tensor(s.env.density(), partial_trace_first(probe_ab, d, d))
+
+
 def omega_c(s: Scenario, probe) -> np.ndarray:
     """Weighted hypothesis difference p1 E1(probe) - p0 E0(probe) for a single signal.
 
@@ -184,11 +194,9 @@ def omega_q_density(s: Scenario, probe_ab) -> np.ndarray:
     Equals ``p1 eta rho_AB + gamma rho_E (x) rho_B`` with
     ``rho_B = tr_A rho_AB``.
     """
-    d = s.env.dim
-    probe_ab = _check_probe_dim(s, probe_ab, d * d)
-    rho_b = partial_trace_first(probe_ab, d, d)
+    probe_ab = _check_probe_dim(s, probe_ab, s.env.dim ** 2)
     gamma = s.p1 * (1.0 - s.eta) - s.p0
-    return s.p1 * s.eta * probe_ab + gamma * tensor(s.env.density(), rho_b)
+    return s.p1 * s.eta * probe_ab + gamma * channel_absent_bipartite(s, probe_ab)
 
 
 def omega_q(s: Scenario, probe) -> np.ndarray:
@@ -220,7 +228,10 @@ def environment_from_dict(data: dict) -> EnvironmentState:
 
     basis = None
     if data.get("basis") is not None:
-        raw = np.asarray(data["basis"], dtype=float)
+        try:
+            raw = np.asarray(data["basis"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed basis: {exc}") from exc
         d = len(spectrum)
         if raw.shape != (d, d, 2):
             raise ValueError(

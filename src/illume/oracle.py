@@ -37,7 +37,7 @@ from .model import (
     EnvironmentState,
     Scenario,
     channel_absent,
-    channel_present,
+    channel_absent_bipartite,
     derived_params,
     omega_c,
     omega_q,
@@ -254,14 +254,31 @@ def maximize_trace_norm(
     )
 
 
+def _single_negative_margin(rho: np.ndarray, alpha: float, psi: np.ndarray) -> float:
+    w = np.linalg.eigvalsh(rho - alpha * projector(psi))
+    if w.size < 2:
+        return np.inf  # one eigenvalue: at most one can be negative
+    return float(w[1]) + DENSITY_EIG_TOL  # second-smallest must clear -tol
+
+
 def check_single_negative_eigenvalue(rho, alpha: float, psi) -> bool:
     """A density matrix minus a positive rank-one term has at most one negative eigenvalue."""
     rho = np.asarray(rho, dtype=np.complex128)
     psi = require_state_vector(psi)
     if rho.shape != (psi.size, psi.size):
         raise ValueError(f"dimension mismatch: rho {rho.shape} vs psi {psi.size}")
-    w = np.linalg.eigvalsh(rho - alpha * projector(psi))
-    return int(np.sum(w < -DENSITY_EIG_TOL)) <= 1
+    return _single_negative_margin(rho, alpha, psi) >= 0.0
+
+
+def _ground_level_margin(env: EnvironmentState, alpha: float, psi: np.ndarray) -> float:
+    d = env.dim
+    rho_ab = projector(psi)
+    h = tensor(env.density(), partial_trace_first(rho_ab, d, d)) - alpha * rho_ab
+    e_g = float(np.linalg.eigvalsh(h)[0])
+    lam_h = env.lambda_harmonic
+    if alpha > lam_h:
+        return e_g - (lam_h - alpha) + DENSITY_EIG_TOL
+    return e_g + DENSITY_EIG_TOL
 
 
 def check_eigenvalue_lower_bound(env: EnvironmentState, alpha: float, psi) -> bool:
@@ -274,18 +291,19 @@ def check_eigenvalue_lower_bound(env: EnvironmentState, alpha: float, psi) -> bo
     product probe has ground level exactly 0, below ``lambda_h - alpha``
     whenever ``alpha < lambda_h``.)
     """
-    d = env.dim
     psi = require_state_vector(psi)
-    if psi.size != d * d:
-        raise ValueError(f"bipartite state has dimension {psi.size}, expected {d * d}")
-    rho_ab = projector(psi)
-    rho_b = partial_trace_first(rho_ab, d, d)
-    h = tensor(env.density(), rho_b) - alpha * rho_ab
-    e_g = float(np.linalg.eigvalsh(h)[0])
-    lam_h = env.lambda_harmonic
-    if alpha > lam_h:
-        return e_g >= lam_h - alpha - DENSITY_EIG_TOL
-    return e_g >= -DENSITY_EIG_TOL
+    if psi.size != env.dim ** 2:
+        raise ValueError(f"bipartite state has dimension {psi.size}, expected {env.dim ** 2}")
+    return _ground_level_margin(env, alpha, psi) >= 0.0
+
+
+def _linearity_margin(s: Scenario, psi: np.ndarray) -> float:
+    dp = derived_params(s)
+    e_d = float(np.linalg.eigvalsh(s.env.density() - dp.alpha * projector(psi))[0])
+    if e_d > 0.0:
+        return 1e-10
+    predicted = 0.5 * (1.0 - abs(dp.gamma) * (1.0 - dp.alpha - 2.0 * e_d))
+    return 1e-10 - abs(predicted - perr_of_state(s, psi, CONVENTIONAL))
 
 
 def check_perr_linear_in_min_eigenvalue(s: Scenario, psi) -> bool:
@@ -297,49 +315,33 @@ def check_perr_linear_in_min_eigenvalue(s: Scenario, psi) -> bool:
     :func:`perr_of_state` at 1e-10. States with ``E_d > 0`` are outside the
     identity's precondition and pass vacuously.
     """
-    dp = derived_params(s)
-    if dp.alpha is None:
+    if derived_params(s).alpha is None:
         raise ValueError("check requires gamma < 0")
     psi = require_state_vector(psi)
     if psi.size != s.env.dim:
         raise ValueError(f"probe has dimension {psi.size}, expected {s.env.dim}")
-    e_d = float(np.linalg.eigvalsh(s.env.density() - dp.alpha * projector(psi))[0])
-    if e_d > 0.0:
-        return True
-    predicted = 0.5 * (1.0 - abs(dp.gamma) * (1.0 - dp.alpha - 2.0 * e_d))
-    return abs(predicted - perr_of_state(s, psi, CONVENTIONAL)) <= 1e-10
+    return _linearity_margin(s, psi) >= 0.0
+
+
+def _convexity_margin(s: Scenario, rho: np.ndarray, mode: str) -> float:
+    build = omega_c if mode == CONVENTIONAL else omega_q_density
+    mixed_value = trace_norm(build(s, rho))
+    decomp = eig(rho)
+    best_pure = max(
+        (
+            trace_norm(build(s, projector(decomp.eigenvectors[:, k])))
+            for k, weight in enumerate(decomp.eigenvalues)
+            if weight > 1e-12
+        ),
+        default=0.0,
+    )
+    return best_pure + 1e-10 - mixed_value
 
 
 def check_convexity_reduction(s: Scenario, rho, mode: str) -> bool:
     """A mixed probe never out-performs the best eigenstate in its mixture."""
     _check_mode(mode)
-    rho = np.asarray(rho, dtype=np.complex128)
-    build = omega_c if mode == CONVENTIONAL else omega_q_density
-    mixed_value = trace_norm(build(s, rho))
-    decomp = eig(rho)
-    best_pure = 0.0
-    for k, weight in enumerate(decomp.eigenvalues):
-        if weight <= 1e-12:
-            continue
-        vec = decomp.eigenvectors[:, k]
-        best_pure = max(best_pure, trace_norm(build(s, projector(vec))))
-    return mixed_value <= best_pure + 1e-10
-
-
-def _hypothesis_pair(s: Scenario, probe: np.ndarray, mode: str):
-    if mode == CONVENTIONAL:
-        if probe.size != s.env.dim:
-            raise ValueError(
-                f"conventional probe has dimension {probe.size}, expected {s.env.dim}"
-            )
-        rho = projector(probe)
-        return channel_absent(s, rho), channel_present(s, rho)
-    d = s.env.dim
-    if probe.size != d * d:
-        raise ValueError(f"bipartite probe has dimension {probe.size}, expected {d * d}")
-    rho_ab = projector(probe)
-    background = tensor(s.env.density(), partial_trace_first(rho_ab, d, d))
-    return background, s.eta * rho_ab + (1.0 - s.eta) * background
+    return _convexity_margin(s, np.asarray(rho, dtype=np.complex128), mode) >= 0.0
 
 
 def simulate_measurement(
@@ -362,8 +364,9 @@ def simulate_measurement(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_mode(mode)
-    probe = require_state_vector(probe)
-    rho0, rho1 = _hypothesis_pair(s, probe, mode)
+    rho = projector(require_state_vector(probe))
+    rho0 = (channel_absent if mode == CONVENTIONAL else channel_absent_bipartite)(s, rho)
+    rho1 = s.eta * rho + (1.0 - s.eta) * rho0  # the target-present state in either mode
 
     decomp = eig(s.p1 * rho1 - s.p0 * rho0)
     plus = decomp.eigenvectors[:, decomp.eigenvalues > POSITIVE_PART_TOL]
@@ -441,128 +444,83 @@ def bundled_scenarios() -> list[BundledCase]:
     ]
 
 
-def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Random full-rank density matrix ``G G^dagger / tr(G G^dagger)``, ``G`` complex Gaussian."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
 
-def _random_scenario(rng: np.random.Generator, dim: int, force_gamma_negative=False) -> Scenario:
+def random_scenario(rng: np.random.Generator, dim: int, gamma_negative: bool = False) -> Scenario:
+    """Random scenario with a normalized exponential spectrum and a uniform (p0, eta).
+
+    ``p0 ~ U(0.01, 0.99)`` and ``eta ~ U(0, 1)``; with ``gamma_negative`` the
+    (p0, eta) draw repeats until ``gamma < -1e-6`` (the measurement regime).
+    """
     spectrum = rng.exponential(size=dim)
     spectrum /= spectrum.sum()
     while True:
         p0 = float(rng.uniform(0.01, 0.99))
         eta = float(rng.uniform(0.0, 1.0))
         gamma = (1.0 - p0) * (1.0 - eta) - p0
-        if not force_gamma_negative or gamma < -1e-6:
+        if not gamma_negative or gamma < -1e-6:
             return Scenario(p0, eta, EnvironmentState(spectrum))
 
 
 def run_lemma_suite(seed: int = 0, trials: int = 10000) -> dict:
     """Random-instance checks of the eigenvalue structure behind the closed forms.
 
-    Each check reports a worst margin, normalized so that a pass means
-    margin >= 0 (the tolerance is already folded in).
+    Each check runs the margin behind its ``check_*`` function and reports
+    the worst one; the tolerance is folded in, so a pass means margin >= 0.
     """
     rng = np.random.default_rng([seed, 101])
     dims = (2, 3, 4, 6)
-    checks = []
 
-    # At most one negative eigenvalue of rho - alpha |psi><psi|.
-    violations = 0
-    worst = np.inf
-    for t in range(trials):
+    def single_negative(t: int) -> float:
         d = dims[t % len(dims)]
-        rho = _random_density(rng, d)
+        rho = random_density(rng, d)
         psi = haar_random_state(d, rng)
         alpha = float(rng.uniform(1e-3, 2.0))
-        w = np.linalg.eigvalsh(rho - alpha * projector(psi))
-        margin = float(w[1]) + DENSITY_EIG_TOL  # second-smallest must clear -tol
-        worst = min(worst, margin)
-        if margin < 0.0:
-            violations += 1
-    checks.append(
-        {"name": "single_negative_eigenvalue", "trials": trials,
-         "violations": violations, "worst_margin": worst}
-    )
+        return _single_negative_margin(rho, alpha, psi)
 
-    # Ground-level lower bound of the bipartite background operator.
-    n_bipartite = max(trials // 10, 1)
-    violations = 0
-    worst = np.inf
-    for t in range(n_bipartite):
+    def ground_level(t: int) -> float:
         d = 2 + (t % 2)
         env = EnvironmentState(np.sort(rng.dirichlet(np.ones(d)))[::-1])
         psi = haar_random_state(d * d, rng)
-        lam_h = env.lambda_harmonic
         if t % 2 == 0:
-            alpha = float(rng.uniform(0.0, 1.0)) * lam_h  # below the harmonic level
+            alpha = float(rng.uniform(0.0, 1.0)) * env.lambda_harmonic  # below the harmonic level
         else:
-            alpha = lam_h + float(rng.exponential(0.5))
-        rho_ab = projector(psi)
-        h = tensor(env.density(), partial_trace_first(rho_ab, d, d)) - alpha * rho_ab
-        e_g = float(np.linalg.eigvalsh(h)[0])
-        if alpha > lam_h:
-            margin = e_g - (lam_h - alpha) + DENSITY_EIG_TOL
-        else:
-            margin = e_g + DENSITY_EIG_TOL
-        worst = min(worst, margin)
-        if margin < 0.0:
-            violations += 1
-    checks.append(
-        {"name": "bipartite_ground_level_bound", "trials": n_bipartite,
-         "violations": violations, "worst_margin": worst}
-    )
+            alpha = env.lambda_harmonic + float(rng.exponential(0.5))
+        return _ground_level_margin(env, alpha, psi)
 
-    # Linearity of the probe error in the shifted environment's ground level.
-    n_linear = max(trials // 10, 1)
-    violations = 0
-    worst = np.inf
-    for t in range(n_linear):
+    def linearity(t: int) -> float:
         d = dims[t % len(dims)]
-        s = _random_scenario(rng, d, force_gamma_negative=True)
-        psi = haar_random_state(d, rng)
-        dp = derived_params(s)
-        e_d = float(np.linalg.eigvalsh(s.env.density() - dp.alpha * projector(psi))[0])
-        if e_d > 0.0:
-            margin = 1e-10
-        else:
-            predicted = 0.5 * (1.0 - abs(dp.gamma) * (1.0 - dp.alpha - 2.0 * e_d))
-            margin = 1e-10 - abs(predicted - perr_of_state(s, psi, CONVENTIONAL))
-        worst = min(worst, margin)
-        if margin < 0.0:
-            violations += 1
-    checks.append(
-        {"name": "perr_linear_in_ground_level", "trials": n_linear,
-         "violations": violations, "worst_margin": worst}
-    )
+        s = random_scenario(rng, d, gamma_negative=True)
+        return _linearity_margin(s, haar_random_state(d, rng))
 
-    # Mixed probes never beat their best eigenstate.
-    n_convex = max(trials // 10, 1)
-    violations = 0
-    worst = np.inf
-    for t in range(n_convex):
+    def convexity(t: int) -> float:
         d = 2 + (t % 3)
-        s = _random_scenario(rng, d)
+        s = random_scenario(rng, d)
         mode = CONVENTIONAL if t % 2 == 0 else QUANTUM
         probe_dim = d if mode == CONVENTIONAL else d * d
-        rho = _random_density(rng, probe_dim)
-        build = omega_c if mode == CONVENTIONAL else omega_q_density
-        mixed_value = trace_norm(build(s, rho))
-        decomp = eig(rho)
-        best_pure = max(
-            trace_norm(build(s, projector(decomp.eigenvectors[:, k])))
-            for k in range(probe_dim)
-            if decomp.eigenvalues[k] > 1e-12
-        )
-        margin = best_pure + 1e-10 - mixed_value
-        worst = min(worst, margin)
-        if margin < 0.0:
-            violations += 1
-    checks.append(
-        {"name": "convexity_reduction", "trials": n_convex,
-         "violations": violations, "worst_margin": worst}
-    )
+        return _convexity_margin(s, random_density(rng, probe_dim), mode)
+
+    n_small = max(trials // 10, 1)
+    checks = []
+    for name, n, margin_of in (
+        ("single_negative_eigenvalue", trials, single_negative),
+        ("bipartite_ground_level_bound", n_small, ground_level),
+        ("perr_linear_in_ground_level", n_small, linearity),
+        ("convexity_reduction", n_small, convexity),
+    ):
+        violations = 0
+        worst = np.inf
+        for t in range(n):
+            margin = margin_of(t)
+            worst = min(worst, margin)
+            if not margin >= 0.0:
+                violations += 1
+        checks.append({"name": name, "trials": n, "violations": violations, "worst_margin": worst})
 
     total = sum(c["violations"] for c in checks)
     return {"suite": "lemmas", "seed": seed, "checks": checks, "violations": total}

@@ -29,7 +29,10 @@ MAX_GRID_CELLS = 4_000_000
 
 
 def _check_range(name: str, rng: tuple) -> tuple[float, float, int]:
-    lo, hi, steps = float(rng[0]), float(rng[1]), rng[2]
+    try:
+        lo, hi, steps = float(rng[0]), float(rng[1]), rng[2]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} bounds must be numbers: {exc}") from exc
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
         raise ValueError(f"{name} steps must be an integer, got {steps!r}")
     if steps < 2:

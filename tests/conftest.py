@@ -1,19 +1,25 @@
-"""Shared random-instance builders for the test suite."""
+"""Shared random-instance builders and fixtures for the test suite.
+
+``random_density`` and ``random_scenario`` are the package's own builders,
+the ones the lemma suite draws from.
+"""
 
 import numpy as np
+import pytest
 
-from illume import EnvironmentState, Scenario, eig
+from illume import eig, run_lemma_suite
+from illume.oracle import random_density, random_scenario  # noqa: F401
+
+
+@pytest.fixture(scope="session")
+def lemma_suite_2026():
+    """The 10^4-trial lemma suite at seed 2026, run once for all tests that read it."""
+    return run_lemma_suite(seed=2026, trials=10_000)
 
 
 def random_hermitian(rng, dim, scale=1.0):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return scale * (g + g.conj().T) / 2.0
-
-
-def random_density(rng, dim):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 def random_unitary(rng, dim):
@@ -25,14 +31,3 @@ def random_spectrum(rng, dim):
     lam = rng.exponential(size=dim)
     lam /= lam.sum()
     return np.sort(lam)[::-1]
-
-
-def random_scenario(rng, dim, gamma_sign=None):
-    """Random scenario; gamma_sign=-1 forces the measurement regime."""
-    spectrum = random_spectrum(rng, dim)
-    while True:
-        p0 = float(rng.uniform(0.02, 0.98))
-        eta = float(rng.uniform(0.0, 1.0))
-        gamma = (1.0 - p0) * (1.0 - eta) - p0
-        if gamma_sign is None or gamma * gamma_sign > 1e-6:
-            return Scenario(p0, eta, EnvironmentState(spectrum))

@@ -327,6 +327,6 @@ class TestInvariants:
     def test_optimal_quantum_probe_achieves_formula(self):
         rng = np.random.default_rng(18)
         for _ in range(25):
-            s = random_scenario(rng, int(rng.integers(2, 5)), gamma_sign=-1)
+            s = random_scenario(rng, int(rng.integers(2, 5)), gamma_negative=True)
             achieved = (1.0 - trace_norm(omega_q(s, optimal_probe_quantum(s)))) / 2.0
             assert abs(achieved - perr_quantum(s)) <= 1e-10

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from illume.cli import main
 
@@ -326,6 +331,16 @@ class TestSimulate:
         # any pure probe of I/2 achieves the optimum here
         assert abs(data["empirical_perr"] - 0.35) <= 4 * data["std_error"]
 
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+    def test_non_finite_probe_file_is_input_error(self, capsys, tmp_path, entry):
+        probe = tmp_path / "probe.json"
+        probe.write_text(f"[[1.0, 0.0], [{entry}, 0.0]]")
+        code, out, err = run_cli(capsys, "simulate", "--p0", "0.5", "--eta", "0.6",
+                                 "--spectrum", "0.5,0.5", "--mode", "conventional",
+                                 "--probe-file", str(probe))
+        assert (code, out) == (2, "")
+        assert "normalized" in err
+
     def test_invalid_mode_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--p0", "0.5", "--eta", "0.5", "--spectrum", "0.5,0.5",
@@ -338,3 +353,130 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# Input-boundary property: every scenario or sweep spec file either exits 2
+# with an empty stdout, or yields strict output whose numbers are all finite.
+# ---------------------------------------------------------------------------
+
+_MISSING = object()
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_NUMBER = st.one_of(
+    st.floats(-0.5, 1.5),
+    st.sampled_from([0.0, 1.0, math.nan, math.inf, -math.inf]),
+)
+_FIELD = st.one_of(_NUMBER, _JUNK)
+_BAD = st.one_of(st.just(_MISSING), _FIELD)
+
+
+@st.composite
+def _input_files(draw, kind):
+    """A valid scenario or sweep spec with zero or more fields made bad."""
+    d = draw(st.integers(1, 4))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d))
+    identity = [[[float(i == j), 0.0] for j in range(d)] for i in range(d)]
+    data = {"spectrum": [x / sum(raw) for x in raw], "basis": identity}
+    bad = {
+        "spectrum": st.one_of(_BAD, st.lists(_FIELD, max_size=4)),
+        "basis": st.one_of(
+            _BAD,
+            st.just([[[1.0, 0.0]] * d] * d),  # rows not orthonormal for d >= 2
+            st.lists(st.lists(st.lists(_FIELD, min_size=2, max_size=2),
+                              min_size=d, max_size=d), min_size=d, max_size=d),
+            st.lists(st.lists(_FIELD, max_size=3), max_size=3),
+        ),
+    }
+    if kind == "scenario":
+        data.update(p0=draw(st.floats(0.0, 1.0)), eta=draw(st.floats(0.0, 1.0)))
+        bad.update(p0=_BAD, eta=_BAD)
+    else:
+        for key in ("p0_range", "eta_range"):
+            data[key] = [0.0, draw(st.floats(0.0, 1.0)), draw(st.integers(2, 4))]
+            bad[key] = st.one_of(
+                _BAD,
+                st.lists(_FIELD, min_size=3, max_size=3),
+                st.tuples(_FIELD, st.just(1.0), st.integers(-1, 4)).map(list),
+                st.tuples(st.just(0.0), st.just(1.0), _FIELD).map(list),
+            )
+        # an oracle_cfg is validated even when the (slow) oracle is off
+        data["oracle_cfg"] = None
+        bad["oracle_cfg"] = st.one_of(_FIELD, st.fixed_dictionaries(
+            {}, optional={"restarts": _FIELD, "seed": _FIELD, "tolerance": _FIELD}))
+    for key, strategy in bad.items():
+        if draw(st.integers(0, 3)) == 0:
+            data[key] = draw(strategy)
+    return draw(st.one_of(st.just(data), st.just(data), st.just(data), _JUNK))
+
+
+def _write_json(path, data):
+    if isinstance(data, dict):
+        data = {k: v for k, v in data.items() if v is not _MISSING}
+    path.write_text(json.dumps(data))  # NaN and +-inf become NaN/Infinity tokens
+
+
+def _run_quietly(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reject_constant(token):
+    raise AssertionError(f"non-strict JSON token {token}")
+
+
+def _assert_finite(value):
+    if isinstance(value, dict):
+        for item in value.values():
+            _assert_finite(item)
+    elif isinstance(value, list):
+        for item in value:
+            _assert_finite(item)
+    elif isinstance(value, float):
+        assert math.isfinite(value)
+
+
+class TestInputBoundaryProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(data=_input_files("scenario"))
+    @example(data={"p0": 0.5, "eta": 0.5, "spectrum": [1.0], "basis": {}})  # was a TypeError
+    def test_scenario_file_exits_2_or_gives_finite_json(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "scenario.json"
+        _write_json(path, data)
+        code, out, err = _run_quietly("solve", "--scenario", str(path))
+        if code == 2:
+            assert out == "" and err.startswith("error: ")
+            return
+        assert code == 0
+        _assert_finite(json.loads(out, parse_constant=_reject_constant))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=_input_files("sweep"))
+    # non-numeric range bounds were a TypeError traceback
+    @example(data={"p0_range": [None, 1.0, 3], "eta_range": [0.0, 1.0, 2], "spectrum": [1.0]})
+    @example(data={"p0_range": [0.0, 1.0, 3], "eta_range": [[0.0], 1.0, 2], "spectrum": [1.0]})
+    def test_sweep_spec_exits_2_or_gives_finite_csv(self, tmp_path_factory, data):
+        spec = tmp_path_factory.getbasetemp() / "spec.json"
+        csv = tmp_path_factory.getbasetemp() / "out.csv"
+        csv.unlink(missing_ok=True)
+        _write_json(spec, data)
+        code, out, err = _run_quietly("sweep", "--spec", str(spec), "--out", str(csv))
+        assert out == ""
+        if code == 2:
+            assert err.startswith("error: ") and not csv.exists()
+            return
+        assert code == 0
+        header, *rows = csv.read_text().splitlines()
+        assert header == "p0,eta,region_c,region_q,perr_c,perr_q,advantage"
+        assert rows
+        for row in rows:
+            p0, eta, region_c, region_q, *numbers = row.split(",")
+            assert {region_c, region_q} <= {"I", "II", "III"}
+            assert all(math.isfinite(float(x)) for x in (p0, eta, *numbers))

@@ -43,6 +43,32 @@ class TestValidation:
             require_density_matrix(np.diag([1.5, -0.5]))
 
 
+    # NaN compares False with everything, so each validator must reject it
+    # explicitly rather than by a failed "> tol" test.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_hermitian_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="Hermitian"):
+            require_hermitian([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="Hermitian"):
+            require_hermitian([[0.5, bad], [bad, 0.5]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_state_vector_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="normalized"):
+            require_state_vector([bad, 0.0])
+        with pytest.raises(ValueError, match="normalized"):
+            require_state_vector([1.0, bad])
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_density_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="Hermitian"):
+            require_density_matrix([[bad, 0.0], [0.0, 0.5]])
+        with pytest.raises(ValueError, match="Hermitian"):
+            require_density_matrix([[0.5, bad], [bad, 0.5]])
+
+
 class TestEig:
     def test_diagonal_input(self):
         decomp = eig(np.diag([0.5, 0.3, 0.2]))

@@ -6,12 +6,14 @@ from illume import (
     EnvironmentState,
     Scenario,
     channel_absent,
+    channel_absent_bipartite,
     channel_present,
     derived_params,
     environment_from_dict,
     haar_random_state,
     omega_c,
     omega_q,
+    omega_q_density,
     projector,
     scenario_from_dict,
     trace_norm,
@@ -203,6 +205,23 @@ class TestOmegaQ:
         s = Scenario(0.5, 0.5, EnvironmentState(SKEW3))
         with pytest.raises(ValueError, match="bipartite"):
             omega_q(s, haar_random_state(3, seed=0))
+
+    def test_absent_state_keeps_the_idler(self):
+        rng = np.random.default_rng(9)
+        s = Scenario(0.4, 0.7, EnvironmentState(SKEW3, basis=random_unitary(rng, 3).T))
+        signal, idler = random_density(rng, 3), random_density(rng, 3)
+        absent = channel_absent_bipartite(s, np.kron(signal, idler))
+        np.testing.assert_allclose(absent, np.kron(s.env.density(), idler), atol=1e-14)
+        # the difference operator is p1 eta rho_AB + gamma (absent state)
+        rho_ab = random_density(rng, 9)
+        gamma = derived_params(s).gamma
+        np.testing.assert_allclose(
+            omega_q_density(s, rho_ab),
+            s.p1 * s.eta * rho_ab + gamma * channel_absent_bipartite(s, rho_ab),
+            atol=1e-15,
+        )
+        with pytest.raises(ValueError, match="shape"):
+            channel_absent_bipartite(s, signal)
 
 
 class TestScenarioJson:

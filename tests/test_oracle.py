@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -184,7 +186,7 @@ class TestSeeSawSearch:
     @pytest.mark.parametrize("mode", [CONVENTIONAL, QUANTUM])
     def test_single_restart_is_monotone(self, mode):
         rng = np.random.default_rng(12)
-        s = random_scenario(rng, 3, gamma_sign=-1)
+        s = random_scenario(rng, 3, gamma_negative=True)
         dim = 3 if mode == CONVENTIONAL else 9
         for _ in range(3):
             start = haar_random_state(dim, rng)
@@ -209,7 +211,7 @@ class TestSeeSawSearch:
         rng = np.random.default_rng(21)
         for _ in range(10):
             d = int(rng.integers(2, 4))
-            base = random_scenario(rng, d, gamma_sign=-1)
+            base = random_scenario(rng, d, gamma_negative=True)
             env = EnvironmentState(base.env.spectrum, random_unitary(rng, d).T)
             s = Scenario(base.p0, base.eta, env)
             dim, omegas, targets = _see_saw_maps(s, mode)
@@ -342,7 +344,7 @@ class TestPerrLinearInMinEigenvalue:
     def test_random_probes_d4(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
-            s = random_scenario(rng, 4, gamma_sign=-1)
+            s = random_scenario(rng, 4, gamma_negative=True)
             assert check_perr_linear_in_min_eigenvalue(s, haar_random_state(4, rng))
 
     def test_positive_ground_level_passes_vacuously(self):
@@ -441,12 +443,16 @@ class TestSignStructure:
         rng = np.random.default_rng(11)
         found = 0
         while found < 20:
-            s = random_scenario(rng, int(rng.integers(2, 4)), gamma_sign=-1)
+            s = random_scenario(rng, int(rng.integers(2, 4)), gamma_negative=True)
             if classify(s)[1] != REGION_III:
                 continue
             found += 1
             w = np.linalg.eigvalsh(omega_q(s, optimal_probe_quantum(s)))
             assert int(np.sum(w > 1e-12)) == 1
+
+
+def _digest(payload: dict) -> str:
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 
 
 class TestSuites:
@@ -474,6 +480,28 @@ class TestSuites:
         result = run_oracle_suite(seed=7)
         assert result["violations"] == 0
         assert min(c["worst_margin"] for c in result["checks"]) >= 0.0
+        assert _digest(result) == (
+            "b4e6d25b50affd534d53cf77c945fa2ba080b236a7009cd53b6a86accc3d0b3e")
+
+    # sha256 of each suite payload as produced when run_lemma_suite still
+    # held inline copies of the four checks: any drift in the draws, the
+    # arithmetic or the reported margins fails. The payloads carry raw
+    # eigenvalues, so the digests hold for one LAPACK build (computed with
+    # numpy 2.4.6 / OpenBLAS on x86-64).
+    @pytest.mark.parametrize("seed, trials, digest", [
+        (0, 400, "ee0a2ec7c050023d54b64b9f6b6b6d0952aa54d2be132360ffeb8ca2cc3d2496"),
+        (7, 2000, "64f92c898cab60dbe6e442167a69ee1b9a7382eee4da312bfd81c59539007919"),
+    ])
+    def test_lemma_suite_golden_payload(self, seed, trials, digest):
+        assert _digest(run_lemma_suite(seed=seed, trials=trials)) == digest
+
+    def test_lemma_suite_golden_payload_full_size(self, lemma_suite_2026):
+        assert _digest(lemma_suite_2026) == (
+            "bcd19014e5729246ea91e10f1fadb6eeada54e965120f97a863f0582add90b28")
+
+    def test_montecarlo_suite_golden_payload(self):
+        assert _digest(run_montecarlo_suite(seed=0, trials=2000)) == (
+            "34d5d56db040a6f9ee570d989bedc6e2fe4b1b3d73994eb24fc4de8f551787b1")
 
     def test_oracle_suite_reports_budget_stops(self):
         result = run_oracle_suite(seed=3)
