@@ -43,13 +43,11 @@ from .model import (
     CONVENTIONAL,
     MODES,
     QUANTUM,
-    DerivedParams,
     EnvironmentState,
     Scenario,
     channel_absent,
     channel_absent_bipartite,
     channel_present,
-    derived_params,
     environment_from_dict,
     omega_c,
     omega_q,

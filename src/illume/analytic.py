@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import require_state_vector
-from .model import DerivedParams, EnvironmentState, Scenario, derived_params
+from .model import EnvironmentState, Scenario
 from .tolerances import BOUNDARY_TOL, ZERO_EIGENVALUE_TOL
 
 REGION_I = "I"
@@ -49,22 +49,19 @@ def eta_guess_absent(p0: float, p1: float, lam: float) -> float:
     return ratio * lam / (1.0 - lam)
 
 
-def _classify_mode(s: Scenario, lam: float) -> str:
-    # Boundary equalities (within BOUNDARY_TOL in eta) are labeled III; the
-    # region-III formula is continuous there, so the reported error agrees.
-    if s.p0 < s.p1 and s.eta < eta_star(s.p0, s.p1) - BOUNDARY_TOL:
-        return REGION_I
-    if s.p0 > s.p1 and s.eta < eta_guess_absent(s.p0, s.p1, lam) - BOUNDARY_TOL:
-        return REGION_II
-    return REGION_III
-
-
-def _classify(s: Scenario, dp: DerivedParams) -> tuple[str, str]:
+def _solve_mode(s: Scenario, star: float, absent: float, lam: float) -> tuple[str, float]:
+    # Region and minimal error in one mode: the scalar form of _grid_mode, line
+    # for line. Boundary equalities (within BOUNDARY_TOL in eta) are labeled III;
+    # the region-III formula is continuous there, so the reported error agrees.
     if s.p0 <= 0.0:
-        return REGION_I, REGION_I
+        return REGION_I, s.p0
     if s.p0 >= 1.0:
-        return REGION_II, REGION_II
-    return _classify_mode(s, dp.lambda_d), _classify_mode(s, dp.lambda_h)
+        return REGION_II, s.p1
+    if s.p0 < s.p1 and s.eta < star - BOUNDARY_TOL:
+        return REGION_I, s.p0
+    if s.p0 > s.p1 and s.eta < absent - BOUNDARY_TOL:
+        return REGION_II, s.p1
+    return REGION_III, s.p0 + s.gamma * (1.0 - lam)
 
 
 def classify(s: Scenario) -> tuple[str, str]:
@@ -73,21 +70,18 @@ def classify(s: Scenario) -> tuple[str, str]:
     The degenerate priors p0 = 0 and p0 = 1 are labeled I and II by limit;
     their minimal error is 0 in both modes.
     """
-    return _classify(s, derived_params(s))
-
-
-def _perr(s: Scenario, region: str, lam: float, dp: DerivedParams) -> float:
-    if region == REGION_I:
-        return s.p0
-    if region == REGION_II:
-        return s.p1
-    return s.p0 + dp.gamma * (1.0 - lam)
+    star = eta_star(s.p0, s.p1)
+    lam_d, lam_h = s.env.lambda_min, s.env.lambda_harmonic
+    return (
+        _solve_mode(s, star, eta_guess_absent(s.p0, s.p1, lam_d), lam_d)[0],
+        _solve_mode(s, star, eta_guess_absent(s.p0, s.p1, lam_h), lam_h)[0],
+    )
 
 
 def perr_conventional(s: Scenario) -> float:
     """Minimal one-shot error over all single-signal probe states."""
-    dp = derived_params(s)
-    return _perr(s, _classify(s, dp)[0], dp.lambda_d, dp)
+    lam = s.env.lambda_min
+    return _solve_mode(s, eta_star(s.p0, s.p1), eta_guess_absent(s.p0, s.p1, lam), lam)[1]
 
 
 def perr_quantum(s: Scenario) -> float:
@@ -95,8 +89,8 @@ def perr_quantum(s: Scenario) -> float:
 
     Never exceeds :func:`perr_conventional` for the same scenario.
     """
-    dp = derived_params(s)
-    return _perr(s, _classify(s, dp)[1], dp.lambda_h, dp)
+    lam = s.env.lambda_harmonic
+    return _solve_mode(s, eta_star(s.p0, s.p1), eta_guess_absent(s.p0, s.p1, lam), lam)[1]
 
 
 @dataclass(frozen=True)
@@ -128,7 +122,7 @@ def _absent_boundary(ratio: np.ndarray, p1: np.ndarray, lam: float) -> np.ndarra
 
 
 def _grid_mode(p0, p1, eta, star, absent, lam: float):
-    # Array form of _classify/_perr for one mode; rows are p0, columns eta.
+    # Array form of _solve_mode; rows are p0, columns eta.
     code = np.select(
         [
             p0 <= 0.0,
@@ -222,7 +216,7 @@ def binary_trace_norm(s: Scenario, probe) -> float:
         raise ValueError(f"probe has dimension {psi.size}, expected 2")
     mu = np.abs(s.env.basis.conj() @ psi)
     lam0, lam1 = s.env.spectrum
-    gamma = s.p1 * (1.0 - s.eta) - s.p0
+    gamma = s.gamma
     p1eta = s.p1 * s.eta
     a = p1eta * mu[0] ** 2 + gamma * lam0
     b = p1eta * mu[1] ** 2 + gamma * lam1
@@ -250,10 +244,6 @@ class DetectionReport:
     eta_q: float
     mu_sq: np.ndarray
 
-    @property
-    def boundaries(self) -> tuple[float, float, float]:
-        return (self.eta_star, self.eta_c, self.eta_q)
-
     def to_dict(self) -> dict:
         """JSON-ready payload. Non-finite boundaries serialize as null."""
 
@@ -276,10 +266,12 @@ class DetectionReport:
 
 def report(s: Scenario) -> DetectionReport:
     """Classify, evaluate both minimal errors, and construct both optimal probes."""
-    dp = derived_params(s)
-    region_c, region_q = _classify(s, dp)
-    perr_c = _perr(s, region_c, dp.lambda_d, dp)
-    perr_q = _perr(s, region_q, dp.lambda_h, dp)
+    star = eta_star(s.p0, s.p1)
+    lam_d, lam_h = s.env.lambda_min, s.env.lambda_harmonic
+    eta_c = eta_guess_absent(s.p0, s.p1, lam_d)
+    eta_q = eta_guess_absent(s.p0, s.p1, lam_h)
+    region_c, perr_c = _solve_mode(s, star, eta_c, lam_d)
+    region_q, perr_q = _solve_mode(s, star, eta_q, lam_h)
     return DetectionReport(
         region_c=region_c,
         region_q=region_q,
@@ -288,8 +280,8 @@ def report(s: Scenario) -> DetectionReport:
         advantage=perr_c - perr_q,
         optimal_probe_c=optimal_probe_conventional(s),
         optimal_probe_q=optimal_probe_quantum(s),
-        eta_star=eta_star(s.p0, s.p1),
-        eta_c=eta_guess_absent(s.p0, s.p1, dp.lambda_d),
-        eta_q=eta_guess_absent(s.p0, s.p1, dp.lambda_h),
+        eta_star=star,
+        eta_c=eta_c,
+        eta_q=eta_q,
         mu_sq=schmidt_squares(s.env),
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -36,6 +37,7 @@ from .model import (
     EnvironmentState,
     Scenario,
     environment_from_dict,
+    json_reals,
     scenario_from_dict,
 )
 from .oracle import (
@@ -135,7 +137,10 @@ def _sweep_spec_from_dict(data: dict, force_oracle: bool) -> SweepSpec:
     if len(p0_range) != 3 or len(eta_range) != 3:
         raise ValueError("ranges must be [min, max, steps] triples")
     env = environment_from_dict(data)
-    include_oracle = bool(data.get("oracle", False)) or force_oracle
+    oracle = data.get("oracle", False)
+    if not isinstance(oracle, bool):
+        raise ValueError(f"oracle must be true or false, got {oracle!r}")
+    include_oracle = oracle or force_oracle
     oracle_cfg = None
     if data.get("oracle_cfg") is not None:
         oracle_cfg = _search_config_from_dict(data["oracle_cfg"])
@@ -149,9 +154,10 @@ def _sweep_spec_from_dict(data: dict, force_oracle: bool) -> SweepSpec:
 
 
 def _parse_probe_file(path: str) -> np.ndarray:
-    raw = np.asarray(_read_json(path), dtype=float)
+    raw = np.asarray(_read_json(path), dtype=object)
     if raw.ndim != 2 or raw.shape[1] != 2:
         raise ValueError("probe file must hold a list of [re, im] pairs")
+    raw = np.reshape(json_reals(raw.ravel().tolist(), "probe entries"), raw.shape)
     return raw[:, 0] + 1j * raw[:, 1]
 
 
@@ -186,7 +192,7 @@ def _cmd_sweep(args) -> int:
         file=sys.stderr,
     )
     records = run_sweep(spec, workers=_worker_count() if spec.include_oracle else 1)
-    write_csv(records, args.out, include_oracle=spec.include_oracle)
+    write_csv(records, args.out)
     print(f"sweep: wrote {len(records)} records to {args.out}", file=sys.stderr)
     return 0
 
@@ -241,7 +247,9 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--spectrum", help="comma-separated environment eigenvalues")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args fills a fresh namespace on every call.
     parser = argparse.ArgumentParser(
         prog="illume",
         description="One-shot detection limits for conventional and quantum illumination.",

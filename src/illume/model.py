@@ -11,6 +11,7 @@ detection-error information: the minimal discrimination error is
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,6 +28,8 @@ from .tolerances import (
 CONVENTIONAL = "conventional"
 QUANTUM = "quantum"
 MODES = (CONVENTIONAL, QUANTUM)
+
+_JSON_NUMBER_TYPES = frozenset((float, int))  # bool is a distinct type
 
 
 class EnvironmentState:
@@ -119,31 +122,16 @@ class Scenario:
     def p1(self) -> float:
         return 1.0 - self.p0
 
+    @property
+    def gamma(self) -> float:
+        """``p1 (1 - eta) - p0``: the guess-dominated regime if >= 0, else the measurement regime."""
+        return self.p1 * (1.0 - self.eta) - self.p0
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Closed-arithmetic quantities derived from a scenario.
-
-    ``gamma = p1 (1 - eta) - p0``; its sign separates the guess-dominated
-    regime (>= 0) from the measurement regime (< 0). ``alpha`` is
-    ``eta p1 / |gamma|`` and only meaningful for gamma < 0, else ``None``.
-    """
-
-    gamma: float
-    alpha: float | None
-    lambda_d: float
-    lambda_h: float
-
-
-def derived_params(s: Scenario) -> DerivedParams:
-    gamma = s.p1 * (1.0 - s.eta) - s.p0
-    alpha = (s.eta * s.p1 / abs(gamma)) if gamma < -BOUNDARY_TOL else None
-    return DerivedParams(
-        gamma=gamma,
-        alpha=alpha,
-        lambda_d=s.env.lambda_min,
-        lambda_h=s.env.lambda_harmonic,
-    )
+    @property
+    def alpha(self) -> float | None:
+        """``eta p1 / |gamma|`` in the measurement regime (gamma < -BOUNDARY_TOL), else ``None``."""
+        gamma = self.gamma
+        return (self.eta * self.p1 / abs(gamma)) if gamma < -BOUNDARY_TOL else None
 
 
 def _check_probe_dim(s: Scenario, probe: np.ndarray, expect_dim: int) -> np.ndarray:
@@ -195,8 +183,7 @@ def omega_q_density(s: Scenario, probe_ab) -> np.ndarray:
     ``rho_B = tr_A rho_AB``.
     """
     probe_ab = _check_probe_dim(s, probe_ab, s.env.dim ** 2)
-    gamma = s.p1 * (1.0 - s.eta) - s.p0
-    return s.p1 * s.eta * probe_ab + gamma * channel_absent_bipartite(s, probe_ab)
+    return s.p1 * s.eta * probe_ab + s.gamma * channel_absent_bipartite(s, probe_ab)
 
 
 def omega_q(s: Scenario, probe) -> np.ndarray:
@@ -214,29 +201,40 @@ def omega_q(s: Scenario, probe) -> np.ndarray:
     return omega_q_density(s, projector(probe))
 
 
+def json_reals(values, what: str) -> list[float]:
+    """``values`` as floats; each must be a real number, and a bool or a string is not one."""
+    # Plain JSON numbers pass the type-set test at once, numpy reals the ABC test.
+    if not (_JSON_NUMBER_TYPES.issuperset(map(type, values)) or all(
+        isinstance(x, numbers.Real) and not isinstance(x, bool) for x in values
+    )):
+        raise ValueError(f"{what} must be numbers, got {values!r}")
+    try:
+        return [float(x) for x in values]
+    except OverflowError as exc:
+        raise ValueError(f"{what} must be numbers in the float range: {exc}") from exc
+
+
 def environment_from_dict(data: dict) -> EnvironmentState:
     """Build an environment from JSON fields ``spectrum`` and optional ``basis``.
 
-    The basis is a row-major complex matrix given as rows of ``[re, im]``
-    pairs. The spectrum is sorted descending on load; a non-orthonormal
-    basis is rejected.
+    The spectrum is a list of numbers. The basis is a row-major complex
+    matrix given as rows of ``[re, im]`` pairs. The spectrum is sorted
+    descending on load; a non-orthonormal basis is rejected.
     """
-    try:
-        spectrum = [float(x) for x in data["spectrum"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"missing or malformed spectrum: {exc}") from exc
+    spectrum = data.get("spectrum")
+    if not isinstance(spectrum, list):
+        raise ValueError(f"missing or malformed spectrum: expected a list, got {spectrum!r}")
+    spectrum = json_reals(spectrum, "spectrum entries")
 
     basis = None
     if data.get("basis") is not None:
-        try:
-            raw = np.asarray(data["basis"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed basis: {exc}") from exc
+        raw = np.asarray(data["basis"], dtype=object)
         d = len(spectrum)
         if raw.shape != (d, d, 2):
             raise ValueError(
                 f"basis must be a {d}x{d} matrix of [re, im] pairs, got shape {raw.shape}"
             )
+        raw = np.reshape(json_reals(raw.ravel().tolist(), "basis entries"), raw.shape)
         basis = raw[..., 0] + 1j * raw[..., 1]
 
     return EnvironmentState(spectrum, basis)
@@ -251,9 +249,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ValueError("scenario input must be a JSON object")
     try:
-        p0 = float(data["p0"])
-        eta = float(data["eta"])
-    except (KeyError, TypeError, ValueError) as exc:
+        p0, eta = json_reals([data["p0"], data["eta"]], "p0 and eta")
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"scenario input missing or malformed field: {exc}") from exc
 
     return Scenario(p0=p0, eta=eta, env=environment_from_dict(data))

@@ -38,7 +38,6 @@ from .model import (
     Scenario,
     channel_absent,
     channel_absent_bipartite,
-    derived_params,
     omega_c,
     omega_q,
     omega_q_density,
@@ -68,8 +67,9 @@ class SearchConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not isinstance(self.tolerance, numbers.Real) or not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be a positive number, got {self.tolerance!r}")
+        tol = self.tolerance
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0.0:
+            raise ValueError(f"tolerance must be a positive number, got {tol!r}")
 
 
 @dataclass
@@ -119,7 +119,7 @@ def _see_saw_maps(s: Scenario, mode: str):
     """Probe dimension, batched ``omega(psi)`` and the see-saw targets from its eigh."""
     d = s.env.dim
     rho_e = s.env.density()
-    gamma = s.p1 * (1.0 - s.eta) - s.p0
+    gamma = s.gamma
     p1eta = s.p1 * s.eta
 
     if mode == CONVENTIONAL:
@@ -298,11 +298,11 @@ def check_eigenvalue_lower_bound(env: EnvironmentState, alpha: float, psi) -> bo
 
 
 def _linearity_margin(s: Scenario, psi: np.ndarray) -> float:
-    dp = derived_params(s)
-    e_d = float(np.linalg.eigvalsh(s.env.density() - dp.alpha * projector(psi))[0])
+    alpha = s.alpha
+    e_d = float(np.linalg.eigvalsh(s.env.density() - alpha * projector(psi))[0])
     if e_d > 0.0:
         return 1e-10
-    predicted = 0.5 * (1.0 - abs(dp.gamma) * (1.0 - dp.alpha - 2.0 * e_d))
+    predicted = 0.5 * (1.0 - abs(s.gamma) * (1.0 - alpha - 2.0 * e_d))
     return 1e-10 - abs(predicted - perr_of_state(s, psi, CONVENTIONAL))
 
 
@@ -315,7 +315,7 @@ def check_perr_linear_in_min_eigenvalue(s: Scenario, psi) -> bool:
     :func:`perr_of_state` at 1e-10. States with ``E_d > 0`` are outside the
     identity's precondition and pass vacuously.
     """
-    if derived_params(s).alpha is None:
+    if s.alpha is None:
         raise ValueError("check requires gamma < 0")
     psi = require_state_vector(psi)
     if psi.size != s.env.dim:
@@ -458,13 +458,11 @@ def random_scenario(rng: np.random.Generator, dim: int, gamma_negative: bool = F
     (p0, eta) draw repeats until ``gamma < -1e-6`` (the measurement regime).
     """
     spectrum = rng.exponential(size=dim)
-    spectrum /= spectrum.sum()
+    env = EnvironmentState(spectrum / spectrum.sum())
     while True:
-        p0 = float(rng.uniform(0.01, 0.99))
-        eta = float(rng.uniform(0.0, 1.0))
-        gamma = (1.0 - p0) * (1.0 - eta) - p0
-        if not gamma_negative or gamma < -1e-6:
-            return Scenario(p0, eta, EnvironmentState(spectrum))
+        s = Scenario(float(rng.uniform(0.01, 0.99)), float(rng.uniform(0.0, 1.0)), env)
+        if not gamma_negative or s.gamma < -1e-6:
+            return s
 
 
 def run_lemma_suite(seed: int = 0, trials: int = 10000) -> dict:

@@ -15,7 +15,7 @@ from operator import attrgetter
 import numpy as np
 
 from .analytic import REGIONS, solve_grid
-from .model import CONVENTIONAL, QUANTUM, EnvironmentState, Scenario
+from .model import CONVENTIONAL, QUANTUM, EnvironmentState, Scenario, json_reals
 from .oracle import MAX_QUANTUM_SEARCH_DIM, SearchConfig, maximize_trace_norm
 
 CSV_FIELDS = ("p0", "eta", "region_c", "region_q", "perr_c", "perr_q", "advantage")
@@ -30,9 +30,10 @@ MAX_GRID_CELLS = 4_000_000
 
 def _check_range(name: str, rng: tuple) -> tuple[float, float, int]:
     try:
-        lo, hi, steps = float(rng[0]), float(rng[1]), rng[2]
+        lo, hi, steps = rng
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} bounds must be numbers: {exc}") from exc
+        raise ValueError(f"{name} must be a (min, max, steps) triple: {exc}") from exc
+    lo, hi = json_reals([lo, hi], f"{name} bounds")
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
         raise ValueError(f"{name} steps must be an integer, got {steps!r}")
     if steps < 2:
@@ -124,17 +125,21 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
     return records
 
 
-def records_to_csv(records: list[SweepRecord], include_oracle: bool = False) -> str:
-    """Render records as CSV text (12 significant digits, LF newlines)."""
-    fields = CSV_ORACLE_FIELDS if include_oracle else CSV_FIELDS
-    row = _CSV_ORACLE_ROW if include_oracle else _CSV_ROW
+def records_to_csv(records: list[SweepRecord]) -> str:
+    """Render records as CSV text (12 significant digits, LF newlines).
+
+    The oracle columns are included when the records carry them.
+    """
+    oracle = bool(records) and records[0].oracle_perr_c is not None
+    fields = CSV_ORACLE_FIELDS if oracle else CSV_FIELDS
+    row = _CSV_ORACLE_ROW if oracle else _CSV_ROW
     values = attrgetter(*fields)
     return ",".join(fields) + "\n" + "".join([row % values(r) for r in records])
 
 
-def write_csv(records: list[SweepRecord], path, include_oracle: bool = False) -> None:
+def write_csv(records: list[SweepRecord], path) -> None:
     """Write the CSV dataset; identical specs yield byte-identical files."""
-    text = records_to_csv(records, include_oracle)
+    text = records_to_csv(records)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 

@@ -12,7 +12,6 @@ DENSITY_EIG_TOL = 1e-10    # eigenvalues of a density matrix may dip this far be
 STATE_NORM_TOL = 1e-12     # | ||psi|| - 1 | accepted for pure states
 
 # Eigendecomposition quality.
-RECONSTRUCTION_TOL = 1e-8  # entrywise error of sum_k e_k |v_k><v_k| vs the input
 ORTHONORMALITY_TOL = 1e-8  # |<v_j|v_k> - delta_jk| for eigenvector sets and bases
 
 # Spectrum and region arithmetic.

@@ -17,7 +17,6 @@ from illume import (
     SweepSpec,
     bundled_scenarios,
     classify,
-    derived_params,
     maximize_trace_norm,
     omega_q,
     optimal_probe_quantum,
@@ -150,8 +149,7 @@ def test_criterion_5_global_bounds_and_monotonicity():
         pc, pq = perr_conventional(s), perr_quantum(s)
         ok_bounds = ok_bounds and pq <= pc <= min(s.p0, s.p1) + 1e-12 and pq >= 0.0
         if classify(s) == ("III", "III"):
-            dp = derived_params(s)
-            expected = abs(dp.gamma) * (dp.lambda_d - dp.lambda_h)
+            expected = abs(s.gamma) * (s.env.lambda_min - s.env.lambda_harmonic)
             ok_advantage = ok_advantage and abs((pc - pq) - expected) <= 1e-12
 
     ok_monotone = True

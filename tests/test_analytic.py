@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -12,7 +15,6 @@ from illume import (
     Scenario,
     binary_trace_norm,
     classify,
-    derived_params,
     eta_guess_absent,
     eta_star,
     haar_random_state,
@@ -27,6 +29,7 @@ from illume import (
     schmidt_squares,
     trace_norm,
 )
+from illume.tolerances import BOUNDARY_TOL
 
 SKEW3 = [0.5, 0.3, 0.2]
 
@@ -231,6 +234,46 @@ class TestReport:
         data = report(Scenario(1.0, 0.5, EnvironmentState([0.5, 0.5]))).to_dict()
         assert data["eta_c"] is None and data["eta_q"] is None
 
+    def test_golden_payloads(self):
+        # sha256 of the `solve` payloads of a seeded batch, computed with the
+        # earlier scalar implementation: every field is pinned bit for bit.
+        payloads = [report(s).to_dict() for s in _payload_batch()]
+        digest = hashlib.sha256(json.dumps(payloads, allow_nan=False).encode()).hexdigest()
+        assert digest == (
+            "5aae273482652bf3868a4bf0a09bf40cd3fbdf162607f503afb50feff02135fb"
+        )
+
+
+def _payload_batch():
+    """Seeded scenarios covering every limit and boundary rule of the closed forms.
+
+    Dimensions 1 to 8, zero eigenvalues, complex bases, p0 in {0, 1/2, 1},
+    and eta on each boundary and BOUNDARY_TOL either side of it.
+    """
+    rng = np.random.default_rng(5)
+    out = []
+    for t in range(240):
+        d = int(rng.integers(1, 9))
+        spectrum = rng.exponential(size=d)
+        if d > 1 and t % 4 == 0:
+            spectrum[int(rng.integers(d))] = 0.0
+        spectrum /= spectrum.sum()
+        basis = random_unitary(rng, d).T if t % 3 == 0 else None
+        env = EnvironmentState(spectrum, basis=basis)
+        p0 = float(rng.uniform())
+        if t % 8 < 3:
+            p0 = (0.0, 0.5, 1.0)[t % 8]
+        p1 = 1.0 - p0
+        etas = [float(rng.uniform())]
+        edges = (eta_star(p0, p1), eta_guess_absent(p0, p1, env.lambda_min),
+                 eta_guess_absent(p0, p1, env.lambda_harmonic))
+        for edge in edges:
+            for eta in (edge - BOUNDARY_TOL, edge, edge + BOUNDARY_TOL):
+                if 0.0 <= eta <= 1.0:
+                    etas.append(eta)
+        out.extend(Scenario(p0, eta, env) for eta in etas)
+    return out
+
 
 class TestClosedFormCrossChecks:
     def test_binary_closed_form_matches_eigenvalues(self):
@@ -260,7 +303,7 @@ class TestClosedFormCrossChecks:
             for _ in range(10):
                 s = Scenario(float(rng.uniform(0.05, 0.95)), float(rng.uniform(0, 1)), env)
                 psi = haar_random_state(d, rng)
-                gamma = derived_params(s).gamma
+                gamma = s.gamma
                 expected = abs(s.p1 * s.eta + gamma / d) + (d - 1) / d * abs(gamma)
                 assert trace_norm(omega_c(s, projector(psi))) == pytest.approx(
                     expected, abs=1e-12
@@ -317,9 +360,8 @@ class TestInvariants:
             s = random_scenario(rng, int(rng.integers(2, 6)))
             r = report(s)
             assert r.advantage >= -1e-12
-            dp = derived_params(s)
             if r.region_c == REGION_III and r.region_q == REGION_III:
-                expected = abs(dp.gamma) * (dp.lambda_d - dp.lambda_h)
+                expected = abs(s.gamma) * (s.env.lambda_min - s.env.lambda_harmonic)
                 assert r.advantage == pytest.approx(expected, abs=1e-12)
             elif r.region_q != REGION_III:
                 assert r.advantage == 0.0

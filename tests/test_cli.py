@@ -201,6 +201,17 @@ class TestSweep:
         assert "steps must be an integer" in err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("flag", ["false", 1, None])
+    def test_non_bool_oracle_flag_is_input_error(self, capsys, tmp_path, flag):
+        # a truthy cast would start an oracle search on every grid cell
+        spec = self.write_spec(tmp_path, p0_range=[0.4, 0.6, 2], eta_range=[0.5, 0.7, 2],
+                               oracle=flag)
+        out_csv = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out_csv))
+        assert (code, out) == (2, "")
+        assert "oracle must be true or false" in err
+        assert not out_csv.exists()
+
     @pytest.mark.parametrize("field, value", [("initial_step", 0.5), ("shrink_factor", 0.9)])
     def test_removed_oracle_cfg_field_is_input_error(self, capsys, tmp_path, field, value):
         spec = self.write_spec(tmp_path, p0_range=[0, 1, 2], eta_range=[0, 1, 2], oracle=True,
@@ -307,6 +318,21 @@ class TestVerify:
         assert run_cli(capsys, "verify", "--suite", "lemmas", "--trials", "1")[0] == 0
         assert seen == ["suite default", 1]
 
+    def test_trials_do_not_leak_into_the_next_call(self, capsys, monkeypatch):
+        # main() reuses one parser per process; an earlier --trials must not stick
+        import illume.cli as cli_mod
+
+        seen = []
+
+        def fake_suite(seed, trials="suite default"):
+            seen.append(trials)
+            return {"suite": "lemmas", "seed": seed, "checks": [], "violations": 0}
+
+        monkeypatch.setattr(cli_mod, "run_lemma_suite", fake_suite)
+        assert run_cli(capsys, "verify", "--suite", "lemmas", "--trials", "5")[0] == 0
+        assert run_cli(capsys, "verify", "--suite", "lemmas")[0] == 0
+        assert seen == [5, "suite default"]
+
 
 class TestSimulate:
     def test_deterministic(self, capsys):
@@ -340,6 +366,16 @@ class TestSimulate:
                                  "--probe-file", str(probe))
         assert (code, out) == (2, "")
         assert "normalized" in err
+
+    @pytest.mark.parametrize("probe", ["[[true, 0], [0, 0]]", '[["1", 0], [0, 0]]', "{}"])
+    def test_non_number_probe_file_is_input_error(self, capsys, tmp_path, probe):
+        path = tmp_path / "probe.json"
+        path.write_text(probe)
+        code, out, err = run_cli(capsys, "simulate", "--p0", "0.5", "--eta", "0.6",
+                                 "--spectrum", "0.5,0.5", "--mode", "conventional",
+                                 "--probe-file", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
     def test_invalid_mode_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -428,6 +464,33 @@ def _run_quietly(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _leaves(value):
+    if isinstance(value, list):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def _mistyped(data) -> bool:
+    """A bool or a string where a number belongs, or a spectrum that is not a list.
+
+    Such a file must exit 2 even where a cast would read it as a number.
+    """
+    if not isinstance(data, dict):
+        return False
+    spectrum = data.get("spectrum")
+    if not isinstance(spectrum, list):
+        return True
+    slots = [data.get("p0"), data.get("eta"), *spectrum, *_leaves(data.get("basis"))]
+    for key in ("p0_range", "eta_range"):
+        if isinstance(data.get(key), list):
+            slots += data[key][:2]
+    if isinstance(data.get("oracle_cfg"), dict):
+        slots += data["oracle_cfg"].values()
+    return any(isinstance(x, (bool, str)) for x in slots)
+
+
 def _reject_constant(token):
     raise AssertionError(f"non-strict JSON token {token}")
 
@@ -447,6 +510,13 @@ class TestInputBoundaryProperty:
     @settings(max_examples=40, deadline=None)
     @given(data=_input_files("scenario"))
     @example(data={"p0": 0.5, "eta": 0.5, "spectrum": [1.0], "basis": {}})  # was a TypeError
+    # bools, numeric strings and a non-list spectrum were cast to numbers (exit 0)
+    @example(data={"p0": True, "eta": 0.5, "spectrum": [1.0]})
+    @example(data={"p0": "0.5", "eta": 0.5, "spectrum": [1.0]})
+    @example(data={"p0": 0.5, "eta": 0.5, "spectrum": "1"})
+    @example(data={"p0": 0.5, "eta": 0.5, "spectrum": [True]})
+    @example(data={"p0": 0.5, "eta": 0.5, "spectrum": {"0.5": 0, "0.50": 1}})
+    @example(data={"p0": 0.5, "eta": 0.5, "spectrum": [1.0], "basis": [[[True, 0.0]]]})
     def test_scenario_file_exits_2_or_gives_finite_json(self, tmp_path_factory, data):
         path = tmp_path_factory.getbasetemp() / "scenario.json"
         _write_json(path, data)
@@ -454,7 +524,7 @@ class TestInputBoundaryProperty:
         if code == 2:
             assert out == "" and err.startswith("error: ")
             return
-        assert code == 0
+        assert code == 0 and not _mistyped(data)
         _assert_finite(json.loads(out, parse_constant=_reject_constant))
 
     @settings(max_examples=40, deadline=None)
@@ -462,6 +532,11 @@ class TestInputBoundaryProperty:
     # non-numeric range bounds were a TypeError traceback
     @example(data={"p0_range": [None, 1.0, 3], "eta_range": [0.0, 1.0, 2], "spectrum": [1.0]})
     @example(data={"p0_range": [0.0, 1.0, 3], "eta_range": [[0.0], 1.0, 2], "spectrum": [1.0]})
+    # string and bool range bounds were cast to numbers (exit 0)
+    @example(data={"p0_range": ["0", "1", 3], "eta_range": [0.0, 1.0, 2], "spectrum": [1.0]})
+    @example(data={"p0_range": [0.0, 1.0, 3], "eta_range": [False, True, 2], "spectrum": [1.0]})
+    @example(data={"p0_range": [0.0, 1.0, 2], "eta_range": [0.0, 1.0, 2], "spectrum": [1.0],
+                   "oracle_cfg": {"tolerance": True}})
     def test_sweep_spec_exits_2_or_gives_finite_csv(self, tmp_path_factory, data):
         spec = tmp_path_factory.getbasetemp() / "spec.json"
         csv = tmp_path_factory.getbasetemp() / "out.csv"
@@ -472,7 +547,7 @@ class TestInputBoundaryProperty:
         if code == 2:
             assert err.startswith("error: ") and not csv.exists()
             return
-        assert code == 0
+        assert code == 0 and not _mistyped(data)
         header, *rows = csv.read_text().splitlines()
         assert header == "p0,eta,region_c,region_q,perr_c,perr_q,advantage"
         assert rows

@@ -8,7 +8,6 @@ from illume import (
     channel_absent,
     channel_absent_bipartite,
     channel_present,
-    derived_params,
     environment_from_dict,
     haar_random_state,
     omega_c,
@@ -102,20 +101,18 @@ class TestScenario:
 class TestDerivedParams:
     def test_gamma_closed_arithmetic(self):
         s = Scenario(0.5, 0.6, EnvironmentState(SKEW3))
-        dp = derived_params(s)
-        assert dp.gamma == s.p1 * (1.0 - s.eta) - s.p0
-        assert dp.gamma == pytest.approx(-0.3, abs=1e-15)
+        assert s.gamma == s.p1 * (1.0 - s.eta) - s.p0
+        assert s.gamma == pytest.approx(-0.3, abs=1e-15)
 
     def test_alpha_only_for_negative_gamma(self):
         env = EnvironmentState(SKEW3)
-        assert derived_params(Scenario(0.3, 0.1, env)).alpha is None
-        dp = derived_params(Scenario(0.5, 0.6, env))
-        assert dp.alpha == pytest.approx(0.6 * 0.5 / 0.3, abs=1e-12)
+        assert Scenario(0.3, 0.1, env).alpha is None
+        assert Scenario(0.5, 0.6, env).alpha == pytest.approx(0.6 * 0.5 / 0.3, abs=1e-12)
 
     def test_lambda_fields(self):
-        dp = derived_params(Scenario(0.5, 0.6, EnvironmentState(SKEW3)))
-        assert dp.lambda_d == 0.2
-        assert dp.lambda_h == pytest.approx(3 / 31, abs=1e-15)
+        env = Scenario(0.5, 0.6, EnvironmentState(SKEW3)).env
+        assert env.lambda_min == 0.2
+        assert env.lambda_harmonic == pytest.approx(3 / 31, abs=1e-15)
 
 
 class TestChannels:
@@ -214,10 +211,9 @@ class TestOmegaQ:
         np.testing.assert_allclose(absent, np.kron(s.env.density(), idler), atol=1e-14)
         # the difference operator is p1 eta rho_AB + gamma (absent state)
         rho_ab = random_density(rng, 9)
-        gamma = derived_params(s).gamma
         np.testing.assert_allclose(
             omega_q_density(s, rho_ab),
-            s.p1 * s.eta * rho_ab + gamma * channel_absent_bipartite(s, rho_ab),
+            s.p1 * s.eta * rho_ab + s.gamma * channel_absent_bipartite(s, rho_ab),
             atol=1e-15,
         )
         with pytest.raises(ValueError, match="shape"):
@@ -254,6 +250,21 @@ class TestScenarioJson:
         ]
         with pytest.raises(ValueError, match="orthonormal"):
             environment_from_dict({"spectrum": [0.5, 0.5], "basis": basis})
+
+    def test_numpy_reals_pass(self):
+        s = scenario_from_dict({"p0": np.float64(0.5), "eta": np.int64(1),
+                                "spectrum": [np.float32(0.5), 0.5]})
+        assert (s.p0, s.eta) == (0.5, 1.0)
+        np.testing.assert_array_equal(s.env.spectrum, [0.5, 0.5])
+
+    @pytest.mark.parametrize("field, value", [
+        ("p0", True), ("eta", "0.5"), ("p0", 10**400), ("spectrum", "1"), ("spectrum", [True]),
+        ("spectrum", {"0.5": 0, "0.50": 1}), ("spectrum", (1.0,)), ("basis", [[["1", 0.0]]]),
+    ])
+    def test_rejects_non_numbers(self, field, value):
+        data = {"p0": 0.5, "eta": 0.5, "spectrum": [1.0], field: value}
+        with pytest.raises(ValueError, match="malformed|must be numbers"):
+            scenario_from_dict(data)
 
     def test_rejects_missing_fields(self):
         with pytest.raises(ValueError, match="missing or malformed"):

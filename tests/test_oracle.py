@@ -21,7 +21,6 @@ from illume import (
     check_perr_linear_in_min_eigenvalue,
     check_single_negative_eigenvalue,
     classify,
-    derived_params,
     haar_random_state,
     maximize_trace_norm,
     omega_c,
@@ -239,7 +238,7 @@ class TestSeeSawSearch:
         ("restarts", 2.5), ("restarts", True), ("restarts", "4"),
         ("steps_per_restart", -5), ("steps_per_restart", 2.0), ("steps_per_restart", None),
         ("seed", -1), ("seed", 1.5), ("seed", "x"),
-        ("tolerance", float("nan")), ("tolerance", "a"),
+        ("tolerance", float("nan")), ("tolerance", "a"), ("tolerance", True),
     ])
     def test_rejects_malformed_budget(self, field, value):
         with pytest.raises(ValueError, match=field.split("_")[0]):
@@ -304,13 +303,12 @@ class TestEigenvalueLowerBound:
     def test_optimal_state_saturates(self):
         env = EnvironmentState(SKEW3)
         s = Scenario(0.5, 0.6, env)
-        dp = derived_params(s)
         psi = optimal_probe_quantum(s)
         rho_ab = projector(psi)
-        h = tensor(env.density(), partial_trace_first(rho_ab, 3, 3)) - dp.alpha * rho_ab
+        h = tensor(env.density(), partial_trace_first(rho_ab, 3, 3)) - s.alpha * rho_ab
         e_g = float(np.linalg.eigvalsh(h)[0])
-        assert e_g == pytest.approx(dp.lambda_h - dp.alpha, abs=1e-12)
-        assert check_eigenvalue_lower_bound(env, dp.alpha, psi)
+        assert e_g == pytest.approx(env.lambda_harmonic - s.alpha, abs=1e-12)
+        assert check_eigenvalue_lower_bound(env, s.alpha, psi)
 
     def test_random_instances(self):
         rng = np.random.default_rng(6)
@@ -337,9 +335,9 @@ class TestPerrLinearInMinEigenvalue:
         s = Scenario(0.5, 0.6, EnvironmentState(SKEW3))
         psi = optimal_probe_conventional(s)
         assert check_perr_linear_in_min_eigenvalue(s, psi)
-        dp = derived_params(s)
-        predicted = 0.5 * (1.0 - abs(dp.gamma) * (1.0 - dp.alpha - 2.0 * (dp.lambda_d - dp.alpha)))
-        assert predicted == pytest.approx(s.p0 + dp.gamma * (1.0 - dp.lambda_d), abs=1e-12)
+        lam_d = s.env.lambda_min
+        predicted = 0.5 * (1.0 - abs(s.gamma) * (1.0 - s.alpha - 2.0 * (lam_d - s.alpha)))
+        assert predicted == pytest.approx(s.p0 + s.gamma * (1.0 - lam_d), abs=1e-12)
 
     def test_random_probes_d4(self):
         rng = np.random.default_rng(8)
@@ -350,10 +348,9 @@ class TestPerrLinearInMinEigenvalue:
     def test_positive_ground_level_passes_vacuously(self):
         # tiny alpha keeps rho_E - alpha |psi><psi| positive definite
         s = Scenario(0.9, 0.01, EnvironmentState([0.7, 0.3]))
-        dp = derived_params(s)
-        assert dp.alpha < 0.3
+        assert s.alpha < 0.3
         psi = haar_random_state(2, seed=0)
-        e_d = np.linalg.eigvalsh(s.env.density() - dp.alpha * projector(psi))[0]
+        e_d = np.linalg.eigvalsh(s.env.density() - s.alpha * projector(psi))[0]
         assert e_d > 0
         assert check_perr_linear_in_min_eigenvalue(s, psi)
 

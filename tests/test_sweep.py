@@ -162,6 +162,16 @@ class TestRunSweep:
             region_boundaries(env, (0.0, 1.0, steps))
         assert len(run_sweep(SweepSpec((0.0, 1.0, np.int64(2)), (0.0, 1.0, 3), env))) == 6
 
+    @pytest.mark.parametrize("bounds", [("0", 1.0), (0.0, "1"), (False, True), (0.0, 10**400)])
+    def test_rejects_non_number_bounds(self, bounds):
+        env = EnvironmentState([0.5, 0.5])
+        with pytest.raises(ValueError, match="p0_range bounds must be numbers"):
+            SweepSpec((*bounds, 3), (0.0, 1.0, 3), env)
+        with pytest.raises(ValueError, match="bounds must be numbers"):
+            region_boundaries(env, (*bounds, 3))
+        spec = SweepSpec((np.float64(0.0), np.int64(1), 2), (np.float32(0.5), 1, 2), env)
+        assert [r.eta for r in run_sweep(spec)] == [0.5, 1.0, 0.5, 1.0]
+
     def test_grid_size_limit(self):
         env = EnvironmentState([0.5, 0.5])
         SweepSpec((0.0, 1.0, 2000), (0.0, 1.0, MAX_GRID_CELLS // 2000), env)
@@ -233,10 +243,13 @@ class TestCsv:
         cfg = SearchConfig(restarts=2, steps_per_restart=50, seed=1, tolerance=1e-4)
         spec = SweepSpec((0.5, 0.5, 2), (0.5, 0.5, 2), EnvironmentState([0.5, 0.5]),
                          include_oracle=True, oracle_cfg=cfg)
-        text = records_to_csv(run_sweep(spec), include_oracle=True)
+        text = records_to_csv(run_sweep(spec))
         header = text.splitlines()[0]
         assert header == "p0,eta,region_c,region_q,perr_c,perr_q,advantage,oracle_perr_c,oracle_perr_q"
         assert all(len(line.split(",")) == 9 for line in text.splitlines()[1:])
+
+    def test_empty_records_render_the_header_only(self):
+        assert records_to_csv([]) == "p0,eta,region_c,region_q,perr_c,perr_q,advantage\n"
 
 
 class TestRegionBoundaries:
