@@ -53,10 +53,9 @@ def _solve_mode(s: Scenario, star: float, absent: float, lam: float) -> tuple[st
     # Region and minimal error in one mode: the scalar form of _grid_mode, line
     # for line. Boundary equalities (within BOUNDARY_TOL in eta) are labeled III;
     # the region-III formula is continuous there, so the reported error agrees.
+    # p0 = 1 needs no case of its own: p1 = 0 puts the absent boundary at inf.
     if s.p0 <= 0.0:
         return REGION_I, s.p0
-    if s.p0 >= 1.0:
-        return REGION_II, s.p1
     if s.p0 < s.p1 and s.eta < star - BOUNDARY_TOL:
         return REGION_I, s.p0
     if s.p0 > s.p1 and s.eta < absent - BOUNDARY_TOL:
@@ -126,11 +125,10 @@ def _grid_mode(p0, p1, eta, star, absent, lam: float):
     code = np.select(
         [
             p0 <= 0.0,
-            p0 >= 1.0,
             (p0 < p1) & (eta < star - BOUNDARY_TOL),
             (p0 > p1) & (eta < absent - BOUNDARY_TOL),
         ],
-        [0, 1, 0, 1],
+        [0, 0, 1],
         default=2,
     ).astype(np.int8)
     gamma = p1 * (1.0 - eta) - p0

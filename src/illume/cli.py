@@ -37,7 +37,7 @@ from .model import (
     EnvironmentState,
     Scenario,
     environment_from_dict,
-    json_reals,
+    json_complex,
     scenario_from_dict,
 )
 from .oracle import (
@@ -154,11 +154,7 @@ def _sweep_spec_from_dict(data: dict, force_oracle: bool) -> SweepSpec:
 
 
 def _parse_probe_file(path: str) -> np.ndarray:
-    raw = np.asarray(_read_json(path), dtype=object)
-    if raw.ndim != 2 or raw.shape[1] != 2:
-        raise ValueError("probe file must hold a list of [re, im] pairs")
-    raw = np.reshape(json_reals(raw.ravel().tolist(), "probe entries"), raw.shape)
-    return raw[:, 0] + 1j * raw[:, 1]
+    return json_complex(_read_json(path), (None,), "probe file")
 
 
 def _cmd_solve(args) -> int:

@@ -11,7 +11,6 @@ detection-error information: the minimal discrimination error is
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,7 +28,11 @@ CONVENTIONAL = "conventional"
 QUANTUM = "quantum"
 MODES = (CONVENTIONAL, QUANTUM)
 
-_JSON_NUMBER_TYPES = frozenset((float, int))  # bool is a distinct type
+# JSON numbers and numpy real scalars, by exact type: bool (a subclass of int)
+# is not in the set, and a set lookup per entry keeps long spectra cheap.
+_REAL_TYPES = frozenset(
+    [float, int] + [np.dtype(c).type for c in np.typecodes["AllInteger"] + np.typecodes["Float"]]
+)
 
 
 class EnvironmentState:
@@ -202,16 +205,27 @@ def omega_q(s: Scenario, probe) -> np.ndarray:
 
 
 def json_reals(values, what: str) -> list[float]:
-    """``values`` as floats; each must be a real number, and a bool or a string is not one."""
-    # Plain JSON numbers pass the type-set test at once, numpy reals the ABC test.
-    if not (_JSON_NUMBER_TYPES.issuperset(map(type, values)) or all(
-        isinstance(x, numbers.Real) and not isinstance(x, bool) for x in values
-    )):
+    """``values`` as floats; each must be a JSON number or a numpy real, not a bool or a string."""
+    if not _REAL_TYPES.issuperset(map(type, values)):
         raise ValueError(f"{what} must be numbers, got {values!r}")
     try:
         return [float(x) for x in values]
     except OverflowError as exc:
         raise ValueError(f"{what} must be numbers in the float range: {exc}") from exc
+
+
+def json_complex(data, shape: tuple, what: str) -> np.ndarray:
+    """``data``, nested lists of ``[re, im]`` pairs, as a complex array of ``shape``.
+
+    A ``None`` entry in ``shape`` admits any length on that axis.
+    """
+    raw = np.asarray(data, dtype=object)
+    want = (*shape, 2)
+    if raw.ndim != len(want) or any(w not in (None, g) for g, w in zip(raw.shape, want)):
+        dims = "x".join("n" if w is None else str(w) for w in shape)
+        raise ValueError(f"{what} must be {dims} [re, im] pairs, got shape {raw.shape}")
+    raw = np.reshape(json_reals(raw.ravel().tolist(), f"{what} entries"), raw.shape)
+    return raw[..., 0] + 1j * raw[..., 1]
 
 
 def environment_from_dict(data: dict) -> EnvironmentState:
@@ -228,15 +242,8 @@ def environment_from_dict(data: dict) -> EnvironmentState:
 
     basis = None
     if data.get("basis") is not None:
-        raw = np.asarray(data["basis"], dtype=object)
         d = len(spectrum)
-        if raw.shape != (d, d, 2):
-            raise ValueError(
-                f"basis must be a {d}x{d} matrix of [re, im] pairs, got shape {raw.shape}"
-            )
-        raw = np.reshape(json_reals(raw.ravel().tolist(), "basis entries"), raw.shape)
-        basis = raw[..., 0] + 1j * raw[..., 1]
-
+        basis = json_complex(data["basis"], (d, d), "basis")
     return EnvironmentState(spectrum, basis)
 
 

@@ -367,7 +367,9 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert "normalized" in err
 
-    @pytest.mark.parametrize("probe", ["[[true, 0], [0, 0]]", '[["1", 0], [0, 0]]', "{}"])
+    @pytest.mark.parametrize("probe", [
+        "[[true, 0], [0, 0]]", '[["1", 0], [0, 0]]', "{}", "[[1, 0], [0]]", "[[1, 0, 0]]",
+    ])
     def test_non_number_probe_file_is_input_error(self, capsys, tmp_path, probe):
         path = tmp_path / "probe.json"
         path.write_text(probe)
