@@ -11,7 +11,7 @@ that achieve them.
 
 import numpy as np
 
-from illume import EnvironmentState, Scenario, report
+from illume import EnvironmentState, Scenario, optimal_probe_conventional, report
 
 env = EnvironmentState([0.5, 0.3, 0.2])
 s = Scenario(p0=0.5, eta=0.6, env=env)
@@ -24,7 +24,8 @@ print(f"  advantage:      {r.advantage:.12f}")
 print(f"  boundaries:     eta* = {r.eta_star:.4f}, eta_c = {r.eta_c:.4f}, eta_q = {r.eta_q:.4f}")
 print()
 print("Optimal probes:")
-print(f"  conventional: the environment eigenvector of least weight -> {r.optimal_probe_c.real}")
+probe_c = optimal_probe_conventional(s)
+print(f"  conventional: the environment eigenvector of least weight -> {probe_c.real}")
 print(f"  quantum: Schmidt squares lambda_h/lambda_i -> {np.round(r.mu_sq, 6)}")
 print()
 

@@ -11,6 +11,7 @@ which is where the entangled probe gains its advantage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,9 +195,8 @@ def optimal_probe_quantum(s: Scenario) -> np.ndarray:
 
     The amplitudes are the square roots of :func:`schmidt_squares`.
     """
-    env = s.env
-    mu = np.sqrt(schmidt_squares(env))
-    psi = np.einsum("i,ia,ib->ab", mu.astype(np.complex128), env.basis, env.basis).reshape(-1)
+    basis = s.env.basis
+    psi = ((basis.T * np.sqrt(schmidt_squares(s.env))) @ basis).reshape(-1)
     return psi / np.linalg.norm(psi)
 
 
@@ -228,15 +228,13 @@ def binary_trace_norm(s: Scenario, probe) -> float:
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """Full analytic answer for one scenario."""
+    """Analytic answer for one scenario: what the ``solve`` payload carries, no probe vectors."""
 
     region_c: str
     region_q: str
     perr_c: float
     perr_q: float
     advantage: float
-    optimal_probe_c: np.ndarray
-    optimal_probe_q: np.ndarray
     eta_star: float
     eta_c: float
     eta_q: float
@@ -246,7 +244,7 @@ class DetectionReport:
         """JSON-ready payload. Non-finite boundaries serialize as null."""
 
         def _real(x: float):
-            return float(x) if np.isfinite(x) else None
+            return float(x) if math.isfinite(x) else None
 
         return {
             "schema": 1,
@@ -258,12 +256,12 @@ class DetectionReport:
             "eta_star": _real(self.eta_star),
             "eta_c": _real(self.eta_c),
             "eta_q": _real(self.eta_q),
-            "mu_sq": [float(m) for m in self.mu_sq],
+            "mu_sq": self.mu_sq.tolist(),
         }
 
 
 def report(s: Scenario) -> DetectionReport:
-    """Classify, evaluate both minimal errors, and construct both optimal probes."""
+    """Classify, evaluate both minimal errors, boundaries and the Schmidt spectrum."""
     star = eta_star(s.p0, s.p1)
     lam_d, lam_h = s.env.lambda_min, s.env.lambda_harmonic
     eta_c = eta_guess_absent(s.p0, s.p1, lam_d)
@@ -276,8 +274,6 @@ def report(s: Scenario) -> DetectionReport:
         perr_c=perr_c,
         perr_q=perr_q,
         advantage=perr_c - perr_q,
-        optimal_probe_c=optimal_probe_conventional(s),
-        optimal_probe_q=optimal_probe_quantum(s),
         eta_star=star,
         eta_c=eta_c,
         eta_q=eta_q,

@@ -40,13 +40,15 @@ class EnvironmentState:
 
     The spectrum is sorted descending on construction, with the basis rows
     permuted alongside; row ``i`` of ``basis`` is the eigenvector paired with
-    ``spectrum[i]``. When no basis is given the computational basis is used;
-    every analytic quantity downstream depends on the spectrum alone, the
-    basis only matters when building explicit operators.
+    ``spectrum[i]``. Without a given basis the computational one is built on
+    first use: every analytic quantity downstream depends on the spectrum
+    alone, the basis only matters when building explicit operators.
     """
 
     def __init__(self, spectrum, basis=None):
-        spectrum = np.asarray(spectrum, dtype=float).reshape(-1)
+        spectrum = np.asarray(spectrum, dtype=float)
+        if spectrum.ndim != 1:
+            raise ValueError(f"spectrum must be one-dimensional, got shape {spectrum.shape}")
         if spectrum.size < 1:
             raise ValueError("spectrum must have at least one eigenvalue")
         if not np.isfinite(spectrum).all():
@@ -60,9 +62,7 @@ class EnvironmentState:
 
         order = np.argsort(-spectrum, kind="stable")
         d = spectrum.size
-        if basis is None:
-            basis = np.eye(d, dtype=np.complex128)
-        else:
+        if basis is not None:
             basis = np.asarray(basis, dtype=np.complex128)
             if basis.shape != (d, d):
                 raise ValueError(f"basis shape {basis.shape} does not match dimension {d}")
@@ -71,15 +71,21 @@ class EnvironmentState:
             gram = basis @ basis.conj().T
             if np.max(np.abs(gram - np.eye(d))) > ORTHONORMALITY_TOL:
                 raise ValueError("basis rows are not orthonormal")
+            self.basis = basis[order]
 
         self.spectrum = spectrum[order]
-        self.basis = basis[order]
+        self._order = order
         self.dim = d
 
     @classmethod
     def completely_mixed(cls, dim: int) -> "EnvironmentState":
         """Environment I/d."""
         return cls(np.full(dim, 1.0 / dim))
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Eigenbasis rows in spectrum order; the computational basis unless one was given."""
+        return np.eye(self.dim, dtype=np.complex128)[self._order]
 
     @cached_property
     def lambda_min(self) -> float:

@@ -26,6 +26,9 @@ _CSV_ORACLE_ROW = "%.12g,%.12g,%s,%s,%.12g,%.12g,%.12g,%.12g,%.12g\n"
 # Largest grid a spec may ask for (2001 x 2001). The whole grid is evaluated
 # in memory at once, so larger specs are rejected before anything is built.
 MAX_GRID_CELLS = 4_000_000
+# Largest grid with oracle columns (64 x 64): each cell runs two trace-norm
+# searches, up to seconds apiece at d = 8 (see the README), so this bounds run time.
+MAX_ORACLE_CELLS = 4096
 
 
 def _check_range(name: str, rng: tuple) -> tuple[float, float, int]:
@@ -57,8 +60,10 @@ class SweepSpec:
         n_p0 = _check_range("p0_range", self.p0_range)[2]
         n_eta = _check_range("eta_range", self.eta_range)[2]
         cells = n_p0 * n_eta
-        if cells > MAX_GRID_CELLS:
-            raise ValueError(f"grid has {cells} cells, more than the limit of {MAX_GRID_CELLS}")
+        limit = MAX_ORACLE_CELLS if self.include_oracle else MAX_GRID_CELLS
+        if cells > limit:
+            grid = "oracle sweep grid" if self.include_oracle else "grid"
+            raise ValueError(f"{grid} has {cells} cells, more than the limit of {limit}")
 
 
 @dataclass(slots=True)

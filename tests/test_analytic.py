@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from conftest import random_scenario, random_unitary
+from conftest import random_scenario, random_spectrum, random_unitary
 from illume import (
     CONVENTIONAL,
     REGION_I,
@@ -194,6 +194,33 @@ class TestOptimalProbeQuantum:
             s = random_scenario(rng, int(rng.integers(2, 6)))
             assert np.linalg.norm(optimal_probe_quantum(s)) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_equals_explicit_schmidt_sum(self, d):
+        # sum_i mu_i |theta_i>|theta_i> term by term, normalized, in complex Haar
+        # bases: a generic spectrum, one with a zero eigenvalue, one with ties
+        rng = np.random.default_rng(70 + d)
+        tied = np.repeat(random_spectrum(rng, (d + 1) // 2), 2)[:d]
+        spectra = [random_spectrum(rng, d), tied / tied.sum()]
+        if d > 1:
+            spectra.append(np.append(random_spectrum(rng, d - 1), 0.0))
+        for spectrum in spectra:
+            env = EnvironmentState(spectrum, basis=random_unitary(rng, d).T)
+            psi = optimal_probe_quantum(Scenario(0.5, 0.6, env))
+            np.testing.assert_allclose(psi, _explicit_probe(env), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("spectrum", [[1.0], SKEW3, [0.2, 0.3, 0.5], [0.3, 0.2, 0.3, 0.2],
+                                          [0.6, 0.0, 0.4], [0.125] * 8])
+    def test_computational_basis_is_bit_identical(self, spectrum):
+        env = EnvironmentState(spectrum)
+        psi = optimal_probe_quantum(Scenario(0.5, 0.6, env))
+        np.testing.assert_array_equal(psi, _explicit_probe(env))
+
+
+def _explicit_probe(env):
+    mu = np.sqrt(schmidt_squares(env))
+    psi = sum(mu[i] * np.kron(env.basis[i], env.basis[i]) for i in range(env.dim))
+    return psi / np.linalg.norm(psi)
+
 
 class TestReport:
     def test_no_signal_limit(self):
@@ -214,8 +241,8 @@ class TestReport:
         r = report(s)
         assert r.advantage == pytest.approx(0.3 * (0.2 - 3 / 31), abs=1e-12)
         # both oracle routes agree with the reported errors
-        oracle_c = (1.0 - trace_norm(omega_c(s, projector(r.optimal_probe_c)))) / 2.0
-        oracle_q = (1.0 - trace_norm(omega_q(s, r.optimal_probe_q))) / 2.0
+        oracle_c = (1.0 - trace_norm(omega_c(s, projector(optimal_probe_conventional(s))))) / 2.0
+        oracle_q = (1.0 - trace_norm(omega_q(s, optimal_probe_quantum(s)))) / 2.0
         assert (oracle_c - oracle_q) == pytest.approx(r.advantage, abs=1e-10)
 
     def test_json_payload(self):
@@ -229,6 +256,13 @@ class TestReport:
         assert data["region_c"] == "II" and data["region_q"] == "III"
         assert data["eta_c"] == pytest.approx(0.125)
         assert data["eta_q"] == pytest.approx(3 / 56)
+
+    def test_leaves_the_default_basis_unbuilt(self):
+        s = Scenario(0.5, 0.6, EnvironmentState(SKEW3))
+        report(s).to_dict()
+        assert "basis" not in s.env.__dict__
+        optimal_probe_quantum(s)
+        assert "basis" in s.env.__dict__
 
     def test_degenerate_prior_serializes_null_boundaries(self):
         data = report(Scenario(1.0, 0.5, EnvironmentState([0.5, 0.5]))).to_dict()

@@ -84,6 +84,13 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert "finite" in err
 
+    def test_nested_spectrum_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"p0": 0.5, "eta": 0.6, "spectrum": [[0.5], [0.5]]}')
+        code, out, err = run_cli(capsys, "solve", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert "spectrum" in err
+
     def test_missing_flags(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--p0", "0.5")
         assert code == 2
@@ -181,6 +188,20 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert "cells" in err
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("in_file", [True, False])
+    def test_oversized_oracle_grid_is_input_error(self, capsys, tmp_path, in_file):
+        spec = self.write_spec(tmp_path, p0_range=[0, 1, 65], eta_range=[0, 1, 64],
+                               oracle=in_file)
+        out_csv = tmp_path / "x.csv"
+        argv = ("sweep", "--spec", str(spec), "--out", str(out_csv))
+        code, out, err = run_cli(capsys, *argv, *([] if in_file else ["--oracle"]))
+        assert (code, out) == (2, "")
+        assert "oracle sweep grid has 4160 cells" in err
+        assert not out_csv.exists()
+        if not in_file:  # the same spec without --oracle runs
+            assert run_cli(capsys, *argv)[0] == 0
+            assert len(out_csv.read_text().splitlines()) == 4161
 
     def test_bad_threads_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("ILLUME_THREADS", "many")

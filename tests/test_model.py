@@ -62,6 +62,22 @@ class TestEnvironmentState:
         with pytest.raises(ValueError, match="finite"):
             EnvironmentState([0.5, 0.5], basis=bad)
 
+    @pytest.mark.parametrize("spectrum", ["1", 1.0, [[0.5], [0.5]], [[0.5, 0.5]]])
+    def test_rejects_non_flat_spectrum(self, spectrum):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            EnvironmentState(spectrum)
+
+    @pytest.mark.parametrize("spectrum", [[1.0], SKEW3, [0.2, 0.5, 0.3], [0.25] * 4,
+                                          [0.3, 0.2, 0.3, 0.2], [0.0, 0.6, 0.0, 0.4],
+                                          [0.05, 0.125, 0.075] * 4])
+    def test_default_basis_is_the_sorted_identity(self, spectrum):
+        env = EnvironmentState(spectrum)
+        assert "basis" not in env.__dict__  # built on first use
+        expected = np.eye(len(spectrum))[np.argsort(-np.asarray(spectrum), kind="stable")]
+        np.testing.assert_array_equal(env.basis, expected)
+        assert env.basis.dtype == np.complex128
+        assert env.basis is env.basis
+
     def test_completely_mixed(self):
         env = EnvironmentState.completely_mixed(4)
         np.testing.assert_allclose(env.spectrum, 0.25)

@@ -21,7 +21,7 @@ from illume import (
     run_sweep,
     write_csv,
 )
-from illume.sweep import MAX_GRID_CELLS
+from illume.sweep import MAX_GRID_CELLS, MAX_ORACLE_CELLS
 from illume.tolerances import BOUNDARY_TOL
 
 SKEW3 = [0.5, 0.3, 0.2]
@@ -177,6 +177,14 @@ class TestRunSweep:
         SweepSpec((0.0, 1.0, 2000), (0.0, 1.0, MAX_GRID_CELLS // 2000), env)
         with pytest.raises(ValueError, match="cells"):
             SweepSpec((0.0, 1.0, 2000), (0.0, 1.0, MAX_GRID_CELLS // 2000 + 1), env)
+
+    def test_oracle_grid_size_limit(self):
+        env = EnvironmentState([0.5, 0.5])
+        n = MAX_ORACLE_CELLS // 64
+        SweepSpec((0.0, 1.0, 64), (0.0, 1.0, n), env, include_oracle=True)
+        with pytest.raises(ValueError, match="oracle sweep grid has .* cells"):
+            SweepSpec((0.0, 1.0, 64), (0.0, 1.0, n + 1), env, include_oracle=True)
+        SweepSpec((0.0, 1.0, 64), (0.0, 1.0, n + 1), env)  # the same grid without the oracle
 
     def test_oversized_grid_rejected_before_allocation(self):
         env = EnvironmentState([0.5, 0.5])
