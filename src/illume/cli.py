@@ -7,9 +7,9 @@ suites) and ``simulate`` (Monte-Carlo measurement run).
 
 stdout carries machine-readable JSON/CSV payloads only; diagnostics go to
 stderr. Exit codes: 0 success, 1 verification failure, 2 input error,
-3 I/O error. ``ILLUME_THREADS`` sets the number of worker threads of
-``sweep --oracle`` (default 1: its small eigen-solves hold the GIL, so more
-threads only contend).
+3 I/O error. Input checks live with the types they guard: a sweep spec is
+admitted or rejected by ``SweepSpec`` itself, which also caps the cost of
+``sweep --oracle``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -103,19 +102,6 @@ def _scenario_from_args(args) -> Scenario:
     return Scenario(p0=args.p0, eta=args.eta, env=env)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("ILLUME_THREADS")
-    if raw is None or raw.strip() == "":
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"ILLUME_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValueError(f"ILLUME_THREADS must be >= 1, got {n}")
-    return n
-
-
 def _search_config_from_dict(data: dict) -> SearchConfig:
     if not isinstance(data, dict):
         raise ValueError("oracle_cfg must be a JSON object")
@@ -130,27 +116,17 @@ def _sweep_spec_from_dict(data: dict, force_oracle: bool) -> SweepSpec:
     if not isinstance(data, dict):
         raise ValueError("sweep spec must be a JSON object")
     try:
-        p0_range = tuple(data["p0_range"])
-        eta_range = tuple(data["eta_range"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"sweep spec missing or malformed range: {exc}") from exc
-    if len(p0_range) != 3 or len(eta_range) != 3:
-        raise ValueError("ranges must be [min, max, steps] triples")
+        p0_range, eta_range = data["p0_range"], data["eta_range"]
+    except KeyError as exc:
+        raise ValueError(f"sweep spec missing range: {exc}") from exc
     env = environment_from_dict(data)
     oracle = data.get("oracle", False)
     if not isinstance(oracle, bool):
         raise ValueError(f"oracle must be true or false, got {oracle!r}")
-    include_oracle = oracle or force_oracle
-    oracle_cfg = None
-    if data.get("oracle_cfg") is not None:
-        oracle_cfg = _search_config_from_dict(data["oracle_cfg"])
-    return SweepSpec(
-        p0_range=p0_range,
-        eta_range=eta_range,
-        env=env,
-        include_oracle=include_oracle,
-        oracle_cfg=oracle_cfg,
-    )
+    cfg = data.get("oracle_cfg")
+    cfg = None if cfg is None else _search_config_from_dict(cfg)  # checked even with the oracle off
+    return SweepSpec(p0_range, eta_range, env,
+                     oracle=(cfg or SearchConfig()) if oracle or force_oracle else None)
 
 
 def _parse_probe_file(path: str) -> np.ndarray:
@@ -184,10 +160,10 @@ def _cmd_sweep(args) -> int:
     n_p0, n_eta = spec.p0_range[2], spec.eta_range[2]
     print(
         f"sweep: {n_p0}x{n_eta} grid, environment dimension {spec.env.dim}, "
-        f"oracle={'on' if spec.include_oracle else 'off'}",
+        f"oracle={'off' if spec.oracle is None else 'on'}",
         file=sys.stderr,
     )
-    records = run_sweep(spec, workers=_worker_count() if spec.include_oracle else 1)
+    records = run_sweep(spec)
     write_csv(records, args.out)
     print(f"sweep: wrote {len(records)} records to {args.out}", file=sys.stderr)
     return 0

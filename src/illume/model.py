@@ -99,7 +99,7 @@ class EnvironmentState:
         Always at most ``lambda_min``, and strictly below it for d >= 2 with a
         fully positive spectrum. Computed once per environment.
         """
-        if np.any(self.spectrum <= ZERO_EIGENVALUE_TOL):
+        if self.lambda_min <= ZERO_EIGENVALUE_TOL:
             return 0.0
         value = 1.0 / float(np.sum(1.0 / self.spectrum))
         return min(value, self.lambda_min)

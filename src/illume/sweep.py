@@ -8,14 +8,13 @@ outer loop. Plotting is out of scope; the CSV is the deliverable.
 from __future__ import annotations
 
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
 
 from .analytic import REGIONS, solve_grid
-from .model import CONVENTIONAL, QUANTUM, EnvironmentState, Scenario, json_reals
+from .model import MODES, EnvironmentState, Scenario, json_reals
 from .oracle import MAX_QUANTUM_SEARCH_DIM, SearchConfig, maximize_trace_norm
 
 CSV_FIELDS = ("p0", "eta", "region_c", "region_q", "perr_c", "perr_q", "advantage")
@@ -26,9 +25,12 @@ _CSV_ORACLE_ROW = "%.12g,%.12g,%s,%s,%.12g,%.12g,%.12g,%.12g,%.12g\n"
 # Largest grid a spec may ask for (2001 x 2001). The whole grid is evaluated
 # in memory at once, so larger specs are rejected before anything is built.
 MAX_GRID_CELLS = 4_000_000
-# Largest grid with oracle columns (64 x 64): each cell runs two trace-norm
-# searches, up to seconds apiece at d = 8 (see the README), so this bounds run time.
+# Oracle sweep caps. Each cell runs two trace-norm searches whose cost grows
+# with the restart count and steeply with d (see the README). Charging
+# restarts x d^4 per cell against the budget of the default 32 restarts on a
+# 64 x 64 grid at d = 2 admits 4,096 cells at d = 2, 256 at d = 4 and 16 at d = 8.
 MAX_ORACLE_CELLS = 4096
+_ORACLE_BUDGET = MAX_ORACLE_CELLS * 32 * 2**4
 
 
 def _check_range(name: str, rng: tuple) -> tuple[float, float, int]:
@@ -48,22 +50,37 @@ def _check_range(name: str, rng: tuple) -> tuple[float, float, int]:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid specification: (min, max, steps) ranges include both endpoints."""
+    """Grid specification: (min, max, steps) ranges include both endpoints.
+
+    ``oracle`` is the search config of the oracle columns, or None to leave
+    them out. Every admission rule is checked here, so a spec that exists
+    can be run; the ranges are stored as parsed ``(lo, hi, steps)`` triples.
+    """
 
     p0_range: tuple[float, float, int]
     eta_range: tuple[float, float, int]
     env: EnvironmentState
-    include_oracle: bool = False
-    oracle_cfg: SearchConfig | None = None
+    oracle: SearchConfig | None = None
 
     def __post_init__(self):
-        n_p0 = _check_range("p0_range", self.p0_range)[2]
-        n_eta = _check_range("eta_range", self.eta_range)[2]
-        cells = n_p0 * n_eta
-        limit = MAX_ORACLE_CELLS if self.include_oracle else MAX_GRID_CELLS
+        object.__setattr__(self, "p0_range", _check_range("p0_range", self.p0_range))
+        object.__setattr__(self, "eta_range", _check_range("eta_range", self.eta_range))
+        cells = self.p0_range[2] * self.eta_range[2]
+        if self.oracle is None:
+            if cells > MAX_GRID_CELLS:
+                raise ValueError(f"grid has {cells} cells, more than the limit of {MAX_GRID_CELLS}")
+            return
+        d = self.env.dim
+        if d > MAX_QUANTUM_SEARCH_DIM:
+            raise ValueError(
+                f"oracle sweep needs environment dimension <= {MAX_QUANTUM_SEARCH_DIM}, got {d}"
+            )
+        limit = min(MAX_ORACLE_CELLS, _ORACLE_BUDGET // (self.oracle.restarts * d**4))
         if cells > limit:
-            grid = "oracle sweep grid" if self.include_oracle else "grid"
-            raise ValueError(f"{grid} has {cells} cells, more than the limit of {limit}")
+            raise ValueError(
+                f"oracle sweep grid has {cells} cells, more than the limit of {limit} "
+                f"at d = {d} with {self.oracle.restarts} restarts"
+            )
 
 
 @dataclass(slots=True)
@@ -81,28 +98,21 @@ class SweepRecord:
     oracle_perr_q: float | None = None
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
+def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Evaluate every grid cell; oracle columns are filled only when requested.
 
     The oracle reuses one search config (and hence one seed) per cell, so
-    output is deterministic regardless of ``workers``. Requesting the oracle
-    for environments beyond the quantum search cap is a configuration error.
+    reruns are bit-identical.
     """
-    if spec.include_oracle and spec.env.dim > MAX_QUANTUM_SEARCH_DIM:
-        raise ValueError(
-            f"oracle sweep needs environment dimension <= {MAX_QUANTUM_SEARCH_DIM}, "
-            f"got {spec.env.dim}"
-        )
-    p0s = np.linspace(*_check_range("p0_range", spec.p0_range))
-    etas = np.linspace(*_check_range("eta_range", spec.eta_range))
+    p0s = np.linspace(*spec.p0_range)
+    etas = np.linspace(*spec.eta_range)
     grid = solve_grid(p0s, etas, spec.env.lambda_min, spec.env.lambda_harmonic)
 
     # Columns become plain Python values; the p0 and eta floats and the
     # region labels are shared between records rather than copied per cell.
     labels = np.array(REGIONS, dtype=object)
     n = etas.size
-    records = list(map(
-        SweepRecord,
+    columns = (
         [p0 for p0 in p0s.tolist() for _ in range(n)],
         etas.tolist() * p0s.size,
         labels[grid.region_c].ravel().tolist(),
@@ -110,24 +120,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[SweepRecord]:
         grid.perr_c.ravel().tolist(),
         grid.perr_q.ravel().tolist(),
         (grid.perr_c - grid.perr_q).ravel().tolist(),
-    ))
-    if not spec.include_oracle:
-        return records
-
-    cfg = spec.oracle_cfg if spec.oracle_cfg is not None else SearchConfig()
-
-    def attach_oracle(record: SweepRecord) -> SweepRecord:
-        s = Scenario(record.p0, record.eta, spec.env)
-        record.oracle_perr_c = maximize_trace_norm(s, CONVENTIONAL, cfg).perr
-        record.oracle_perr_q = maximize_trace_norm(s, QUANTUM, cfg).perr
-        return record
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(attach_oracle, records))
-    else:
-        records = [attach_oracle(r) for r in records]
-    return records
+    )
+    if spec.oracle is None:
+        return list(map(SweepRecord, *columns))
+    scenarios = [Scenario(p0, eta, spec.env) for p0, eta in zip(*columns[:2])]
+    oracle = [[maximize_trace_norm(s, mode, spec.oracle).perr for mode in MODES] for s in scenarios]
+    return list(map(SweepRecord, *columns, *zip(*oracle)))
 
 
 def records_to_csv(records: list[SweepRecord]) -> str:

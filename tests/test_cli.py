@@ -149,8 +149,7 @@ class TestSweep:
         assert run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_oracle_columns(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("ILLUME_THREADS", "2")
+    def test_oracle_columns(self, capsys, tmp_path):
         spec = self.write_spec(
             tmp_path,
             p0_range=[0.3, 0.7, 3],
@@ -203,14 +202,35 @@ class TestSweep:
             assert run_cli(capsys, *argv)[0] == 0
             assert len(out_csv.read_text().splitlines()) == 4161
 
-    def test_bad_threads_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("ILLUME_THREADS", "many")
-        spec = self.write_spec(tmp_path, p0_range=[0, 1, 2], eta_range=[0, 1, 2], oracle=True,
-                               oracle_cfg={"restarts": 1, "steps_per_restart": 10, "seed": 0,
-                                           "tolerance": 1e-3})
-        code, _, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(tmp_path / "x.csv"))
-        assert code == 2
-        assert "ILLUME_THREADS" in err
+    @pytest.mark.parametrize("in_file", [True, False])
+    def test_costly_oracle_sweep_is_input_error(self, capsys, tmp_path, in_file):
+        # 4 cells, but each would run 10^9 restarts per search
+        spec = self.write_spec(tmp_path, p0_range=[0, 1, 2], eta_range=[0, 1, 2],
+                               oracle=in_file, oracle_cfg={"restarts": 10**9})
+        out_csv = tmp_path / "x.csv"
+        argv = ("sweep", "--spec", str(spec), "--out", str(out_csv))
+        code, out, err = run_cli(capsys, *argv, *([] if in_file else ["--oracle"]))
+        assert (code, out) == (2, "")
+        assert "oracle sweep grid has 4 cells" in err
+        assert not out_csv.exists()
+
+    def test_oracle_dimension_cap_is_input_error(self, capsys, tmp_path):
+        spec = self.write_spec(tmp_path, p0_range=[0.4, 0.6, 2], eta_range=[0.5, 0.7, 2],
+                               spectrum=[1 / 9] * 9)
+        out_csv = tmp_path / "x.csv"
+        argv = ("sweep", "--spec", str(spec), "--out", str(out_csv))
+        code, out, err = run_cli(capsys, *argv, "--oracle")
+        assert (code, out) == (2, "")
+        assert "oracle sweep needs environment dimension <= 8, got 9" in err
+        assert not out_csv.exists()
+        assert run_cli(capsys, *argv)[0] == 0  # the analytic sweep has no such cap
+
+    def test_oracle_cfg_without_oracle_adds_no_columns(self, capsys, tmp_path):
+        spec = self.write_spec(tmp_path, p0_range=[0.4, 0.6, 2], eta_range=[0.5, 0.7, 2],
+                               oracle_cfg={"restarts": 10**9})
+        out_csv = tmp_path / "x.csv"
+        assert run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out_csv))[0] == 0
+        assert out_csv.read_text().splitlines()[0].split(",")[-1] == "advantage"
 
 
     @pytest.mark.parametrize("steps", [2.7, "4", True])
@@ -255,27 +275,14 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert message in err
 
-    def test_oracle_workers_default_to_one(self, capsys, tmp_path, monkeypatch):
-        import illume.cli
-
-        seen = []
-        real_run_sweep = illume.cli.run_sweep
-
-        def spy(spec, workers=1):
-            seen.append(workers)
-            return real_run_sweep(spec, workers=workers)
-
-        monkeypatch.setattr(illume.cli, "run_sweep", spy)
-        monkeypatch.delenv("ILLUME_THREADS", raising=False)
+    def test_oracle_reruns_are_byte_identical(self, capsys, tmp_path):
         spec = self.write_spec(tmp_path, p0_range=[0.4, 0.6, 2], eta_range=[0.5, 0.7, 2],
                                oracle_cfg={"restarts": 2, "seed": 0})
         code, _, _ = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(tmp_path / "x.csv"),
                              "--oracle")
         assert code == 0
-        monkeypatch.setenv("ILLUME_THREADS", "3")
         assert run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(tmp_path / "y.csv"),
                        "--oracle")[0] == 0
-        assert seen == [1, 3]
         assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "y.csv").read_bytes()
 
 class TestVerify:

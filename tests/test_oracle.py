@@ -254,15 +254,11 @@ class TestSeeSawSearch:
                 b.best_value, b.evaluations, b.iterations)
             assert a.best_state.tobytes() == b.best_state.tobytes()
 
-    def test_sweep_worker_count_is_bit_identical(self):
+    def test_sweep_rerun_is_bit_identical(self):
         cfg = SearchConfig(restarts=4, seed=6)
-        spec = SweepSpec((0.3, 0.6, 3), (0.4, 0.9, 3), EnvironmentState(SKEW3),
-                         include_oracle=True, oracle_cfg=cfg)
-        serial = run_sweep(spec, workers=1)
-        assert [dataclasses.astuple(r) for r in serial] == [
-            dataclasses.astuple(r) for r in run_sweep(spec, workers=4)]
-        assert [dataclasses.astuple(r) for r in serial] == [
-            dataclasses.astuple(r) for r in run_sweep(spec, workers=1)]
+        spec = SweepSpec((0.3, 0.6, 3), (0.4, 0.9, 3), EnvironmentState(SKEW3), oracle=cfg)
+        assert [dataclasses.astuple(r) for r in run_sweep(spec)] == [
+            dataclasses.astuple(r) for r in run_sweep(spec)]
 
 class TestSingleNegativeEigenvalue:
     def test_zero_shift_is_trivially_true(self):

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from illume import (
+    CONVENTIONAL,
+    QUANTUM,
     EnvironmentState,
     Scenario,
     SearchConfig,
@@ -14,6 +16,7 @@ from illume import (
     classify,
     eta_guess_absent,
     eta_star,
+    maximize_trace_norm,
     perr_conventional,
     perr_quantum,
     records_to_csv,
@@ -119,30 +122,35 @@ class TestRunSweep:
     def test_oracle_columns_match_analytic(self):
         cfg = SearchConfig(restarts=6, steps_per_restart=600, seed=2, tolerance=1e-6)
         spec = SweepSpec(
-            (0.3, 0.7, 3), (0.2, 1.0, 3), EnvironmentState([0.5, 0.5]),
-            include_oracle=True, oracle_cfg=cfg,
+            (0.3, 0.7, 3), (0.2, 1.0, 3), EnvironmentState([0.5, 0.5]), oracle=cfg,
         )
         for r in run_sweep(spec):
             assert abs(r.oracle_perr_c - r.perr_c) <= 1e-5
             assert abs(r.oracle_perr_q - r.perr_q) <= 1e-5
 
-    def test_oracle_parallel_matches_serial(self):
+    def test_oracle_columns_equal_per_cell_searches(self):
         cfg = SearchConfig(restarts=4, steps_per_restart=300, seed=4, tolerance=1e-5)
-        spec = SweepSpec(
-            (0.4, 0.6, 2), (0.3, 0.9, 2), EnvironmentState([0.5, 0.5]),
-            include_oracle=True, oracle_cfg=cfg,
-        )
-        serial = run_sweep(spec, workers=1)
-        parallel = run_sweep(spec, workers=4)
-        assert [(r.oracle_perr_c, r.oracle_perr_q) for r in serial] == [
-            (r.oracle_perr_c, r.oracle_perr_q) for r in parallel
-        ]
+        env = EnvironmentState(SKEW3)
+        spec = SweepSpec((0.4, 0.6, 2), (0.3, 0.9, 3), env, oracle=cfg)
+        records = run_sweep(spec)
+        assert [(r.p0, r.eta) for r in records] == [
+            (p0, eta) for p0 in np.linspace(0.4, 0.6, 2) for eta in np.linspace(0.3, 0.9, 3)]
+        for r in records:
+            s = Scenario(r.p0, r.eta, env)
+            assert r.oracle_perr_c == maximize_trace_norm(s, CONVENTIONAL, cfg).perr
+            assert r.oracle_perr_q == maximize_trace_norm(s, QUANTUM, cfg).perr
 
     def test_oracle_dimension_cap(self):
-        spec = SweepSpec((0.0, 1.0, 2), (0.0, 1.0, 2),
-                         EnvironmentState.completely_mixed(10), include_oracle=True)
+        env = EnvironmentState.completely_mixed(10)
         with pytest.raises(ValueError, match="dimension"):
-            run_sweep(spec)
+            SweepSpec((0.0, 1.0, 2), (0.0, 1.0, 2), env, oracle=SearchConfig())
+        SweepSpec((0.0, 1.0, 2), (0.0, 1.0, 2), env)  # the analytic sweep has no such cap
+
+    def test_spec_stores_parsed_ranges(self):
+        spec = SweepSpec([np.int64(0), 1, 3], (np.float32(0.5), 1, np.int64(2)),
+                         EnvironmentState([0.5, 0.5]))
+        assert spec.p0_range == (0.0, 1.0, 3) and spec.eta_range == (0.5, 1.0, 2)
+        assert all(type(x) is float for x in (*spec.p0_range[:2], *spec.eta_range[:2]))
 
     def test_spec_validation(self):
         env = EnvironmentState([0.5, 0.5])
@@ -181,10 +189,42 @@ class TestRunSweep:
     def test_oracle_grid_size_limit(self):
         env = EnvironmentState([0.5, 0.5])
         n = MAX_ORACLE_CELLS // 64
-        SweepSpec((0.0, 1.0, 64), (0.0, 1.0, n), env, include_oracle=True)
+        SweepSpec((0.0, 1.0, 64), (0.0, 1.0, n), env, oracle=SearchConfig())
         with pytest.raises(ValueError, match="oracle sweep grid has .* cells"):
-            SweepSpec((0.0, 1.0, 64), (0.0, 1.0, n + 1), env, include_oracle=True)
+            SweepSpec((0.0, 1.0, 64), (0.0, 1.0, n + 1), env, oracle=SearchConfig())
         SweepSpec((0.0, 1.0, 64), (0.0, 1.0, n + 1), env)  # the same grid without the oracle
+
+    @pytest.mark.parametrize("d, accepted, rejected", [
+        (4, [(16, 16), (2, 128)], [(16, 17), (2, 129)]),
+        # 17 cells is no grid (both axes need 2 steps), so 18 is the first above 16
+        (8, [(4, 4), (2, 8)], [(2, 9), (3, 6)]),
+    ])
+    def test_oracle_cap_scales_with_dimension(self, d, accepted, rejected):
+        env = EnvironmentState.completely_mixed(d)
+        for n_p0, n_eta in accepted:
+            SweepSpec((0.0, 1.0, n_p0), (0.0, 1.0, n_eta), env, oracle=SearchConfig())
+        for n_p0, n_eta in rejected:
+            with pytest.raises(ValueError, match=f"oracle sweep grid has {n_p0 * n_eta} cells"):
+                SweepSpec((0.0, 1.0, n_p0), (0.0, 1.0, n_eta), env, oracle=SearchConfig())
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("restarts", [1, 16, 32, 33, 10**9])
+    def test_oracle_cap_bounds_cells_times_search_cost(self, d, restarts):
+        # admitted iff cells <= MAX_ORACLE_CELLS and cells * restarts * d^4 <= the
+        # budget of the default 32 restarts on a MAX_ORACLE_CELLS grid at d = 2
+        env = EnvironmentState.completely_mixed(d)
+        cfg = SearchConfig(restarts=restarts)
+        budget = MAX_ORACLE_CELLS * 32 * 2**4
+        for n_p0, n_eta in [(2, 2), (2, 8), (2, 9), (3, 6), (4, 4), (4, 8), (3, 11), (2, 25),
+                            (2, 26), (16, 16), (16, 17), (2, 128), (2, 129), (64, 64), (64, 65)]:
+            cells = n_p0 * n_eta
+            admitted = cells <= MAX_ORACLE_CELLS and cells * restarts * d**4 <= budget
+            try:
+                SweepSpec((0.0, 1.0, n_p0), (0.0, 1.0, n_eta), env, oracle=cfg)
+            except ValueError as exc:
+                assert not admitted and f"oracle sweep grid has {cells} cells" in str(exc)
+            else:
+                assert admitted
 
     def test_oversized_grid_rejected_before_allocation(self):
         env = EnvironmentState([0.5, 0.5])
@@ -249,8 +289,7 @@ class TestCsv:
 
     def test_oracle_header(self):
         cfg = SearchConfig(restarts=2, steps_per_restart=50, seed=1, tolerance=1e-4)
-        spec = SweepSpec((0.5, 0.5, 2), (0.5, 0.5, 2), EnvironmentState([0.5, 0.5]),
-                         include_oracle=True, oracle_cfg=cfg)
+        spec = SweepSpec((0.5, 0.5, 2), (0.5, 0.5, 2), EnvironmentState([0.5, 0.5]), oracle=cfg)
         text = records_to_csv(run_sweep(spec))
         header = text.splitlines()[0]
         assert header == "p0,eta,region_c,region_q,perr_c,perr_q,advantage,oracle_perr_c,oracle_perr_q"
