@@ -5,19 +5,20 @@ The optimal signal-idler state has Schmidt spectrum inversely proportional
 to the environment spectrum: mu_i^2 = lambda_h / lambda_i, where lambda_h
 is the inverse of the summed inverse environment eigenvalues. The noisier
 an environment direction, the *less* weight the probe puts on it. This
-script builds the state, feeds it through the bipartite channel pair, and
-confirms by direct eigendecomposition that it achieves the closed-form
-minimum.
+script builds the state and its hypothesis difference
+omega = p1 eta rho + gamma rho_E (x) tr_A rho, and confirms by direct
+eigendecomposition that it achieves the closed-form minimum.
 """
 
 import numpy as np
 
 from illume import (
+    CONVENTIONAL,
+    QUANTUM,
     EnvironmentState,
     Scenario,
     haar_random_state,
-    omega_c,
-    omega_q,
+    omega,
     optimal_probe_quantum,
     perr_conventional,
     perr_quantum,
@@ -36,7 +37,7 @@ print("  (inversely proportional to the spectrum, normalized to 1)")
 print()
 
 psi = optimal_probe_quantum(s)
-achieved = (1.0 - trace_norm(omega_q(s, psi))) / 2.0
+achieved = (1.0 - trace_norm(omega(s, projector(psi), QUANTUM))) / 2.0
 print(f"Error achieved by the optimal entangled probe: {achieved:.12f}")
 print(f"Closed-form quantum minimum:                   {perr_quantum(s):.12f}")
 print(f"Closed-form conventional minimum:              {perr_conventional(s):.12f}")
@@ -47,8 +48,8 @@ rng = np.random.default_rng(1)
 phi, chi = haar_random_state(3, rng), haar_random_state(3, rng)
 product = np.kron(phi, chi)
 print("Product probe |phi>|chi| reduces to the conventional case:")
-print(f"  bipartite trace norm  = {trace_norm(omega_q(s, product)):.12f}")
-print(f"  single-signal version = {trace_norm(omega_c(s, projector(phi))):.12f}")
+print(f"  bipartite trace norm  = {trace_norm(omega(s, projector(product), QUANTUM)):.12f}")
+print(f"  single-signal version = {trace_norm(omega(s, projector(phi), CONVENTIONAL)):.12f}")
 print()
 
 # Entanglement only pays when the environment is anisotropic *and* the

@@ -36,7 +36,6 @@ from .linalg import (
     require_density_matrix,
     require_hermitian,
     require_state_vector,
-    tensor,
     trace_norm,
 )
 from .model import (
@@ -45,13 +44,9 @@ from .model import (
     QUANTUM,
     EnvironmentState,
     Scenario,
-    channel_absent,
-    channel_absent_bipartite,
-    channel_present,
+    absent_state,
     environment_from_dict,
-    omega_c,
-    omega_q,
-    omega_q_density,
+    omega,
     scenario_from_dict,
 )
 from .oracle import (

@@ -109,24 +109,19 @@ def trace_norm(op) -> float:
     return float(np.sum(np.abs(values)))
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product with index convention (i_a, i_b) -> i_a * dim(b) + i_b."""
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
-
-
 def partial_trace_first(op, dim_a: int, dim_b: int) -> np.ndarray:
     """Trace out the first factor of an operator on a ``dim_a x dim_b`` product space.
 
-    For ``op = a (x) b`` this returns ``trace(a) * b``; the total trace is
-    preserved for every input.
+    ``op`` is one operator or a stack ``(..., n, n)`` with ``n = dim_a *
+    dim_b``. For ``op = a (x) b`` this returns ``trace(a) * b``; the total
+    trace is preserved for every input.
     """
     op = np.asarray(op, dtype=np.complex128)
-    if op.shape != (dim_a * dim_b, dim_a * dim_b):
-        raise ValueError(
-            f"operator shape {op.shape} does not match dim_a*dim_b = {dim_a * dim_b}"
-        )
-    reshaped = op.reshape(dim_a, dim_b, dim_a, dim_b)
-    return np.einsum("ajak->jk", reshaped)
+    n = dim_a * dim_b
+    if op.shape[-2:] != (n, n):
+        raise ValueError(f"operator shape {op.shape} does not match dim_a*dim_b = {n}")
+    reshaped = op.reshape(*op.shape[:-2], dim_a, dim_b, dim_a, dim_b)
+    return np.einsum("...ajak->...jk", reshaped)
 
 
 def projector(psi) -> np.ndarray:

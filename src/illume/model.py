@@ -1,11 +1,11 @@
 """Domain model for one-shot illumination scenarios.
 
 A scenario is a prior ``p0`` for target absence, a reflectivity ``eta`` and
-an environment state. The two hypotheses are quantum channels acting on the
-probe: with the target absent the probe is lost and only the environment
-returns; with the target present a fraction ``eta`` of the probe survives.
-The weighted hypothesis difference operators built here carry all the
-detection-error information: the minimal discrimination error is
+an environment state. With the target absent the probe is lost and only the
+environment returns (:func:`absent_state`: ``rho_E``, or ``rho_E (x) tr_A
+rho`` when an idler is kept); with the target present a fraction ``eta`` of
+the probe survives. The weighted hypothesis difference :func:`omega` carries
+all the detection-error information: the minimal discrimination error is
 ``(1 - ||omega||_1) / 2``.
 """
 
@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import partial_trace_first, projector, require_state_vector, tensor
+from .linalg import partial_trace_first
 from .tolerances import (
     BOUNDARY_TOL,
     DENSITY_TRACE_TOL,
@@ -143,71 +143,44 @@ class Scenario:
         return (self.eta * self.p1 / abs(gamma)) if gamma < -BOUNDARY_TOL else None
 
 
-def _check_probe_dim(s: Scenario, probe: np.ndarray, expect_dim: int) -> np.ndarray:
-    probe = np.asarray(probe, dtype=np.complex128)
-    if probe.shape != (expect_dim, expect_dim):
+def require_mode(mode: str) -> str:
+    """Validate an illumination mode and return it."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return mode
+
+
+def absent_state(env: EnvironmentState, rho, mode: str) -> np.ndarray:
+    """Target-absent state of a probe ``rho``: one density matrix or a stack ``(..., n, n)``.
+
+    Conventional (``n = d``): the probe is lost and only ``rho_E`` returns.
+    Quantum (``n = d**2``, signal tensor idler): the signal is lost, the
+    environment returns and the idler is kept, ``rho_E (x) tr_A rho``.
+    """
+    d = env.dim
+    n = d if require_mode(mode) == CONVENTIONAL else d * d
+    rho = np.asarray(rho, dtype=np.complex128)
+    if rho.shape[-2:] != (n, n):
+        what = "probe" if mode == CONVENTIONAL else "bipartite probe"
         raise ValueError(
-            f"probe has shape {probe.shape}, expected ({expect_dim}, {expect_dim}) "
-            f"for environment dimension {s.env.dim}"
+            f"{what} has shape {rho.shape}, expected (..., {n}, {n}) "
+            f"for environment dimension {d}"
         )
-    return probe
+    if mode == CONVENTIONAL:
+        return np.broadcast_to(env.density(), rho.shape)
+    idler = partial_trace_first(rho, d, d)
+    return np.einsum("ab,...cd->...acbd", env.density(), idler).reshape(rho.shape)
 
 
-def channel_absent(s: Scenario, probe) -> np.ndarray:
-    """Target-absent channel: the probe is lost, only the environment returns."""
-    _check_probe_dim(s, probe, s.env.dim)
-    return s.env.density()
+def omega(s: Scenario, rho, mode: str) -> np.ndarray:
+    """Weighted hypothesis difference ``p1 rho_1 - p0 rho_0`` of a probe ``rho`` (or a stack).
 
-
-def channel_present(s: Scenario, probe) -> np.ndarray:
-    """Target-present channel: eta * probe + (1 - eta) * environment."""
-    probe = _check_probe_dim(s, probe, s.env.dim)
-    return s.eta * probe + (1.0 - s.eta) * s.env.density()
-
-
-def channel_absent_bipartite(s: Scenario, probe_ab) -> np.ndarray:
-    """Target-absent state of a signal-idler probe: ``rho_E (x) tr_A rho_AB``.
-
-    The signal is lost, the environment returns and the idler is kept.
+    With the target-present state ``rho_1 = eta rho + (1 - eta) rho_0`` this
+    is ``p1 eta rho + gamma rho_0``, ``rho_0`` the :func:`absent_state`. The
+    minimal error of the probe is ``(1 - ||omega||_1) / 2``.
     """
-    d = s.env.dim
-    probe_ab = _check_probe_dim(s, probe_ab, d * d)
-    return tensor(s.env.density(), partial_trace_first(probe_ab, d, d))
-
-
-def omega_c(s: Scenario, probe) -> np.ndarray:
-    """Weighted hypothesis difference p1 E1(probe) - p0 E0(probe) for a single signal.
-
-    ``probe`` is a density matrix on the environment space. The result has
-    trace ``p1 - p0``.
-    """
-    probe = _check_probe_dim(s, probe, s.env.dim)
-    return s.p1 * channel_present(s, probe) - s.p0 * channel_absent(s, probe)
-
-
-def omega_q_density(s: Scenario, probe_ab) -> np.ndarray:
-    """Bipartite hypothesis difference for a (possibly mixed) signal-idler probe.
-
-    Equals ``p1 eta rho_AB + gamma rho_E (x) rho_B`` with
-    ``rho_B = tr_A rho_AB``.
-    """
-    probe_ab = _check_probe_dim(s, probe_ab, s.env.dim ** 2)
-    return s.p1 * s.eta * probe_ab + s.gamma * channel_absent_bipartite(s, probe_ab)
-
-
-def omega_q(s: Scenario, probe) -> np.ndarray:
-    """Bipartite hypothesis difference for a pure signal-idler probe state.
-
-    ``probe`` is a state vector of dimension ``d**2`` (signal tensor idler).
-    """
-    probe = require_state_vector(probe)
-    d = s.env.dim
-    if probe.size != d * d:
-        raise ValueError(
-            f"bipartite probe has dimension {probe.size}, expected {d * d} "
-            f"(= environment dimension {d} squared)"
-        )
-    return omega_q_density(s, projector(probe))
+    rho = np.asarray(rho, dtype=np.complex128)
+    return s.p1 * s.eta * rho + s.gamma * absent_state(s.env, rho, mode)
 
 
 def json_reals(values, what: str) -> list[float]:

@@ -24,23 +24,19 @@ from .analytic import (
 from .linalg import (
     eig,
     haar_random_state,
-    partial_trace_first,
     projector,
+    require_density_matrix,
     require_state_vector,
-    tensor,
     trace_norm,
 )
 from .model import (
     CONVENTIONAL,
-    MODES,
     QUANTUM,
     EnvironmentState,
     Scenario,
-    channel_absent,
-    channel_absent_bipartite,
-    omega_c,
-    omega_q,
-    omega_q_density,
+    absent_state,
+    omega,
+    require_mode,
 )
 from .tolerances import DENSITY_EIG_TOL, POSITIVE_PART_TOL, SEARCH_CONVERGED_GAIN
 
@@ -94,49 +90,29 @@ class MeasurementStats:
     std_error: float
 
 
-def _check_mode(mode: str) -> str:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return mode
-
-
 def perr_of_state(s: Scenario, probe, mode: str) -> float:
     """Detection error of a specific pure probe, straight from the trace norm."""
-    _check_mode(mode)
+    require_mode(mode)
     probe = require_state_vector(probe)
-    if mode == CONVENTIONAL:
-        if probe.size != s.env.dim:
-            raise ValueError(
-                f"conventional probe has dimension {probe.size}, expected {s.env.dim}"
-            )
-        omega = omega_c(s, projector(probe))
-    else:
-        omega = omega_q(s, probe)
-    return (1.0 - trace_norm(omega)) / 2.0
+    return (1.0 - trace_norm(omega(s, projector(probe), mode))) / 2.0
 
 
 def _see_saw_maps(s: Scenario, mode: str):
     """Probe dimension, batched ``omega(psi)`` and the see-saw targets from its eigh."""
     d = s.env.dim
-    rho_e = s.env.density()
-    gamma = s.gamma
-    p1eta = s.p1 * s.eta
+
+    def omegas(states: np.ndarray) -> np.ndarray:
+        return omega(s, np.einsum("ni,nj->nij", states, states.conj()), mode)
 
     if mode == CONVENTIONAL:
-        def omegas(states: np.ndarray) -> np.ndarray:
-            return p1eta * np.einsum("ni,nj->nij", states, states.conj()) + gamma * rho_e
-
         def targets(w: np.ndarray, v: np.ndarray) -> np.ndarray:
             return v[:, :, -1]  # the form is p1 eta S, whose top eigenvectors include omega's
 
         return d, omegas, targets
 
-    def omegas(states: np.ndarray) -> np.ndarray:
-        n = states.shape[0]
-        mats = states.reshape(n, d, d)
-        rho_b = np.einsum("nai,naj->nij", mats, mats.conj())
-        background = np.einsum("ab,ncd->nacbd", rho_e, rho_b).reshape(n, d * d, d * d)
-        return p1eta * np.einsum("ni,nj->nij", states, states.conj()) + gamma * background
+    rho_e = s.env.density()
+    gamma = s.gamma
+    p1eta = s.p1 * s.eta
 
     def targets(w: np.ndarray, v: np.ndarray) -> np.ndarray:
         # form = p1 eta S + gamma (I (x) tr_A[(rho_E (x) I) S])
@@ -178,7 +154,7 @@ def maximize_trace_norm(
     ``perr`` is an upper bound on the true minimal error; ties between
     restarts resolve to the lowest restart index.
     """
-    _check_mode(mode)
+    require_mode(mode)
     if mode == QUANTUM and s.env.dim > MAX_QUANTUM_SEARCH_DIM:
         raise ValueError(
             f"quantum search supports environment dimension <= {MAX_QUANTUM_SEARCH_DIM}, "
@@ -263,7 +239,7 @@ def _single_negative_margin(rho: np.ndarray, alpha: float, psi: np.ndarray) -> f
 
 def check_single_negative_eigenvalue(rho, alpha: float, psi) -> bool:
     """A density matrix minus a positive rank-one term has at most one negative eigenvalue."""
-    rho = np.asarray(rho, dtype=np.complex128)
+    rho = require_density_matrix(rho)
     psi = require_state_vector(psi)
     if rho.shape != (psi.size, psi.size):
         raise ValueError(f"dimension mismatch: rho {rho.shape} vs psi {psi.size}")
@@ -271,9 +247,8 @@ def check_single_negative_eigenvalue(rho, alpha: float, psi) -> bool:
 
 
 def _ground_level_margin(env: EnvironmentState, alpha: float, psi: np.ndarray) -> float:
-    d = env.dim
     rho_ab = projector(psi)
-    h = tensor(env.density(), partial_trace_first(rho_ab, d, d)) - alpha * rho_ab
+    h = absent_state(env, rho_ab, QUANTUM) - alpha * rho_ab
     e_g = float(np.linalg.eigvalsh(h)[0])
     lam_h = env.lambda_harmonic
     if alpha > lam_h:
@@ -324,12 +299,11 @@ def check_perr_linear_in_min_eigenvalue(s: Scenario, psi) -> bool:
 
 
 def _convexity_margin(s: Scenario, rho: np.ndarray, mode: str) -> float:
-    build = omega_c if mode == CONVENTIONAL else omega_q_density
-    mixed_value = trace_norm(build(s, rho))
+    mixed_value = trace_norm(omega(s, rho, mode))
     decomp = eig(rho)
     best_pure = max(
         (
-            trace_norm(build(s, projector(decomp.eigenvectors[:, k])))
+            trace_norm(omega(s, projector(decomp.eigenvectors[:, k]), mode))
             for k, weight in enumerate(decomp.eigenvalues)
             if weight > 1e-12
         ),
@@ -340,8 +314,8 @@ def _convexity_margin(s: Scenario, rho: np.ndarray, mode: str) -> float:
 
 def check_convexity_reduction(s: Scenario, rho, mode: str) -> bool:
     """A mixed probe never out-performs the best eigenstate in its mixture."""
-    _check_mode(mode)
-    return _convexity_margin(s, np.asarray(rho, dtype=np.complex128), mode) >= 0.0
+    require_mode(mode)
+    return _convexity_margin(s, require_density_matrix(rho), mode) >= 0.0
 
 
 def simulate_measurement(
@@ -363,12 +337,12 @@ def simulate_measurement(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _check_mode(mode)
+    require_mode(mode)
     rho = projector(require_state_vector(probe))
-    rho0 = (channel_absent if mode == CONVENTIONAL else channel_absent_bipartite)(s, rho)
+    rho0 = absent_state(s.env, rho, mode)
     rho1 = s.eta * rho + (1.0 - s.eta) * rho0  # the target-present state in either mode
 
-    decomp = eig(s.p1 * rho1 - s.p0 * rho0)
+    decomp = eig(omega(s, rho, mode))
     plus = decomp.eigenvectors[:, decomp.eigenvalues > POSITIVE_PART_TOL]
     proj_plus = plus @ plus.conj().T
     q_absent = float(np.clip(np.trace(proj_plus @ rho0).real, 0.0, 1.0))

@@ -18,10 +18,11 @@ from illume import (
     bundled_scenarios,
     classify,
     maximize_trace_norm,
-    omega_q,
+    omega,
     optimal_probe_quantum,
     perr_conventional,
     perr_quantum,
+    projector,
     run_sweep,
     simulate_measurement,
     trace_norm,
@@ -68,7 +69,7 @@ def test_criterion_2_quantum_optimum_achievability():
     s = Scenario(0.5, 0.6, EnvironmentState(SKEW3))
     target = 0.5 - 0.3 * (28.0 / 31.0)
 
-    direct = (1.0 - trace_norm(omega_q(s, optimal_probe_quantum(s)))) / 2.0
+    direct = (1.0 - trace_norm(omega(s, projector(optimal_probe_quantum(s)), QUANTUM))) / 2.0
     formula_gap = abs(direct - target)
     assert abs(perr_quantum(s) - target) <= 1e-12
 

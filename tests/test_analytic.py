@@ -8,6 +8,7 @@ from scipy.optimize import minimize
 from conftest import random_scenario, random_spectrum, random_unitary
 from illume import (
     CONVENTIONAL,
+    QUANTUM,
     REGION_I,
     REGION_II,
     REGION_III,
@@ -18,8 +19,7 @@ from illume import (
     eta_guess_absent,
     eta_star,
     haar_random_state,
-    omega_c,
-    omega_q,
+    omega,
     optimal_probe_conventional,
     optimal_probe_quantum,
     perr_conventional,
@@ -34,16 +34,19 @@ from illume.tolerances import BOUNDARY_TOL
 SKEW3 = [0.5, 0.3, 0.2]
 
 
+def direct_perr(s, psi, mode):
+    """Error of a pure probe from the trace norm of the model's hypothesis difference."""
+    return (1.0 - trace_norm(omega(s, projector(psi), mode))) / 2.0
+
+
 def nelder_mead_best_perr(s, mode, starts=6, seed=0):
     """Brute-force pure-state search, independent of both solver and hill climber."""
     d = s.env.dim if mode == CONVENTIONAL else s.env.dim ** 2
-    build = omega_c if mode == CONVENTIONAL else None
 
     def neg_norm(x):
         v = x[:d] + 1j * x[d:]
         psi = v / np.linalg.norm(v)
-        omega = build(s, projector(psi)) if build else omega_q(s, psi)
-        return -trace_norm(omega)
+        return -trace_norm(omega(s, projector(psi), mode))
 
     rng = np.random.default_rng(seed)
     best = -np.inf
@@ -129,7 +132,7 @@ class TestPerrQuantum:
             s = Scenario(0.5, float(eta), env)
             assert perr_quantum(s) == pytest.approx(0.5 - 3.0 * eta / 8.0, abs=1e-12)
             # 4x4 first-principles route
-            direct = (1.0 - trace_norm(omega_q(s, optimal_probe_quantum(s)))) / 2.0
+            direct = direct_perr(s, optimal_probe_quantum(s), QUANTUM)
             assert direct == pytest.approx(0.5 - 3.0 * eta / 8.0, abs=1e-10)
 
     def test_skew3_frozen_value(self):
@@ -157,7 +160,7 @@ class TestOptimalProbeConventional:
     def test_degenerate_minimum_achieves_value(self):
         s = Scenario(0.5, 0.6, EnvironmentState([0.4, 0.3, 0.3]))
         probe = optimal_probe_conventional(s)
-        achieved = (1.0 - trace_norm(omega_c(s, projector(probe)))) / 2.0
+        achieved = direct_perr(s, probe, CONVENTIONAL)
         assert achieved == pytest.approx(perr_conventional(s), abs=1e-12)
 
     def test_tracks_permuted_basis(self):
@@ -241,8 +244,8 @@ class TestReport:
         r = report(s)
         assert r.advantage == pytest.approx(0.3 * (0.2 - 3 / 31), abs=1e-12)
         # both oracle routes agree with the reported errors
-        oracle_c = (1.0 - trace_norm(omega_c(s, projector(optimal_probe_conventional(s))))) / 2.0
-        oracle_q = (1.0 - trace_norm(omega_q(s, optimal_probe_quantum(s)))) / 2.0
+        oracle_c = direct_perr(s, optimal_probe_conventional(s), CONVENTIONAL)
+        oracle_q = direct_perr(s, optimal_probe_quantum(s), QUANTUM)
         assert (oracle_c - oracle_q) == pytest.approx(r.advantage, abs=1e-10)
 
     def test_json_payload(self):
@@ -315,7 +318,7 @@ class TestClosedFormCrossChecks:
         s = Scenario(0.5, 0.6, EnvironmentState([0.5, 0.5]))
         probe = np.array([1.0, 0.0], dtype=complex)
         assert abs(
-            binary_trace_norm(s, probe) - trace_norm(omega_c(s, projector(probe)))
+            binary_trace_norm(s, probe) - trace_norm(omega(s, projector(probe), CONVENTIONAL))
         ) <= 1e-12
 
     def test_binary_closed_form_random(self):
@@ -325,7 +328,7 @@ class TestClosedFormCrossChecks:
             probe = haar_random_state(2, rng)
             two_ways = (
                 binary_trace_norm(s, probe),
-                trace_norm(omega_c(s, projector(probe))),
+                trace_norm(omega(s, projector(probe), CONVENTIONAL)),
             )
             assert abs(two_ways[0] - two_ways[1]) <= 1e-12
 
@@ -339,7 +342,7 @@ class TestClosedFormCrossChecks:
                 psi = haar_random_state(d, rng)
                 gamma = s.gamma
                 expected = abs(s.p1 * s.eta + gamma / d) + (d - 1) / d * abs(gamma)
-                assert trace_norm(omega_c(s, projector(psi))) == pytest.approx(
+                assert trace_norm(omega(s, projector(psi), CONVENTIONAL)) == pytest.approx(
                     expected, abs=1e-12
                 )
 
@@ -404,5 +407,5 @@ class TestInvariants:
         rng = np.random.default_rng(18)
         for _ in range(25):
             s = random_scenario(rng, int(rng.integers(2, 5)), gamma_negative=True)
-            achieved = (1.0 - trace_norm(omega_q(s, optimal_probe_quantum(s)))) / 2.0
+            achieved = direct_perr(s, optimal_probe_quantum(s), QUANTUM)
             assert abs(achieved - perr_quantum(s)) <= 1e-10

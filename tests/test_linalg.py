@@ -12,7 +12,6 @@ from illume import (
     require_density_matrix,
     require_hermitian,
     require_state_vector,
-    tensor,
     trace_norm,
 )
 
@@ -135,29 +134,12 @@ class TestTraceNorm:
             assert tn > tr + 1e-10
 
 
-class TestTensor:
-    def test_identity(self):
-        np.testing.assert_array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_basis_bookkeeping(self):
-        out = tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        np.testing.assert_array_equal(out, np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_trace_multiplicative(self):
-        rng = np.random.default_rng(3)
-        a = random_hermitian(rng, 3)
-        b = random_hermitian(rng, 4)
-        assert np.trace(tensor(a, b)) == pytest.approx(
-            np.trace(a) * np.trace(b), abs=1e-12
-        )
-
-
 class TestPartialTraceFirst:
     def test_product_state(self):
         rng = np.random.default_rng(4)
         rho = random_density(rng, 3)
         sigma = random_density(rng, 4)
-        out = partial_trace_first(tensor(rho, sigma), 3, 4)
+        out = partial_trace_first(np.kron(rho, sigma), 3, 4)
         np.testing.assert_allclose(out, sigma, atol=1e-12)
 
     def test_maximally_entangled(self):
@@ -175,12 +157,23 @@ class TestPartialTraceFirst:
         rng = np.random.default_rng(6)
         a = random_hermitian(rng, 2)
         b = random_hermitian(rng, 3)
-        out = partial_trace_first(tensor(a, b), 2, 3)
+        out = partial_trace_first(np.kron(a, b), 2, 3)
         assert np.max(np.abs(out - np.trace(a) * b)) <= 1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             partial_trace_first(np.eye(5), 2, 3)
+        with pytest.raises(ValueError, match="shape"):
+            partial_trace_first(np.zeros((4, 5, 5)), 2, 3)
+
+    def test_stack_equals_its_slices(self):
+        rng = np.random.default_rng(7)
+        stack = np.array([[random_hermitian(rng, 6) for _ in range(3)] for _ in range(2)])
+        out = partial_trace_first(stack, 2, 3)
+        assert out.shape == (2, 3, 3, 3)
+        for i in range(2):
+            for j in range(3):
+                assert out[i, j].tobytes() == partial_trace_first(stack[i, j], 2, 3).tobytes()
 
 
 class TestHaarRandomState:

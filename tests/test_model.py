@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
 
-from conftest import random_density, random_scenario, random_spectrum, random_unitary
+from conftest import (
+    random_density,
+    random_hermitian,
+    random_scenario,
+    random_spectrum,
+    random_unitary,
+)
 from illume import (
+    CONVENTIONAL,
+    MODES,
+    QUANTUM,
     EnvironmentState,
     Scenario,
-    channel_absent,
-    channel_absent_bipartite,
-    channel_present,
+    absent_state,
     environment_from_dict,
     haar_random_state,
-    omega_c,
-    omega_q,
-    omega_q_density,
+    omega,
     projector,
     scenario_from_dict,
     trace_norm,
@@ -134,60 +139,68 @@ class TestDerivedParams:
 class TestChannels:
     def test_absent_ignores_probe(self):
         env = EnvironmentState([0.5, 0.5])
-        s = Scenario(0.4, 0.9, env)
         for probe in (np.eye(2) / 2, np.diag([1.0, 0.0]), projector(env.eigenvector(1))):
-            np.testing.assert_allclose(channel_absent(s, probe), np.eye(2) / 2, atol=1e-14)
-            assert np.trace(channel_absent(s, probe)).real == pytest.approx(1.0)
+            np.testing.assert_allclose(
+                absent_state(env, probe, CONVENTIONAL), np.eye(2) / 2, atol=1e-14)
+            assert np.trace(absent_state(env, probe, CONVENTIONAL)).real == pytest.approx(1.0)
 
     def test_present_limits(self):
+        # eta = 0: omega is (p1 - p0) E0; eta = 1: p1 rho - p0 E0
         env = EnvironmentState(SKEW3)
         probe = np.diag([0.0, 0.0, 1.0]).astype(complex)
         s0 = Scenario(0.5, 0.0, env)
-        np.testing.assert_allclose(channel_present(s0, probe), env.density(), atol=1e-14)
+        np.testing.assert_allclose(
+            omega(s0, probe, CONVENTIONAL), (s0.p1 - s0.p0) * env.density(), atol=1e-14)
         s1 = Scenario(0.5, 1.0, env)
-        np.testing.assert_allclose(channel_present(s1, probe), probe, atol=1e-14)
+        np.testing.assert_allclose(
+            omega(s1, probe, CONVENTIONAL), s1.p1 * probe - s1.p0 * env.density(), atol=1e-14)
 
     def test_present_convex_combination(self):
+        # the target-present state eta rho + (1 - eta) E0 is diag(0.75, 0.25)
         s = Scenario(0.5, 0.5, EnvironmentState([0.5, 0.5]))
-        out = channel_present(s, np.diag([1.0, 0.0]))
-        np.testing.assert_allclose(out, np.diag([0.75, 0.25]), atol=1e-14)
+        out = omega(s, np.diag([1.0, 0.0]), CONVENTIONAL)
+        np.testing.assert_allclose(
+            out, s.p1 * np.diag([0.75, 0.25]) - s.p0 * np.eye(2) / 2, atol=1e-14)
 
     def test_present_is_cptp_on_random_probes(self):
+        # the target-present state (omega + p0 E0) / p1 is a density matrix
         rng = np.random.default_rng(2)
         for _ in range(25):
             s = random_scenario(rng, 3)
-            out = channel_present(s, random_density(rng, 3))
+            rho = random_density(rng, 3)
+            absent = absent_state(s.env, rho, CONVENTIONAL)
+            out = (omega(s, rho, CONVENTIONAL) + s.p0 * absent) / s.p1
             assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.eigvalsh(out)[0] >= -1e-10
 
     def test_dimension_mismatch(self):
         s = Scenario(0.5, 0.5, EnvironmentState([0.5, 0.5]))
         with pytest.raises(ValueError, match="probe"):
-            channel_present(s, np.eye(3) / 3)
+            omega(s, np.eye(3) / 3, CONVENTIONAL)
 
 
 class TestOmegaC:
     def test_eta_zero_channels_coincide(self):
         rng = np.random.default_rng(3)
         s = Scenario(0.3, 0.0, EnvironmentState(SKEW3))
-        omega = omega_c(s, random_density(rng, 3))
-        np.testing.assert_allclose(omega, (s.p1 - s.p0) * s.env.density(), atol=1e-12)
-        assert trace_norm(omega) == pytest.approx(abs(s.p1 - s.p0), abs=1e-12)
+        w = omega(s, random_density(rng, 3), CONVENTIONAL)
+        np.testing.assert_allclose(w, (s.p1 - s.p0) * s.env.density(), atol=1e-12)
+        assert trace_norm(w) == pytest.approx(abs(s.p1 - s.p0), abs=1e-12)
 
     def test_balanced_full_reflection(self):
         rng = np.random.default_rng(4)
         rho = random_density(rng, 3)
         s = Scenario(0.5, 1.0, EnvironmentState(SKEW3))
         np.testing.assert_allclose(
-            omega_c(s, rho), (rho - s.env.density()) / 2, atol=1e-12
+            omega(s, rho, CONVENTIONAL), (rho - s.env.density()) / 2, atol=1e-12
         )
 
     def test_trace_is_prior_difference(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             s = random_scenario(rng, 4)
-            omega = omega_c(s, random_density(rng, 4))
-            assert np.trace(omega).real == pytest.approx(s.p1 - s.p0, abs=1e-10)
+            w = omega(s, random_density(rng, 4), CONVENTIONAL)
+            assert np.trace(w).real == pytest.approx(s.p1 - s.p0, abs=1e-10)
 
 
 class TestOmegaQ:
@@ -197,43 +210,124 @@ class TestOmegaQ:
             s = random_scenario(rng, 3)
             phi = haar_random_state(3, rng)
             chi = haar_random_state(3, rng)
-            tq = trace_norm(omega_q(s, np.kron(phi, chi)))
-            tc = trace_norm(omega_c(s, projector(phi)))
+            tq = trace_norm(omega(s, projector(np.kron(phi, chi)), QUANTUM))
+            tc = trace_norm(omega(s, projector(phi), CONVENTIONAL))
             assert abs(tq - tc) <= 1e-10
 
     def test_eta_zero_trace_norm(self):
         rng = np.random.default_rng(7)
         s = Scenario(0.35, 0.0, EnvironmentState(SKEW3))
         psi = haar_random_state(9, rng)
-        assert trace_norm(omega_q(s, psi)) == pytest.approx(abs(s.p1 - s.p0), abs=1e-12)
+        assert trace_norm(omega(s, projector(psi), QUANTUM)) == pytest.approx(
+            abs(s.p1 - s.p0), abs=1e-12)
 
     def test_trace_is_prior_difference(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             s = random_scenario(rng, 2)
-            omega = omega_q(s, haar_random_state(4, rng))
-            assert np.trace(omega).real == pytest.approx(s.p1 - s.p0, abs=1e-10)
+            w = omega(s, projector(haar_random_state(4, rng)), QUANTUM)
+            assert np.trace(w).real == pytest.approx(s.p1 - s.p0, abs=1e-10)
 
     def test_rejects_wrong_dimension(self):
         s = Scenario(0.5, 0.5, EnvironmentState(SKEW3))
         with pytest.raises(ValueError, match="bipartite"):
-            omega_q(s, haar_random_state(3, seed=0))
+            omega(s, projector(haar_random_state(3, seed=0)), QUANTUM)
 
     def test_absent_state_keeps_the_idler(self):
         rng = np.random.default_rng(9)
         s = Scenario(0.4, 0.7, EnvironmentState(SKEW3, basis=random_unitary(rng, 3).T))
         signal, idler = random_density(rng, 3), random_density(rng, 3)
-        absent = channel_absent_bipartite(s, np.kron(signal, idler))
+        absent = absent_state(s.env, np.kron(signal, idler), QUANTUM)
         np.testing.assert_allclose(absent, np.kron(s.env.density(), idler), atol=1e-14)
         # the difference operator is p1 eta rho_AB + gamma (absent state)
         rho_ab = random_density(rng, 9)
         np.testing.assert_allclose(
-            omega_q_density(s, rho_ab),
-            s.p1 * s.eta * rho_ab + s.gamma * channel_absent_bipartite(s, rho_ab),
+            omega(s, rho_ab, QUANTUM),
+            s.p1 * s.eta * rho_ab + s.gamma * absent_state(s.env, rho_ab, QUANTUM),
             atol=1e-15,
         )
         with pytest.raises(ValueError, match="shape"):
-            channel_absent_bipartite(s, signal)
+            absent_state(s.env, signal, QUANTUM)
+
+
+def _channel_absent(env, rho, mode):
+    """The target-absent state written out independently of the builder."""
+    if mode == CONVENTIONAL:
+        return env.density()
+    d = env.dim
+    idler = np.trace(rho.reshape(d, d, d, d), axis1=0, axis2=2)
+    return np.kron(env.density(), idler)
+
+
+class TestBuilder:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_channel_definition(self, mode):
+        # omega = p1 (eta rho + (1 - eta) E0) - p0 E0, E0 the target-absent state
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            d = int(rng.integers(1, 5))
+            base = random_scenario(rng, d)
+            env = EnvironmentState(base.env.spectrum, basis=random_unitary(rng, d).T)
+            s = Scenario(base.p0, base.eta, env)
+            rho = random_density(rng, d if mode == CONVENTIONAL else d * d)
+            e0 = _channel_absent(env, rho, mode)
+            expected = s.p1 * (s.eta * rho + (1.0 - s.eta) * e0) - s.p0 * e0
+            assert np.max(np.abs(omega(s, rho, mode) - expected)) <= 1e-14
+            assert np.max(np.abs(absent_state(env, rho, mode) - e0)) <= 1e-14
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_eta_limits(self, mode):
+        rng = np.random.default_rng(11)
+        env = EnvironmentState(SKEW3, basis=random_unitary(rng, 3).T)
+        rho = random_density(rng, 3 if mode == CONVENTIONAL else 9)
+        e0 = _channel_absent(env, rho, mode)
+        s0, s1 = Scenario(0.3, 0.0, env), Scenario(0.3, 1.0, env)
+        assert np.max(np.abs(omega(s0, rho, mode) - (s0.p1 - s0.p0) * e0)) <= 1e-14
+        assert np.max(np.abs(omega(s1, rho, mode) - (s1.p1 * rho - s1.p0 * e0))) <= 1e-14
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_stack_equals_its_slices(self, mode):
+        rng = np.random.default_rng(12)
+        s = random_scenario(rng, 3)
+        n = 3 if mode == CONVENTIONAL else 9
+        stack = np.array([[random_density(rng, n) for _ in range(3)] for _ in range(2)])
+        w = omega(s, stack, mode)
+        b = absent_state(s.env, stack, mode)
+        assert w.shape == b.shape == stack.shape
+        for i in range(2):
+            for j in range(3):
+                assert w[i, j].tobytes() == omega(s, stack[i, j], mode).tobytes()
+                assert b[i, j].tobytes() == absent_state(s.env, stack[i, j], mode).tobytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rejects_wrong_trailing_shape(self, mode):
+        s = Scenario(0.5, 0.5, EnvironmentState(SKEW3))
+        n = 3 if mode == CONVENTIONAL else 9
+        for shape in ((n,), (n, n + 1), (2, n + 1, n + 1), (12 - n, 12 - n)):
+            for pattern in ("dimension", "shape", "bipartite" if mode == QUANTUM else "probe"):
+                with pytest.raises(ValueError, match=pattern):
+                    omega(s, np.zeros(shape), mode)
+                with pytest.raises(ValueError, match=pattern):
+                    absent_state(s.env, np.zeros(shape), mode)
+
+    def test_kronecker_layout(self):
+        # rho_E (x) rho_B with index (i_E, i_B) -> i_E * d + i_B
+        mixed = EnvironmentState.completely_mixed(2)
+        np.testing.assert_array_equal(
+            absent_state(mixed, np.eye(4) / 4, QUANTUM), np.eye(4) / 4)
+        pure = EnvironmentState([1.0, 0.0])
+        out = absent_state(pure, np.kron(np.eye(2) / 2, np.diag([0.0, 1.0])), QUANTUM)
+        np.testing.assert_array_equal(out, np.diag([0.0, 1.0, 0.0, 0.0]))
+        # the trace is tr(rho_E) tr(rho) = tr(rho), also for a non-density operator
+        rng = np.random.default_rng(13)
+        env = EnvironmentState(SKEW3, basis=random_unitary(rng, 3).T)
+        op = random_hermitian(rng, 9)
+        assert np.trace(absent_state(env, op, QUANTUM)) == pytest.approx(np.trace(op), abs=1e-12)
+
+    def test_rejects_unknown_mode(self):
+        s = Scenario(0.5, 0.5, EnvironmentState(SKEW3))
+        with pytest.raises(ValueError, match="mode"):
+            omega(s, np.eye(3) / 3, "classical")
 
 
 class TestScenarioJson:

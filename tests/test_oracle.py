@@ -23,9 +23,7 @@ from illume import (
     classify,
     haar_random_state,
     maximize_trace_norm,
-    omega_c,
-    omega_q,
-    omega_q_density,
+    omega,
     partial_trace_first,
     optimal_probe_conventional,
     optimal_probe_quantum,
@@ -38,10 +36,15 @@ from illume import (
     run_oracle_suite,
     run_sweep,
     simulate_measurement,
-    tensor,
 )
 
 SKEW3 = [0.5, 0.3, 0.2]
+# 2x2 matrices that are not density matrices, with the error each must raise
+NOT_DENSITY = [
+    ([[0.5, 9.0], [0.0, 0.5]], "Hermitian"),
+    (np.diag([1.5, -0.5]), "negative eigenvalue"),
+    (np.diag([0.5, 0.6]), "unit trace"),
+]
 CHEAP = SearchConfig(restarts=6, steps_per_restart=600, seed=3, tolerance=1e-6)
 
 
@@ -203,10 +206,9 @@ class TestSeeSawSearch:
     def test_move_maximizes_the_see_saw_form(self, mode):
         # psi' is a top eigenvector of the form phi -> tr(S omega(phi)), S =
         # sign(omega(psi)), over unit vectors; its matrix is built here from
-        # the model's omega builders: Q_ij = tr(S [omega(|j><i|) - omega(0)])
+        # the model's omega builder: Q_ij = tr(S [omega(|j><i|) - omega(0)])
         from illume.oracle import _see_saw_maps
 
-        build = omega_c if mode == CONVENTIONAL else omega_q_density
         rng = np.random.default_rng(21)
         for _ in range(10):
             d = int(rng.integers(2, 4))
@@ -217,8 +219,8 @@ class TestSeeSawSearch:
             w, v = np.linalg.eigh(omegas(haar_random_state(dim, rng)[None]))
             sign = (v[0] * np.sign(w[0])) @ v[0].conj().T
             basis = np.eye(dim)
-            offset = build(s, np.zeros((dim, dim)))
-            q = np.array([[np.trace(sign @ (build(s, np.outer(basis[j], basis[i])) - offset))
+            offset = omega(s, np.zeros((dim, dim)), mode)
+            q = np.array([[np.trace(sign @ (omega(s, np.outer(basis[j], basis[i]), mode) - offset))
                            for j in range(dim)] for i in range(dim)])
             move = targets(w, v)[0]
             assert np.vdot(move, q @ move).real >= np.linalg.eigvalsh(q)[-1] - 1e-12
@@ -294,6 +296,11 @@ class TestSingleNegativeEigenvalue:
                 random_density(rng, 3), 1.0, haar_random_state(4, rng)
             )
 
+    @pytest.mark.parametrize("rho, message", NOT_DENSITY)
+    def test_rejects_non_density_matrix(self, rho, message):
+        with pytest.raises(ValueError, match=message):
+            check_single_negative_eigenvalue(rho, 0.5, np.array([1.0, 0.0]))
+
 
 class TestEigenvalueLowerBound:
     def test_optimal_state_saturates(self):
@@ -301,7 +308,7 @@ class TestEigenvalueLowerBound:
         s = Scenario(0.5, 0.6, env)
         psi = optimal_probe_quantum(s)
         rho_ab = projector(psi)
-        h = tensor(env.density(), partial_trace_first(rho_ab, 3, 3)) - s.alpha * rho_ab
+        h = np.kron(env.density(), partial_trace_first(rho_ab, 3, 3)) - s.alpha * rho_ab
         e_g = float(np.linalg.eigvalsh(h)[0])
         assert e_g == pytest.approx(env.lambda_harmonic - s.alpha, abs=1e-12)
         assert check_eigenvalue_lower_bound(env, s.alpha, psi)
@@ -321,7 +328,7 @@ class TestEigenvalueLowerBound:
             alpha = float(rng.uniform(0.0, env.lambda_harmonic))
             psi = haar_random_state(9, rng)
             rho_ab = projector(psi)
-            h = tensor(env.density(), partial_trace_first(rho_ab, 3, 3)) - alpha * rho_ab
+            h = np.kron(env.density(), partial_trace_first(rho_ab, 3, 3)) - alpha * rho_ab
             assert np.linalg.eigvalsh(h)[0] >= -1e-10
             assert check_eigenvalue_lower_bound(env, alpha, psi)
 
@@ -375,6 +382,12 @@ class TestConvexityReduction:
             mode = CONVENTIONAL if t % 2 == 0 else QUANTUM
             probe_dim = d if mode == CONVENTIONAL else d * d
             assert check_convexity_reduction(s, random_density(rng, probe_dim), mode)
+
+    @pytest.mark.parametrize("rho, message", NOT_DENSITY)
+    def test_rejects_non_density_matrix(self, rho, message):
+        s = Scenario(0.5, 0.6, EnvironmentState([0.5, 0.5]))
+        with pytest.raises(ValueError, match=message):
+            check_convexity_reduction(s, rho, CONVENTIONAL)
 
 
 class TestSimulateMeasurement:
@@ -440,7 +453,7 @@ class TestSignStructure:
             if classify(s)[1] != REGION_III:
                 continue
             found += 1
-            w = np.linalg.eigvalsh(omega_q(s, optimal_probe_quantum(s)))
+            w = np.linalg.eigvalsh(omega(s, projector(optimal_probe_quantum(s)), QUANTUM))
             assert int(np.sum(w > 1e-12)) == 1
 
 
@@ -476,21 +489,25 @@ class TestSuites:
         assert _digest(result) == (
             "b4e6d25b50affd534d53cf77c945fa2ba080b236a7009cd53b6a86accc3d0b3e")
 
-    # sha256 of each suite payload as produced when run_lemma_suite still
-    # held inline copies of the four checks: any drift in the draws, the
-    # arithmetic or the reported margins fails. The payloads carry raw
+    # sha256 of each suite payload: any drift in the draws, the arithmetic
+    # or the reported margins fails. The conventional hypothesis difference
+    # is built as p1 eta rho + gamma rho_E (model.omega), not as
+    # p1 E1 - p0 E0; that rounding moved worst_margin of
+    # perr_linear_in_ground_level (and, at seed 2026, of
+    # convexity_reduction) by at most 1.2e-16, every other field is
+    # unchanged, so these digests were regenerated. The payloads carry raw
     # eigenvalues, so the digests hold for one LAPACK build (computed with
     # numpy 2.4.6 / OpenBLAS on x86-64).
     @pytest.mark.parametrize("seed, trials, digest", [
-        (0, 400, "ee0a2ec7c050023d54b64b9f6b6b6d0952aa54d2be132360ffeb8ca2cc3d2496"),
-        (7, 2000, "64f92c898cab60dbe6e442167a69ee1b9a7382eee4da312bfd81c59539007919"),
+        (0, 400, "19ada9e00950763d9525c3b558621c58527c7b50e5b78675e508c318d9db4da3"),
+        (7, 2000, "6c8598ca714619bea0533ffe556371d676a7b1c9e12fa2805297e1c9107c263c"),
     ])
     def test_lemma_suite_golden_payload(self, seed, trials, digest):
         assert _digest(run_lemma_suite(seed=seed, trials=trials)) == digest
 
     def test_lemma_suite_golden_payload_full_size(self, lemma_suite_2026):
         assert _digest(lemma_suite_2026) == (
-            "bcd19014e5729246ea91e10f1fadb6eeada54e965120f97a863f0582add90b28")
+            "7aa2b61dfdbc2a19c1cc23cd08895cf5c62cd1de12190767289ba87d08ef8878")
 
     def test_montecarlo_suite_golden_payload(self):
         assert _digest(run_montecarlo_suite(seed=0, trials=2000)) == (
