@@ -14,6 +14,7 @@ from illume import (
     require_state_vector,
     trace_norm,
 )
+from illume.model import QUANTUM, EnvironmentState, absent_state
 
 
 class TestValidation:
@@ -132,6 +133,29 @@ class TestTraceNorm:
             assert tn == pytest.approx(tr, abs=1e-10)
         else:
             assert tn > tr + 1e-10
+
+
+class TestTensor:
+    # rho_E (x) rho_B, built by absent_state, with index (i_E, i_B) -> i_E * d + i_B:
+    # the layout partial_trace_first inverts
+    def test_identity(self):
+        mixed = EnvironmentState.completely_mixed(2)
+        np.testing.assert_array_equal(
+            absent_state(mixed, np.eye(4) / 4, QUANTUM), np.eye(4) / 4)
+
+    def test_basis_bookkeeping(self):
+        pure = EnvironmentState([1.0, 0.0])
+        out = absent_state(pure, np.kron(np.eye(2) / 2, np.diag([0.0, 1.0])), QUANTUM)
+        np.testing.assert_array_equal(out, np.diag([0.0, 1.0, 0.0, 0.0]))
+
+    def test_trace_multiplicative(self):
+        # tr(rho_E) tr(tr_A op) = tr(op), also for a non-density operator
+        rng = np.random.default_rng(3)
+        env = EnvironmentState([0.5, 0.3, 0.2], basis=random_unitary(rng, 3).T)
+        op = random_hermitian(rng, 9)
+        assert np.trace(absent_state(env, op, QUANTUM)) == pytest.approx(
+            np.trace(op), abs=1e-12
+        )
 
 
 class TestPartialTraceFirst:

@@ -3,7 +3,6 @@ import pytest
 
 from conftest import (
     random_density,
-    random_hermitian,
     random_scenario,
     random_spectrum,
     random_unitary,
@@ -309,20 +308,6 @@ class TestBuilder:
                     omega(s, np.zeros(shape), mode)
                 with pytest.raises(ValueError, match=pattern):
                     absent_state(s.env, np.zeros(shape), mode)
-
-    def test_kronecker_layout(self):
-        # rho_E (x) rho_B with index (i_E, i_B) -> i_E * d + i_B
-        mixed = EnvironmentState.completely_mixed(2)
-        np.testing.assert_array_equal(
-            absent_state(mixed, np.eye(4) / 4, QUANTUM), np.eye(4) / 4)
-        pure = EnvironmentState([1.0, 0.0])
-        out = absent_state(pure, np.kron(np.eye(2) / 2, np.diag([0.0, 1.0])), QUANTUM)
-        np.testing.assert_array_equal(out, np.diag([0.0, 1.0, 0.0, 0.0]))
-        # the trace is tr(rho_E) tr(rho) = tr(rho), also for a non-density operator
-        rng = np.random.default_rng(13)
-        env = EnvironmentState(SKEW3, basis=random_unitary(rng, 3).T)
-        op = random_hermitian(rng, 9)
-        assert np.trace(absent_state(env, op, QUANTUM)) == pytest.approx(np.trace(op), abs=1e-12)
 
     def test_rejects_unknown_mode(self):
         s = Scenario(0.5, 0.5, EnvironmentState(SKEW3))
