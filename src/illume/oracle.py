@@ -6,6 +6,16 @@ maximization of the trace norm over pure probes (an independent upper bound
 on the minimal error), spot checks of the eigenvalue structure the closed
 forms rely on, and a Monte-Carlo simulation of the optimal binary
 measurement.
+
+The search never forms the dense hypothesis difference. For a pure probe,
+``omega = p1 eta psi psi^dagger + gamma B`` is a diagonal matrix plus a
+rank-one term in the eigenframe of the absent state ``B`` (the environment
+basis, times the idler marginal's eigenbasis in quantum mode), so its trace
+norm follows from the top root of a secular equation (the rank-one
+eigenvalue update of Bunch, Nielsen and Sorensen) and its see-saw target
+from d x d eigendecompositions: O(d^3) per probe where a dense
+``eigvalsh`` of the d^2 x d^2 quantum ``omega`` costs O(d^6). The dense
+``perr_of_state`` rechecks every search result.
 """
 
 from __future__ import annotations
@@ -38,11 +48,20 @@ from .model import (
     omega,
     require_mode,
 )
-from .tolerances import DENSITY_EIG_TOL, POSITIVE_PART_TOL, SEARCH_CONVERGED_GAIN
+from .tolerances import (
+    DENSITY_EIG_TOL,
+    POSITIVE_PART_TOL,
+    SEARCH_CONVERGED_GAIN,
+    ZERO_EIGENVALUE_TOL,
+)
 
-# Quantum-probe searches run on d^2-dimensional probes; beyond d = 8 only
+# Quantum-probe searches run on d^2-dimensional probes; beyond d = 16 only
 # the analytic formulas are offered.
-MAX_QUANTUM_SEARCH_DIM = 8
+MAX_QUANTUM_SEARCH_DIM = 16
+
+# Cap on the secular-equation steps of one root; they converge quadratically
+# from the first step, and a handful suffice.
+SECULAR_MAX_STEPS = 30
 
 # Step lengths tried along each see-saw move, in order; a longer one is
 # tried only while the previous one still improved the trace norm.
@@ -97,32 +116,193 @@ def perr_of_state(s: Scenario, probe, mode: str) -> float:
     return (1.0 - trace_norm(omega(s, projector(probe), mode))) / 2.0
 
 
+def _top_root(poles: np.ndarray, weights: np.ndarray, c: float):
+    """Largest root ``mu`` of ``1 = c sum_j weights_j / (mu - poles_j)`` for each row.
+
+    This is the top eigenvalue of ``diag(poles) + c u u^dagger`` with
+    ``weights = |u|^2`` and ``c > 0``; entries of zero weight are deflated
+    (eigenpairs of the diagonal alone) and do not enter. In the shift
+    ``tau = mu - top`` from the top weighted pole the root is at least
+    ``c w_top``. Each step solves, as a quadratic, the model that keeps the
+    top pole exact and matches the other poles' sum and slope with one pole
+    at the nearest of them (the fixed-weight step of LAPACK's ``dlaed4``).
+    That model never lies below the secular sum, so from a point right of
+    the root its root is again right of it: starting at the model that
+    puts all other weight on the nearest pole, ``tau`` falls monotonically
+    and quadratically onto the root. A row stops once its residual is
+    within rounding of zero or ``tau`` stops falling, and after
+    ``SECULAR_MAX_STEPS`` steps at most.
+
+    Returns ``mu`` and the shifted denominators ``mu - poles`` (valid on the
+    weighted entries).
+    """
+    weighted = weights > 0.0
+    top = np.max(np.where(weighted, poles, -np.inf), axis=1)
+    gaps = top[:, None] - poles
+    w_top = np.where(gaps == 0.0, weights, 0.0).sum(axis=1)  # zero weights add nothing
+    rest = weighted & (gaps > 0.0)
+    w_rest = np.where(rest, weights, 0.0)
+    g_rest = np.where(rest, gaps, np.inf)  # an infinite gap carries no weight
+    near = np.min(g_rest, axis=1)
+    near = np.where(near < np.inf, near, 1.0)  # no other pole: any gap will do
+    low, q, inv_c = c * w_top, w_top * near, 1.0 / c
+
+    def model_root(k, b):
+        # positive root of k x^2 + b x - q, free of cancellation
+        t = np.abs(b) + np.sqrt(b * b + 4.0 * k * q)
+        return np.where(b < 0.0, t / (k + k), (q + q) / t)
+
+    # start from the model with all other weight at the nearest pole: an upper bound
+    tau = model_root(inv_c, inv_c * near - w_rest.sum(axis=1) - w_top)
+    active = np.ones(tau.shape, dtype=bool)
+    for _ in range(SECULAR_MAX_STEPS):
+        denom = tau[:, None] + g_rest
+        terms = w_rest / denom
+        psi = terms.sum(axis=1)
+        phi = w_top / tau
+        active &= np.abs(inv_c - phi - psi) > 8.0 * np.finfo(float).eps * (inv_c + phi + psi)
+        if not active.any():
+            break
+        far = tau + near
+        tilt = far * (terms / denom).sum(axis=1)
+        k = np.maximum(inv_c - psi + tilt, phi)
+        step = np.minimum(np.maximum(model_root(k, k * near - far * tilt - w_top), low), tau)
+        active &= step < tau
+        tau = np.where(active, step, tau)
+    return top + tau, tau[:, None] + gaps
+
+
+def _quantum_target(lam, c: float, gamma: float, m: np.ndarray, u: np.ndarray):
+    """Top eigenvector of the quantum see-saw form, in the eigenframe of ``B``.
+
+    ``m`` holds the idler spectra and ``u`` the probes' coordinates (rows
+    ``theta_i``, columns ``v_k``). ``sign(omega)`` is exactly 0 on ``C^d
+    (x) ker rho_B`` and on the rows of zero environment eigenvalue, bar the
+    direction ``uhat`` along which ``u`` meets those rows. So up to a
+    constant the form is ``D + 2c z z^dagger - c uhat uhat^dagger``, with
+    ``D = I (x) G`` on the other rows, ``G = 2 gamma M_z + (c + gamma)
+    P_ker``, ``M_z = z^T diag(lambda) z*``, and ``I (x) (G + c (I -
+    P_ker))`` on the zero rows. In the eigenbasis of each block's ``G``,
+    ``z`` and ``uhat`` meet one row direction per idler level, and with two
+    or more zero rows a second, orthogonal one is an eigenvector on its
+    own; the form is diagonalized on those directions (``d`` of them per
+    direction kind). Returns the target coordinates and the probes whose
+    form is flat at ``psi``'s level, which keep their state.
+    """
+    n, d, _ = u.shape
+    eye = np.eye(d)
+    kernel = m <= POSITIVE_PART_TOL
+    u = np.where(kernel[:, None, :], 0.0, u)
+    w = np.abs(u) ** 2
+    poles = gamma * lam[:, None] * m[:, None, :]
+    mu, denom = _top_root(poles.reshape(n, -1), w.reshape(n, -1), c)
+    z = np.divide(u, denom.reshape(n, d, d), out=np.zeros_like(u), where=w > 0.0)
+    zero = lam <= ZERO_EIGENVALUE_TOL
+    coupled = c * w[:, zero].sum(axis=(1, 2)) > POSITIVE_PART_TOL
+    z[:, zero] *= coupled[:, None, None]
+    pos = mu > POSITIVE_PART_TOL
+    z *= (pos / np.linalg.norm(z, axis=(1, 2)))[:, None, None]
+
+    g = 2.0 * gamma * np.swapaxes(z, 1, 2) @ (lam[:, None] * z.conj())
+    g += (c + gamma) * kernel[:, :, None] * eye
+    parts = []  # (rows, levels, level basis, row direction per level, z and uhat along it)
+    for rows, shift in ((~zero, 0.0), (zero, c)):
+        if not rows.any():
+            continue
+        level, frame = np.linalg.eigh(g + shift * ~kernel[:, :, None] * eye)
+        part = z[:, rows] @ frame.conj()
+        size = np.linalg.norm(part, axis=1)
+        dirs = part / np.where(size > 0.0, size, 1.0)[:, None]
+        dirs[:, 0] += size == 0.0  # z has nothing at this level: any row will do
+        along = np.linalg.norm(size, axis=1, keepdims=True)
+        uhat = np.divide(size, along, out=np.zeros_like(size), where=(along > 0.0) & (shift > 0.0))
+        parts.append((rows, level, frame, dirs, size, uhat))
+        if shift and np.count_nonzero(rows) >= 2:
+            j = np.argmin(np.abs(dirs), axis=1)[:, None, :]
+            other = -dirs * np.take_along_axis(dirs, j, axis=1).conj()
+            np.put_along_axis(other, j, np.take_along_axis(other, j, axis=1) + 1.0, axis=1)
+            other /= np.linalg.norm(other, axis=1, keepdims=True)
+            parts.append((rows, level, frame, other, np.zeros_like(size), np.zeros_like(size)))
+
+    zeta = np.concatenate([p[4] for p in parts], axis=1)
+    eta = np.concatenate([p[5] for p in parts], axis=1)
+    h = np.concatenate([p[1] for p in parts], axis=1)[:, :, None] * np.eye(zeta.shape[1])
+    h += 2.0 * c * zeta[:, :, None] * zeta[:, None, :] - c * eta[:, :, None] * eta[:, None, :]
+    top, vec = np.linalg.eigh(h)
+    x = np.zeros_like(u)
+    for i, (rows, _, frame, dirs, _, _) in enumerate(parts):
+        x[:, rows] += (dirs * vec[:, None, i * d:(i + 1) * d, -1]) @ np.swapaxes(frame, 1, 2)
+    return x, ~pos & (top[:, -1] <= 0.0)
+
+
 def _see_saw_maps(s: Scenario, mode: str):
-    """Probe dimension, batched ``omega(psi)`` and the see-saw targets from its eigh."""
+    """Probe dimension, batched trace norms ``||omega(psi)||_1`` and see-saw targets.
+
+    Both work in the eigenframe of the absent state ``B`` (``omega = c psi
+    psi^dagger + gamma B``, ``c = p1 eta``), where ``omega`` is ``A + c u
+    u^dagger`` with ``A`` diagonal and ``u`` the probe's coordinates: the
+    environment basis in conventional mode, the products ``theta_i (x)
+    v_k`` of the environment basis and the eigenvectors of the idler
+    marginal ``rho_B`` in quantum mode. For ``gamma < 0``, ``A <= 0`` and
+    ``omega`` has at most its top eigenvalue ``mu`` (:func:`_top_root`)
+    above zero, so ``||omega||_1 = 2 max(mu, 0) - tr omega``; for ``gamma >=
+    0`` (or ``c`` below ``gamma``'s rounding) every probe gives ``|c +
+    gamma|``.
+
+    The target is a top eigenvector of the form ``phi -> tr(S omega(phi))``
+    with ``S = sign(omega(psi))``: ``+1`` on ``omega``'s top eigenvector
+    ``z ~ (mu - A)^-1 u``, exactly ``0`` on its kernel (eigenvalues within
+    ``POSITIVE_PART_TOL``) and ``-1`` elsewhere. In conventional mode the
+    form is ``c S``, so the target is ``z``. In quantum mode it is ``c S +
+    gamma (I (x) M_S)``, ``M_S = tr_A[(rho_E (x) I) S]``; see
+    :func:`_quantum_target`. Where the form is flat, the probe itself is
+    the target.
+    """
     d = s.env.dim
-
-    def omegas(states: np.ndarray) -> np.ndarray:
-        return omega(s, np.einsum("ni,nj->nij", states, states.conj()), mode)
-
-    if mode == CONVENTIONAL:
-        def targets(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-            return v[:, :, -1]  # the form is p1 eta S, whose top eigenvectors include omega's
-
-        return d, omegas, targets
-
-    rho_e = s.env.density()
+    lam = s.env.spectrum
+    basis = s.env.basis
+    c = s.p1 * s.eta
     gamma = s.gamma
-    p1eta = s.p1 * s.eta
+    # omega >= 0, or its rank-one term is below the rounding of gamma B
+    flat = gamma >= 0.0 or c <= np.finfo(float).eps * -gamma
+    zero_rows = np.flatnonzero(lam <= ZERO_EIGENVALUE_TOL)
 
-    def targets(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # form = p1 eta S + gamma (I (x) tr_A[(rho_E (x) I) S])
-        n = w.shape[0]
-        sign = (v * np.sign(w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-        idler = np.einsum("ba,nacbd->ncd", rho_e, sign.reshape(n, d, d, d, d))
-        lifted = np.einsum("ab,ncd->nacbd", np.eye(d), idler).reshape(n, d * d, d * d)
-        return np.linalg.eigh(p1eta * sign + gamma * lifted)[1][:, :, -1]
+    def frame(states: np.ndarray):
+        """``u``, the poles of ``A``, and in quantum mode the idler spectra and bases."""
+        if mode == CONVENTIONAL:
+            return states @ basis.conj().T, np.broadcast_to(gamma * lam, states.shape), None, None
+        x = states.reshape(-1, d, d)
+        m, v = np.linalg.eigh(np.swapaxes(x, 1, 2) @ x.conj())  # rho_B = X^T X*
+        m = np.maximum(m, 0.0)
+        u = basis.conj() @ x @ v.conj()
+        poles = gamma * lam[:, None] * m[:, None, :]
+        return u.reshape(len(states), -1), poles.reshape(len(states), -1), m, v
 
-    return d * d, omegas, targets
+    def values(states: np.ndarray) -> np.ndarray:
+        if flat:
+            return np.full(len(states), abs(c + gamma))
+        u, poles, _, _ = frame(states)
+        mu = _top_root(poles, np.abs(u) ** 2, c)[0]
+        return 2.0 * np.maximum(mu, 0.0) - (c + gamma)
+
+    def targets(states: np.ndarray) -> np.ndarray:
+        if flat:
+            return states
+        u, poles, m, v = frame(states)
+        if mode == QUANTUM:
+            x, keep = _quantum_target(lam, c, gamma, m, u.reshape(-1, d, d))
+            x = (basis.T @ x @ np.swapaxes(v, 1, 2)).reshape(len(states), -1)
+            return np.where(keep[:, None], states, x)
+        w = np.abs(u) ** 2
+        mu, denom = _top_root(poles, w, c)
+        z = np.divide(u, denom, out=np.zeros_like(u), where=w > 0.0)
+        z = (z / np.linalg.norm(z, axis=1, keepdims=True)) @ basis
+        # no positive eigenvalue: c S is 0 on the rows of zero environment
+        # eigenvalue, and -c everywhere if there are none
+        rest = basis[zero_rows[0]] if zero_rows.size else states
+        return np.where((mu > POSITIVE_PART_TOL)[:, None], z, rest)
+
+    return (d if mode == CONVENTIONAL else d * d), values, targets
 
 
 def maximize_trace_norm(
@@ -136,7 +316,13 @@ def maximize_trace_norm(
     A batched see-saw over the restarts, resting on ``||w||_1 = max tr(S w)``
     over ``-I <= S <= I``: each iteration of a restart at ``psi`` takes
     ``psi'``, the top eigenvector of ``psi -> tr(S omega(psi))`` with
-    ``S = sign(omega(psi))``, and aligns its phase to ``psi``. The move
+    ``S = sign(omega(psi))`` (0 on its kernel), and aligns its phase to
+    ``psi``. Trace norms and targets come from the structured maps of
+    :func:`_see_saw_maps`, which use ``omega``'s definition and exact
+    linear algebra only: the top root of a secular equation in the
+    eigenframe of the absent state, and eigendecompositions no larger than
+    d x d (2d or 3d on the rows of zero environment eigenvalues), never the
+    dense n x n ``omega`` and never a closed-form quantity. The move
     ``m = (psi' - psi) + beta m_prev`` adds the previous move with a
     Polak-Ribiere weight (``beta >= 0``, a nonlinear conjugate-gradient
     acceleration of the see-saw, which alone crawls on ill-conditioned
@@ -160,10 +346,7 @@ def maximize_trace_norm(
             f"quantum search supports environment dimension <= {MAX_QUANTUM_SEARCH_DIM}, "
             f"got {s.env.dim}"
         )
-    dim, omegas, targets = _see_saw_maps(s, mode)
-
-    def values_of(states: np.ndarray) -> np.ndarray:
-        return np.abs(np.linalg.eigvalsh(omegas(states))).sum(axis=1)
+    dim, values_of, targets = _see_saw_maps(s, mode)
 
     states = np.empty((cfg.restarts, dim), dtype=np.complex128)
     for r in range(cfg.restarts):
@@ -187,7 +370,7 @@ def maximize_trace_norm(
             break
         iterations[idx] += 1
         psi = states[idx]
-        target = targets(*np.linalg.eigh(omegas(psi)))
+        target = targets(psi)
         overlap = np.einsum("ni,ni->n", target.conj(), psi)
         residual = target * np.exp(1j * np.angle(overlap))[:, None] - psi
         previous = residuals[idx]

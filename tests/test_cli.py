@@ -216,12 +216,12 @@ class TestSweep:
 
     def test_oracle_dimension_cap_is_input_error(self, capsys, tmp_path):
         spec = self.write_spec(tmp_path, p0_range=[0.4, 0.6, 2], eta_range=[0.5, 0.7, 2],
-                               spectrum=[1 / 9] * 9)
+                               spectrum=[1 / 17] * 17)
         out_csv = tmp_path / "x.csv"
         argv = ("sweep", "--spec", str(spec), "--out", str(out_csv))
         code, out, err = run_cli(capsys, *argv, "--oracle")
         assert (code, out) == (2, "")
-        assert "oracle sweep needs environment dimension <= 8, got 9" in err
+        assert "oracle sweep needs environment dimension <= 16, got 17" in err
         assert not out_csv.exists()
         assert run_cli(capsys, *argv)[0] == 0  # the analytic sweep has no such cap
 

@@ -141,7 +141,7 @@ class TestRunSweep:
             assert r.oracle_perr_q == maximize_trace_norm(s, QUANTUM, cfg).perr
 
     def test_oracle_dimension_cap(self):
-        env = EnvironmentState.completely_mixed(10)
+        env = EnvironmentState.completely_mixed(17)
         with pytest.raises(ValueError, match="dimension"):
             SweepSpec((0.0, 1.0, 2), (0.0, 1.0, 2), env, oracle=SearchConfig())
         SweepSpec((0.0, 1.0, 2), (0.0, 1.0, 2), env)  # the analytic sweep has no such cap
