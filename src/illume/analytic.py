@@ -65,23 +65,18 @@ def _solve_mode(s: Scenario, star: float, absent: float, lam: float) -> tuple[st
 
 
 def classify(s: Scenario) -> tuple[str, str]:
-    """Region labels (conventional, quantum) for a scenario.
+    """Region labels (conventional, quantum) for a scenario, as :func:`report` gives them.
 
     The degenerate priors p0 = 0 and p0 = 1 are labeled I and II by limit;
     their minimal error is 0 in both modes.
     """
-    star = eta_star(s.p0, s.p1)
-    lam_d, lam_h = s.env.lambda_min, s.env.lambda_harmonic
-    return (
-        _solve_mode(s, star, eta_guess_absent(s.p0, s.p1, lam_d), lam_d)[0],
-        _solve_mode(s, star, eta_guess_absent(s.p0, s.p1, lam_h), lam_h)[0],
-    )
+    r = report(s)
+    return r.region_c, r.region_q
 
 
 def perr_conventional(s: Scenario) -> float:
     """Minimal one-shot error over all single-signal probe states."""
-    lam = s.env.lambda_min
-    return _solve_mode(s, eta_star(s.p0, s.p1), eta_guess_absent(s.p0, s.p1, lam), lam)[1]
+    return report(s).perr_c
 
 
 def perr_quantum(s: Scenario) -> float:
@@ -89,8 +84,7 @@ def perr_quantum(s: Scenario) -> float:
 
     Never exceeds :func:`perr_conventional` for the same scenario.
     """
-    lam = s.env.lambda_harmonic
-    return _solve_mode(s, eta_star(s.p0, s.p1), eta_guess_absent(s.p0, s.p1, lam), lam)[1]
+    return report(s).perr_q
 
 
 @dataclass(frozen=True)

@@ -22,16 +22,8 @@ import sys
 
 import numpy as np
 
-from .analytic import (
-    optimal_probe_conventional,
-    optimal_probe_quantum,
-    perr_conventional,
-    perr_quantum,
-    report,
-    schmidt_squares,
-)
+from .analytic import report, schmidt_squares
 from .model import (
-    CONVENTIONAL,
     MODES,
     EnvironmentState,
     Scenario,
@@ -40,6 +32,7 @@ from .model import (
     scenario_from_dict,
 )
 from .oracle import (
+    BundledCase,
     SearchConfig,
     run_lemma_suite,
     run_montecarlo_suite,
@@ -47,8 +40,7 @@ from .oracle import (
     simulate_measurement,
 )
 from .sweep import SweepSpec, run_sweep, write_csv
-
-SPECTRUM_SUM_TOL = 1e-6
+from .tolerances import SPECTRUM_SUM_TOL
 
 
 def _emit(payload: dict) -> None:
@@ -75,8 +67,6 @@ def _parse_spectrum(text: str) -> list[float]:
         values = [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"spectrum must be comma-separated reals: {exc}") from exc
-    if not values:
-        raise ValueError("spectrum must not be empty")
     total = sum(values)
     if not abs(total - 1.0) <= SPECTRUM_SUM_TOL:  # also rejects a NaN sum
         raise ValueError(
@@ -129,8 +119,10 @@ def _sweep_spec_from_dict(data: dict, force_oracle: bool) -> SweepSpec:
                      oracle=(cfg or SearchConfig()) if oracle or force_oracle else None)
 
 
-def _parse_probe_file(path: str) -> np.ndarray:
-    return json_complex(_read_json(path), (None,), "probe file")
+def _require_at_least(flag: str, value: int | None, least: int) -> None:
+    # checked before any work starts, so a bad flag leaves stdout empty
+    if value is not None and value < least:
+        raise ValueError(f"{flag} must be >= {least}, got {value}")
 
 
 def _cmd_solve(args) -> int:
@@ -170,8 +162,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.trials is not None and args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    _require_at_least("--trials", args.trials, 1)
+    _require_at_least("--seed", args.seed, 0)
     trials = {} if args.trials is None else {"trials": args.trials}
     runners = {
         "lemmas": lambda: run_lemma_suite(seed=args.seed, **trials),
@@ -189,15 +181,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _require_at_least("--seed", args.seed, 0)
     s = _scenario_from_args(args)
-    if args.probe_file is not None:
-        probe = _parse_probe_file(args.probe_file)
-    elif args.mode == CONVENTIONAL:
-        probe = optimal_probe_conventional(s)
+    case = BundledCase("simulate", s, args.mode)
+    if args.probe_file is None:
+        probe = case.optimal_probe()
     else:
-        probe = optimal_probe_quantum(s)
+        probe = json_complex(_read_json(args.probe_file), (None,), "probe file")
     stats = simulate_measurement(s, probe, args.mode, trials=args.trials, seed=args.seed)
-    analytic = perr_conventional(s) if args.mode == CONVENTIONAL else perr_quantum(s)
     _emit(
         {
             "schema": 1,
@@ -206,7 +197,7 @@ def _cmd_simulate(args) -> int:
             "errors": stats.errors,
             "empirical_perr": stats.empirical_perr,
             "std_error": stats.std_error,
-            "analytic_perr": analytic,
+            "analytic_perr": case.analytic_perr(),
         }
     )
     return 0

@@ -82,31 +82,30 @@ def require_density_matrix(a) -> np.ndarray:
     return a
 
 
+def _hermitian_solve(solver, op):
+    # LAPACK non-convergence of ``solver`` on a validated ``op`` raises EigenSolverError
+    op = require_hermitian(op)
+    try:
+        return solver(op)
+    except np.linalg.LinAlgError as exc:
+        residual = float(np.max(np.abs(op - op.conj().T)))
+        raise EigenSolverError(op.shape[0], residual, str(exc)) from exc
+
+
 def eig(op) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian operator, eigenvalues descending.
 
     Backed by the LAPACK dense Hermitian solver. Non-convergence raises
     :class:`EigenSolverError` with the dimension and Hermiticity residual.
     """
-    op = require_hermitian(op)
-    try:
-        values, vectors = np.linalg.eigh(op)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is pathological
-        residual = float(np.max(np.abs(op - op.conj().T)))
-        raise EigenSolverError(op.shape[0], residual, str(exc)) from exc
+    values, vectors = _hermitian_solve(np.linalg.eigh, op)
     order = np.argsort(values)[::-1]
     return EigenDecomposition(values[order], vectors[:, order])
 
 
 def trace_norm(op) -> float:
     """Trace norm of a Hermitian operator: the sum of absolute eigenvalues."""
-    op = require_hermitian(op)
-    try:
-        values = np.linalg.eigvalsh(op)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        residual = float(np.max(np.abs(op - op.conj().T)))
-        raise EigenSolverError(op.shape[0], residual, str(exc)) from exc
-    return float(np.sum(np.abs(values)))
+    return float(np.sum(np.abs(_hermitian_solve(np.linalg.eigvalsh, op))))
 
 
 def partial_trace_first(op, dim_a: int, dim_b: int) -> np.ndarray:

@@ -25,12 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (
-    optimal_probe_conventional,
-    optimal_probe_quantum,
-    perr_conventional,
-    perr_quantum,
-)
+from .analytic import optimal_probe_conventional, optimal_probe_quantum, report
 from .linalg import (
     eig,
     haar_random_state,
@@ -50,6 +45,8 @@ from .model import (
 )
 from .tolerances import (
     DENSITY_EIG_TOL,
+    LEMMA_MARGIN_TOL,
+    MIXTURE_WEIGHT_TOL,
     POSITIVE_PART_TOL,
     SEARCH_CONVERGED_GAIN,
     ZERO_EIGENVALUE_TOL,
@@ -111,7 +108,6 @@ class MeasurementStats:
 
 def perr_of_state(s: Scenario, probe, mode: str) -> float:
     """Detection error of a specific pure probe, straight from the trace norm."""
-    require_mode(mode)
     probe = require_state_vector(probe)
     return (1.0 - trace_norm(omega(s, projector(probe), mode))) / 2.0
 
@@ -172,10 +168,12 @@ def _top_root(poles: np.ndarray, weights: np.ndarray, c: float):
     return top + tau, tau[:, None] + gaps
 
 
-def _quantum_target(lam, c: float, gamma: float, m: np.ndarray, u: np.ndarray):
+def _quantum_target(s: Scenario, kernel, mu, z, w):
     """Top eigenvector of the quantum see-saw form, in the eigenframe of ``B``.
 
-    ``m`` holds the idler spectra and ``u`` the probes' coordinates (rows
+    ``kernel`` marks the idler levels of zero weight; ``mu``, ``z`` (not
+    normalized) and ``w = |u|^2`` come from the eigenpair step of
+    :func:`_see_saw_maps`, with ``u`` zeroed on the kernel (rows
     ``theta_i``, columns ``v_k``). ``sign(omega)`` is exactly 0 on ``C^d
     (x) ker rho_B`` and on the rows of zero environment eigenvalue, bar the
     direction ``uhat`` along which ``u`` meets those rows. So up to a
@@ -189,14 +187,9 @@ def _quantum_target(lam, c: float, gamma: float, m: np.ndarray, u: np.ndarray):
     direction kind). Returns the target coordinates and the probes whose
     form is flat at ``psi``'s level, which keep their state.
     """
-    n, d, _ = u.shape
+    lam, c, gamma = s.env.spectrum, s.p1 * s.eta, s.gamma
+    d = lam.size
     eye = np.eye(d)
-    kernel = m <= POSITIVE_PART_TOL
-    u = np.where(kernel[:, None, :], 0.0, u)
-    w = np.abs(u) ** 2
-    poles = gamma * lam[:, None] * m[:, None, :]
-    mu, denom = _top_root(poles.reshape(n, -1), w.reshape(n, -1), c)
-    z = np.divide(u, denom.reshape(n, d, d), out=np.zeros_like(u), where=w > 0.0)
     zero = lam <= ZERO_EIGENVALUE_TOL
     coupled = c * w[:, zero].sum(axis=(1, 2)) > POSITIVE_PART_TOL
     z[:, zero] *= coupled[:, None, None]
@@ -229,7 +222,7 @@ def _quantum_target(lam, c: float, gamma: float, m: np.ndarray, u: np.ndarray):
     h = np.concatenate([p[1] for p in parts], axis=1)[:, :, None] * np.eye(zeta.shape[1])
     h += 2.0 * c * zeta[:, :, None] * zeta[:, None, :] - c * eta[:, :, None] * eta[:, None, :]
     top, vec = np.linalg.eigh(h)
-    x = np.zeros_like(u)
+    x = np.zeros_like(z)
     for i, (rows, _, frame, dirs, _, _) in enumerate(parts):
         x[:, rows] += (dirs * vec[:, None, i * d:(i + 1) * d, -1]) @ np.swapaxes(frame, 1, 2)
     return x, ~pos & (top[:, -1] <= 0.0)
@@ -290,12 +283,16 @@ def _see_saw_maps(s: Scenario, mode: str):
             return states
         u, poles, m, v = frame(states)
         if mode == QUANTUM:
-            x, keep = _quantum_target(lam, c, gamma, m, u.reshape(-1, d, d))
-            x = (basis.T @ x @ np.swapaxes(v, 1, 2)).reshape(len(states), -1)
-            return np.where(keep[:, None], states, x)
+            # u is rounding noise on the idler kernel, where sign(omega) is exactly 0
+            kernel = m <= POSITIVE_PART_TOL
+            u = np.where(kernel[:, None, :], 0.0, u.reshape(-1, d, d)).reshape(u.shape)
         w = np.abs(u) ** 2
         mu, denom = _top_root(poles, w, c)
         z = np.divide(u, denom, out=np.zeros_like(u), where=w > 0.0)
+        if mode == QUANTUM:
+            x, keep = _quantum_target(s, kernel, mu, z.reshape(-1, d, d), w.reshape(-1, d, d))
+            x = (basis.T @ x @ np.swapaxes(v, 1, 2)).reshape(len(states), -1)
+            return np.where(keep[:, None], states, x)
         z = (z / np.linalg.norm(z, axis=1, keepdims=True)) @ basis
         # no positive eigenvalue: c S is 0 on the rows of zero environment
         # eigenvalue, and -c everywhere if there are none
@@ -449,19 +446,16 @@ def check_eigenvalue_lower_bound(env: EnvironmentState, alpha: float, psi) -> bo
     product probe has ground level exactly 0, below ``lambda_h - alpha``
     whenever ``alpha < lambda_h``.)
     """
-    psi = require_state_vector(psi)
-    if psi.size != env.dim ** 2:
-        raise ValueError(f"bipartite state has dimension {psi.size}, expected {env.dim ** 2}")
-    return _ground_level_margin(env, alpha, psi) >= 0.0
+    return _ground_level_margin(env, alpha, require_state_vector(psi)) >= 0.0
 
 
 def _linearity_margin(s: Scenario, psi: np.ndarray) -> float:
     alpha = s.alpha
     e_d = float(np.linalg.eigvalsh(s.env.density() - alpha * projector(psi))[0])
     if e_d > 0.0:
-        return 1e-10
+        return LEMMA_MARGIN_TOL
     predicted = 0.5 * (1.0 - abs(s.gamma) * (1.0 - alpha - 2.0 * e_d))
-    return 1e-10 - abs(predicted - perr_of_state(s, psi, CONVENTIONAL))
+    return LEMMA_MARGIN_TOL - abs(predicted - perr_of_state(s, psi, CONVENTIONAL))
 
 
 def check_perr_linear_in_min_eigenvalue(s: Scenario, psi) -> bool:
@@ -488,16 +482,15 @@ def _convexity_margin(s: Scenario, rho: np.ndarray, mode: str) -> float:
         (
             trace_norm(omega(s, projector(decomp.eigenvectors[:, k]), mode))
             for k, weight in enumerate(decomp.eigenvalues)
-            if weight > 1e-12
+            if weight > MIXTURE_WEIGHT_TOL
         ),
         default=0.0,
     )
-    return best_pure + 1e-10 - mixed_value
+    return best_pure + LEMMA_MARGIN_TOL - mixed_value
 
 
 def check_convexity_reduction(s: Scenario, rho, mode: str) -> bool:
     """A mixed probe never out-performs the best eigenstate in its mixture."""
-    require_mode(mode)
     return _convexity_margin(s, require_density_matrix(rho), mode) >= 0.0
 
 
@@ -520,7 +513,6 @@ def simulate_measurement(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    require_mode(mode)
     rho = projector(require_state_vector(probe))
     rho0 = absent_state(s.env, rho, mode)
     rho1 = s.eta * rho + (1.0 - s.eta) * rho0  # the target-present state in either mode
@@ -552,21 +544,19 @@ def simulate_measurement(
 
 @dataclass(frozen=True)
 class BundledCase:
-    """A named scenario/mode pair used by the oracle and Monte-Carlo suites."""
+    """A named scenario/mode pair, with the closed-form error and optimal probe of its mode."""
 
     name: str
     scenario: Scenario
     mode: str
 
     def analytic_perr(self) -> float:
-        if self.mode == CONVENTIONAL:
-            return perr_conventional(self.scenario)
-        return perr_quantum(self.scenario)
+        r = report(self.scenario)
+        return r.perr_c if self.mode == CONVENTIONAL else r.perr_q
 
     def optimal_probe(self) -> np.ndarray:
-        if self.mode == CONVENTIONAL:
-            return optimal_probe_conventional(self.scenario)
-        return optimal_probe_quantum(self.scenario)
+        build = optimal_probe_conventional if self.mode == CONVENTIONAL else optimal_probe_quantum
+        return build(self.scenario)
 
 
 def bundled_scenarios() -> list[BundledCase]:
@@ -620,6 +610,12 @@ def random_scenario(rng: np.random.Generator, dim: int, gamma_negative: bool = F
         s = Scenario(float(rng.uniform(0.01, 0.99)), float(rng.uniform(0.0, 1.0)), env)
         if not gamma_negative or s.gamma < -1e-6:
             return s
+
+
+def _suite_payload(suite: str, seed: int, checks: list[dict]) -> dict:
+    # key order is part of the payload: the golden digests hash it
+    total = sum(c["violations"] for c in checks)
+    return {"suite": suite, "seed": seed, "checks": checks, "violations": total}
 
 
 def run_lemma_suite(seed: int = 0, trials: int = 10000) -> dict:
@@ -677,8 +673,7 @@ def run_lemma_suite(seed: int = 0, trials: int = 10000) -> dict:
                 violations += 1
         checks.append({"name": name, "trials": n, "violations": violations, "worst_margin": worst})
 
-    total = sum(c["violations"] for c in checks)
-    return {"suite": "lemmas", "seed": seed, "checks": checks, "violations": total}
+    return _suite_payload("lemmas", seed, checks)
 
 
 def run_oracle_suite(seed: int = 0, cfg: SearchConfig | None = None) -> dict:
@@ -700,8 +695,7 @@ def run_oracle_suite(seed: int = 0, cfg: SearchConfig | None = None) -> dict:
              "violations": int(margin < 0.0), "worst_margin": margin,
              "budget_stops": result.budget_stops}
         )
-    total = sum(c["violations"] for c in checks)
-    return {"suite": "oracle", "seed": seed, "checks": checks, "violations": total}
+    return _suite_payload("oracle", seed, checks)
 
 
 def run_montecarlo_suite(seed: int = 0, trials: int = 100000) -> dict:
@@ -720,5 +714,4 @@ def run_montecarlo_suite(seed: int = 0, trials: int = 100000) -> dict:
             {"name": case.name, "trials": trials,
              "violations": int(margin < 0.0), "worst_margin": margin}
         )
-    total = sum(c["violations"] for c in checks)
-    return {"suite": "montecarlo", "seed": seed, "checks": checks, "violations": total}
+    return _suite_payload("montecarlo", seed, checks)

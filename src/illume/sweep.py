@@ -19,8 +19,6 @@ from .oracle import MAX_QUANTUM_SEARCH_DIM, SearchConfig, maximize_trace_norm
 
 CSV_FIELDS = ("p0", "eta", "region_c", "region_q", "perr_c", "perr_q", "advantage")
 CSV_ORACLE_FIELDS = CSV_FIELDS + ("oracle_perr_c", "oracle_perr_q")
-_CSV_ROW = "%.12g,%.12g,%s,%s,%.12g,%.12g,%.12g\n"
-_CSV_ORACLE_ROW = "%.12g,%.12g,%s,%s,%.12g,%.12g,%.12g,%.12g,%.12g\n"
 
 # Largest grid a spec may ask for (2001 x 2001). The whole grid is evaluated
 # in memory at once, so larger specs are rejected before anything is built.
@@ -135,7 +133,7 @@ def records_to_csv(records: list[SweepRecord]) -> str:
     """
     oracle = bool(records) and records[0].oracle_perr_c is not None
     fields = CSV_ORACLE_FIELDS if oracle else CSV_FIELDS
-    row = _CSV_ORACLE_ROW if oracle else _CSV_ROW
+    row = ",".join("%s" if f.startswith("region_") else "%.12g" for f in fields) + "\n"
     values = attrgetter(*fields)
     return ",".join(fields) + "\n" + "".join([row % values(r) for r in records])
 

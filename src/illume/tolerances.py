@@ -10,6 +10,7 @@ HERMITICITY_TOL = 1e-10    # max entrywise |A - A^dagger| accepted as Hermitian
 DENSITY_TRACE_TOL = 1e-10  # |tr(rho) - 1| accepted for density matrices
 DENSITY_EIG_TOL = 1e-10    # eigenvalues of a density matrix may dip this far below 0
 STATE_NORM_TOL = 1e-12     # | ||psi|| - 1 | accepted for pure states
+SPECTRUM_SUM_TOL = 1e-6    # a --spectrum flag may sum this far from 1 (it is renormalized)
 
 # Eigendecomposition quality.
 ORTHONORMALITY_TOL = 1e-8  # |<v_j|v_k> - delta_jk| for eigenvector sets and bases
@@ -20,6 +21,10 @@ BOUNDARY_TOL = 1e-12         # reflectivities this close to a region boundary la
 
 # Measurement construction.
 POSITIVE_PART_TOL = 1e-12  # eigenvalues within this band of zero go to the "absent" projector
+
+# Lemma checks.
+LEMMA_MARGIN_TOL = 1e-10    # slack of the linearity and convexity margins
+MIXTURE_WEIGHT_TOL = 1e-12  # mixture weights at or below this drop out of the convexity check
 
 # Oracle search.
 SEARCH_CONVERGED_GAIN = 1e-13  # a restart stops once a plain see-saw move gains no more

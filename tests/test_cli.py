@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from illume import EnvironmentState, Scenario, perr_conventional
 from illume.cli import main
 
 
@@ -70,6 +71,14 @@ class TestSolve:
         assert code == 2
         assert out == ""
         assert "spectrum" in err
+
+    @pytest.mark.parametrize("spectrum", ["a,b", "", "0.5,,0.5"])
+    def test_non_number_spectrum_is_input_error(self, capsys, spectrum):
+        code, out, err = run_cli(
+            capsys, "solve", "--p0", "0.5", "--eta", "0.6", "--spectrum", spectrum
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: spectrum must be comma-separated reals")
 
     @pytest.mark.parametrize("spectrum", ["nan,0.5,0.5", "0.5,nan,0.5,0.0"])
     def test_nan_spectrum_is_input_error(self, capsys, tmp_path, spectrum):
@@ -332,6 +341,19 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "--trials" in err
 
+    @pytest.mark.parametrize("suite", ["lemmas", "oracle", "montecarlo", "all"])
+    def test_negative_seed_is_input_error(self, capsys, monkeypatch, suite):
+        import illume.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("no suite may run")
+
+        for name in ("run_lemma_suite", "run_oracle_suite", "run_montecarlo_suite"):
+            monkeypatch.setattr(cli_mod, name, never)
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: --seed must be >= 0, got -1"]
+
     def test_trials_default_only_when_absent(self, capsys, monkeypatch):
         import illume.cli as cli_mod
 
@@ -372,6 +394,28 @@ class TestSimulate:
         assert out_a == out_b
         data = json.loads(out_a)
         assert abs(data["empirical_perr"] - data["analytic_perr"]) <= 4 * data["std_error"]
+
+    def test_default_conventional_probe(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--p0", "0.5", "--eta", "0.6",
+                               "--spectrum", "0.5,0.3,0.2", "--mode", "conventional",
+                               "--trials", "20000", "--seed", "2")
+        assert code == 0
+        data = json.loads(out)
+        s = Scenario(0.5, 0.6, EnvironmentState([0.5, 0.3, 0.2]))
+        assert data["analytic_perr"] == perr_conventional(s)
+        assert abs(data["empirical_perr"] - data["analytic_perr"]) <= 4 * data["std_error"]
+
+    def test_negative_seed_is_input_error(self, capsys, monkeypatch):
+        import illume.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("no simulation may run")
+
+        monkeypatch.setattr(cli_mod, "simulate_measurement", never)
+        code, out, err = run_cli(capsys, "simulate", "--p0", "0.5", "--eta", "0.6",
+                                 "--spectrum", "0.5,0.5", "--mode", "quantum", "--seed", "-3")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: --seed must be >= 0, got -3"]
 
     def test_probe_file(self, capsys, tmp_path):
         probe = tmp_path / "probe.json"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_density, random_hermitian, random_unitary
 from illume import (
+    EigenSolverError,
     eig,
     haar_random_state,
     partial_trace_first,
@@ -34,6 +35,8 @@ class TestValidation:
         require_state_vector([1.0, 0.0])
         with pytest.raises(ValueError, match="normalized"):
             require_state_vector([1.0, 1.0])
+        with pytest.raises(ValueError, match="dimension >= 1"):
+            require_state_vector([])
 
     def test_density_checks(self):
         require_density_matrix(np.eye(3) / 3)
@@ -106,6 +109,20 @@ class TestEig:
         np.testing.assert_allclose(
             eig(rotated).eigenvalues, eig(op).eigenvalues, atol=1e-8
         )
+
+
+class TestSolverFailure:
+    @pytest.mark.parametrize("solve, lapack", [(eig, "eigh"), (trace_norm, "eigvalsh")])
+    def test_non_convergence_raises_eigen_solver_error(self, monkeypatch, solve, lapack):
+        def fail(op):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, lapack, fail)
+        op = np.array([[1.0, 1e-12], [0.0, 2.0]])
+        with pytest.raises(EigenSolverError, match="dim=2.*: Eigenvalues did not converge") as exc:
+            solve(op)
+        assert (exc.value.dim, exc.value.residual) == (2, 1e-12)
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestTraceNorm:

@@ -50,6 +50,14 @@ class TestEnvironmentState:
         with pytest.raises(ValueError, match="negative"):
             EnvironmentState([1.2, -0.2])
 
+    def test_rejects_empty_spectrum(self):
+        with pytest.raises(ValueError, match="at least one eigenvalue"):
+            EnvironmentState([])
+
+    def test_rejects_basis_of_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"basis shape \(3, 3\) does not match dimension 2"):
+            EnvironmentState([0.5, 0.5], basis=np.eye(3))
+
     def test_rejects_non_orthonormal_basis(self):
         bad = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="orthonormal"):

@@ -134,6 +134,11 @@ class TestMaximizeTraceNorm:
         result = maximize_trace_norm(s, QUANTUM, cfg, initial_state=start)
         assert result.best_value - start_value <= 1e-8
 
+    def test_initial_state_of_wrong_dimension(self):
+        s = Scenario(0.5, 0.6, EnvironmentState(SKEW3))
+        with pytest.raises(ValueError, match="initial state has dimension 3, expected 9"):
+            maximize_trace_norm(s, QUANTUM, CHEAP, initial_state=haar_random_state(3, seed=0))
+
     def test_quantum_dimension_cap(self):
         s = Scenario(0.5, 0.6, EnvironmentState.completely_mixed(17))
         with pytest.raises(ValueError, match="dimension"):
@@ -431,6 +436,10 @@ class TestSingleNegativeEigenvalue:
             assert (w[0] < -1e-10) == expect_negative
             assert check_single_negative_eigenvalue(rho, alpha, psi)
 
+    def test_one_dimensional_is_trivially_true(self):
+        # a 1x1 shift has a single eigenvalue, so at most one is negative
+        assert check_single_negative_eigenvalue([[1.0]], 5.0, [1.0])
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError, match="mismatch"):
@@ -475,6 +484,12 @@ class TestEigenvalueLowerBound:
             assert check_eigenvalue_lower_bound(env, alpha, psi)
 
 
+    def test_rejects_probe_of_wrong_size(self):
+        env = EnvironmentState(SKEW3)
+        with pytest.raises(ValueError, match=r"bipartite probe has shape \(3, 3\)"):
+            check_eigenvalue_lower_bound(env, 0.1, haar_random_state(3, seed=0))
+
+
 class TestPerrLinearInMinEigenvalue:
     def test_optimal_probe_equals_region_three_value(self):
         s = Scenario(0.5, 0.6, EnvironmentState(SKEW3))
@@ -498,6 +513,11 @@ class TestPerrLinearInMinEigenvalue:
         e_d = np.linalg.eigvalsh(s.env.density() - s.alpha * projector(psi))[0]
         assert e_d > 0
         assert check_perr_linear_in_min_eigenvalue(s, psi)
+
+    def test_rejects_probe_of_wrong_size(self):
+        s = Scenario(0.5, 0.6, EnvironmentState(SKEW3))
+        with pytest.raises(ValueError, match="probe has dimension 2, expected 3"):
+            check_perr_linear_in_min_eigenvalue(s, haar_random_state(2, seed=0))
 
     def test_requires_negative_gamma(self):
         s = Scenario(0.2, 0.1, EnvironmentState([0.5, 0.5]))

@@ -158,6 +158,10 @@ class TestRunSweep:
             SweepSpec((0.0, 1.0, 1), (0.0, 1.0, 5), env)
         with pytest.raises(ValueError, match="0 <= min <= max <= 1"):
             SweepSpec((0.0, 1.2, 5), (0.0, 1.0, 5), env)
+        with pytest.raises(ValueError, match=r"eta_range must be a \(min, max, steps\) triple"):
+            SweepSpec((0.0, 1.0, 5), (0.0, 1.0), env)
+        with pytest.raises(ValueError, match=r"p0_range must be a \(min, max, steps\) triple"):
+            region_boundaries(env, 0.5)
 
     @pytest.mark.parametrize("steps", [2.7, 4.0, "4", True, None])
     def test_rejects_non_integer_steps(self, steps):
