@@ -14,7 +14,6 @@ from .analytic import (
     REGIONS,
     DetectionReport,
     GridSolution,
-    binary_trace_norm,
     classify,
     eta_guess_absent,
     eta_star,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import require_state_vector
 from .model import EnvironmentState, Scenario
 from .tolerances import BOUNDARY_TOL, ZERO_EIGENVALUE_TOL
 
@@ -192,32 +191,6 @@ def optimal_probe_quantum(s: Scenario) -> np.ndarray:
     basis = s.env.basis
     psi = ((basis.T * np.sqrt(schmidt_squares(s.env))) @ basis).reshape(-1)
     return psi / np.linalg.norm(psi)
-
-
-def binary_trace_norm(s: Scenario, probe) -> float:
-    """Closed-form trace norm of the conventional hypothesis difference at d = 2.
-
-    Works from the probe's amplitude moduli in the environment eigenbasis;
-    returns |trace| when the 2x2 determinant is nonnegative (both eigenvalues
-    share a sign), else the discriminant root.
-    """
-    if s.env.dim != 2:
-        raise ValueError("closed form applies to two-dimensional signals only")
-    psi = require_state_vector(probe)
-    if psi.size != 2:
-        raise ValueError(f"probe has dimension {psi.size}, expected 2")
-    mu = np.abs(s.env.basis.conj() @ psi)
-    lam0, lam1 = s.env.spectrum
-    gamma = s.gamma
-    p1eta = s.p1 * s.eta
-    a = p1eta * mu[0] ** 2 + gamma * lam0
-    b = p1eta * mu[1] ** 2 + gamma * lam1
-    c = p1eta * mu[0] * mu[1]
-    tr = a + b
-    det = a * b - c * c
-    if det >= 0.0:
-        return abs(tr)
-    return float(np.sqrt(tr * tr - 4.0 * det))
 
 
 @dataclass(frozen=True)

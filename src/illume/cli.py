@@ -181,6 +181,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _require_at_least("--trials", args.trials, 1)
     _require_at_least("--seed", args.seed, 0)
     s = _scenario_from_args(args)
     case = BundledCase("simulate", s, args.mode)

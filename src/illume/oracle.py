@@ -12,8 +12,9 @@ The search never forms the dense hypothesis difference. For a pure probe,
 rank-one term in the eigenframe of the absent state ``B`` (the environment
 basis, times the idler marginal's eigenbasis in quantum mode), so its trace
 norm follows from the top root of a secular equation (the rank-one
-eigenvalue update of Bunch, Nielsen and Sorensen) and its see-saw target
-from d x d eigendecompositions: O(d^3) per probe where a dense
+eigenvalue update of Bunch, Nielsen and Sorensen), and its see-saw target
+from the same root (conventional) or from a second one after a d x d
+eigendecomposition (quantum): O(d^3) per probe where a dense
 ``eigvalsh`` of the d^2 x d^2 quantum ``omega`` costs O(d^6). The dense
 ``perr_of_state`` rechecks every search result.
 """
@@ -49,7 +50,6 @@ from .tolerances import (
     MIXTURE_WEIGHT_TOL,
     POSITIVE_PART_TOL,
     SEARCH_CONVERGED_GAIN,
-    ZERO_EIGENVALUE_TOL,
 )
 
 # Quantum-probe searches run on d^2-dimensional probes; beyond d = 16 only
@@ -168,64 +168,12 @@ def _top_root(poles: np.ndarray, weights: np.ndarray, c: float):
     return top + tau, tau[:, None] + gaps
 
 
-def _quantum_target(s: Scenario, kernel, mu, z, w):
-    """Top eigenvector of the quantum see-saw form, in the eigenframe of ``B``.
-
-    ``kernel`` marks the idler levels of zero weight; ``mu``, ``z`` (not
-    normalized) and ``w = |u|^2`` come from the eigenpair step of
-    :func:`_see_saw_maps`, with ``u`` zeroed on the kernel (rows
-    ``theta_i``, columns ``v_k``). ``sign(omega)`` is exactly 0 on ``C^d
-    (x) ker rho_B`` and on the rows of zero environment eigenvalue, bar the
-    direction ``uhat`` along which ``u`` meets those rows. So up to a
-    constant the form is ``D + 2c z z^dagger - c uhat uhat^dagger``, with
-    ``D = I (x) G`` on the other rows, ``G = 2 gamma M_z + (c + gamma)
-    P_ker``, ``M_z = z^T diag(lambda) z*``, and ``I (x) (G + c (I -
-    P_ker))`` on the zero rows. In the eigenbasis of each block's ``G``,
-    ``z`` and ``uhat`` meet one row direction per idler level, and with two
-    or more zero rows a second, orthogonal one is an eigenvector on its
-    own; the form is diagonalized on those directions (``d`` of them per
-    direction kind). Returns the target coordinates and the probes whose
-    form is flat at ``psi``'s level, which keep their state.
-    """
-    lam, c, gamma = s.env.spectrum, s.p1 * s.eta, s.gamma
-    d = lam.size
-    eye = np.eye(d)
-    zero = lam <= ZERO_EIGENVALUE_TOL
-    coupled = c * w[:, zero].sum(axis=(1, 2)) > POSITIVE_PART_TOL
-    z[:, zero] *= coupled[:, None, None]
-    pos = mu > POSITIVE_PART_TOL
-    z *= (pos / np.linalg.norm(z, axis=(1, 2)))[:, None, None]
-
-    g = 2.0 * gamma * np.swapaxes(z, 1, 2) @ (lam[:, None] * z.conj())
-    g += (c + gamma) * kernel[:, :, None] * eye
-    parts = []  # (rows, levels, level basis, row direction per level, z and uhat along it)
-    for rows, shift in ((~zero, 0.0), (zero, c)):
-        if not rows.any():
-            continue
-        level, frame = np.linalg.eigh(g + shift * ~kernel[:, :, None] * eye)
-        part = z[:, rows] @ frame.conj()
-        size = np.linalg.norm(part, axis=1)
-        dirs = part / np.where(size > 0.0, size, 1.0)[:, None]
-        dirs[:, 0] += size == 0.0  # z has nothing at this level: any row will do
-        along = np.linalg.norm(size, axis=1, keepdims=True)
-        uhat = np.divide(size, along, out=np.zeros_like(size), where=(along > 0.0) & (shift > 0.0))
-        parts.append((rows, level, frame, dirs, size, uhat))
-        if shift and np.count_nonzero(rows) >= 2:
-            j = np.argmin(np.abs(dirs), axis=1)[:, None, :]
-            other = -dirs * np.take_along_axis(dirs, j, axis=1).conj()
-            np.put_along_axis(other, j, np.take_along_axis(other, j, axis=1) + 1.0, axis=1)
-            other /= np.linalg.norm(other, axis=1, keepdims=True)
-            parts.append((rows, level, frame, other, np.zeros_like(size), np.zeros_like(size)))
-
-    zeta = np.concatenate([p[4] for p in parts], axis=1)
-    eta = np.concatenate([p[5] for p in parts], axis=1)
-    h = np.concatenate([p[1] for p in parts], axis=1)[:, :, None] * np.eye(zeta.shape[1])
-    h += 2.0 * c * zeta[:, :, None] * zeta[:, None, :] - c * eta[:, :, None] * eta[:, None, :]
-    top, vec = np.linalg.eigh(h)
-    x = np.zeros_like(z)
-    for i, (rows, _, frame, dirs, _, _) in enumerate(parts):
-        x[:, rows] += (dirs * vec[:, None, i * d:(i + 1) * d, -1]) @ np.swapaxes(frame, 1, 2)
-    return x, ~pos & (top[:, -1] <= 0.0)
+def _top_vector(poles: np.ndarray, u: np.ndarray, c: float) -> np.ndarray:
+    """Unit top eigenvector ``z ~ (mu - poles)^-1 u`` of ``diag(poles) + c u u^dagger``, per row."""
+    w = np.abs(u) ** 2
+    denom = _top_root(poles, w, c)[1]
+    z = np.divide(u, denom, out=np.zeros_like(u), where=w > 0.0)
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 def _see_saw_maps(s: Scenario, mode: str):
@@ -243,13 +191,15 @@ def _see_saw_maps(s: Scenario, mode: str):
     gamma|``.
 
     The target is a top eigenvector of the form ``phi -> tr(S omega(phi))``
-    with ``S = sign(omega(psi))``: ``+1`` on ``omega``'s top eigenvector
-    ``z ~ (mu - A)^-1 u``, exactly ``0`` on its kernel (eigenvalues within
-    ``POSITIVE_PART_TOL``) and ``-1`` elsewhere. In conventional mode the
-    form is ``c S``, so the target is ``z``. In quantum mode it is ``c S +
-    gamma (I (x) M_S)``, ``M_S = tr_A[(rho_E (x) I) S]``; see
-    :func:`_quantum_target`. Where the form is flat, the probe itself is
-    the target.
+    with ``S = 2 z z^dagger - I``, ``z ~ (mu - A)^-1 u`` the unit top
+    eigenvector of ``omega``. As ``-I <= S <= I``, the form never exceeds
+    ``||omega(phi)||_1``, and it equals it at ``psi`` when ``mu >= 0``. In
+    conventional mode the form is ``c z z^dagger`` plus a constant, so the
+    target is ``z``. In quantum mode it is ``c z z^dagger + gamma (I (x)
+    M)`` plus a constant, with ``M = Z^T diag(lambda) Z*`` built from the
+    d x d reshape ``Z`` of ``z``: in the eigenbasis of ``M`` a diagonal plus
+    a rank-one term again, whose top eigenvector is a second secular root.
+    Where the form is flat, the probe itself is the target.
     """
     d = s.env.dim
     lam = s.env.spectrum
@@ -258,46 +208,39 @@ def _see_saw_maps(s: Scenario, mode: str):
     gamma = s.gamma
     # omega >= 0, or its rank-one term is below the rounding of gamma B
     flat = gamma >= 0.0 or c <= np.finfo(float).eps * -gamma
-    zero_rows = np.flatnonzero(lam <= ZERO_EIGENVALUE_TOL)
 
     def frame(states: np.ndarray):
-        """``u``, the poles of ``A``, and in quantum mode the idler spectra and bases."""
+        """``u``, the poles of ``A``, and in quantum mode the idler bases."""
         if mode == CONVENTIONAL:
-            return states @ basis.conj().T, np.broadcast_to(gamma * lam, states.shape), None, None
+            return states @ basis.conj().T, np.broadcast_to(gamma * lam, states.shape), None
         x = states.reshape(-1, d, d)
         m, v = np.linalg.eigh(np.swapaxes(x, 1, 2) @ x.conj())  # rho_B = X^T X*
-        m = np.maximum(m, 0.0)
         u = basis.conj() @ x @ v.conj()
-        poles = gamma * lam[:, None] * m[:, None, :]
-        return u.reshape(len(states), -1), poles.reshape(len(states), -1), m, v
+        poles = gamma * lam[:, None] * np.maximum(m, 0.0)[:, None, :]
+        return u.reshape(len(states), -1), poles.reshape(len(states), -1), v
 
     def values(states: np.ndarray) -> np.ndarray:
         if flat:
             return np.full(len(states), abs(c + gamma))
-        u, poles, _, _ = frame(states)
+        u, poles, _ = frame(states)
         mu = _top_root(poles, np.abs(u) ** 2, c)[0]
         return 2.0 * np.maximum(mu, 0.0) - (c + gamma)
 
     def targets(states: np.ndarray) -> np.ndarray:
         if flat:
             return states
-        u, poles, m, v = frame(states)
-        if mode == QUANTUM:
-            # u is rounding noise on the idler kernel, where sign(omega) is exactly 0
-            kernel = m <= POSITIVE_PART_TOL
-            u = np.where(kernel[:, None, :], 0.0, u.reshape(-1, d, d)).reshape(u.shape)
-        w = np.abs(u) ** 2
-        mu, denom = _top_root(poles, w, c)
-        z = np.divide(u, denom, out=np.zeros_like(u), where=w > 0.0)
-        if mode == QUANTUM:
-            x, keep = _quantum_target(s, kernel, mu, z.reshape(-1, d, d), w.reshape(-1, d, d))
-            x = (basis.T @ x @ np.swapaxes(v, 1, 2)).reshape(len(states), -1)
-            return np.where(keep[:, None], states, x)
-        z = (z / np.linalg.norm(z, axis=1, keepdims=True)) @ basis
-        # no positive eigenvalue: c S is 0 on the rows of zero environment
-        # eigenvalue, and -c everywhere if there are none
-        rest = basis[zero_rows[0]] if zero_rows.size else states
-        return np.where((mu > POSITIVE_PART_TOL)[:, None], z, rest)
+        u, poles, v = frame(states)
+        z = _top_vector(poles, u, c)
+        if mode == CONVENTIONAL:
+            return z @ basis
+        # the form c z z^dagger + gamma (I (x) M), M = Z^T diag(lambda) Z*: in
+        # the eigenbasis W of M, poles gamma nu_k on every environment row
+        # plus c z' z'^dagger
+        n = len(states)
+        z = z.reshape(n, d, d)
+        nu, w = np.linalg.eigh(np.swapaxes(z, 1, 2) @ (lam[:, None] * z.conj()))
+        y = _top_vector(np.tile(gamma * nu, (1, d)), (z @ w.conj()).reshape(n, -1), c)
+        return (basis.T @ y.reshape(n, d, d) @ np.swapaxes(v @ w, 1, 2)).reshape(n, -1)
 
     return (d if mode == CONVENTIONAL else d * d), values, targets
 
@@ -312,14 +255,13 @@ def maximize_trace_norm(
 
     A batched see-saw over the restarts, resting on ``||w||_1 = max tr(S w)``
     over ``-I <= S <= I``: each iteration of a restart at ``psi`` takes
-    ``psi'``, the top eigenvector of ``psi -> tr(S omega(psi))`` with
-    ``S = sign(omega(psi))`` (0 on its kernel), and aligns its phase to
-    ``psi``. Trace norms and targets come from the structured maps of
-    :func:`_see_saw_maps`, which use ``omega``'s definition and exact
-    linear algebra only: the top root of a secular equation in the
-    eigenframe of the absent state, and eigendecompositions no larger than
-    d x d (2d or 3d on the rows of zero environment eigenvalues), never the
-    dense n x n ``omega`` and never a closed-form quantity. The move
+    ``psi'``, the top eigenvector of ``phi -> tr(S omega(phi))`` with
+    ``S = 2 z z^dagger - I``, ``z`` the top eigenvector of ``omega(psi)``,
+    and aligns its phase to ``psi``. Trace norms and targets come from the
+    structured maps of :func:`_see_saw_maps`, which use ``omega``'s
+    definition and exact linear algebra only: top roots of secular
+    equations and d x d eigendecompositions, never the dense n x n
+    ``omega`` and never a closed-form quantity. The move
     ``m = (psi' - psi) + beta m_prev`` adds the previous move with a
     Polak-Ribiere weight (``beta >= 0``, a nonlinear conjugate-gradient
     acceleration of the see-saw, which alone crawls on ill-conditioned

@@ -14,7 +14,6 @@ from illume import (
     REGION_III,
     EnvironmentState,
     Scenario,
-    binary_trace_norm,
     classify,
     eta_guess_absent,
     eta_star,
@@ -318,25 +317,6 @@ def _payload_batch():
 
 
 class TestClosedFormCrossChecks:
-    def test_binary_closed_form_matches_eigenvalues(self):
-        # spec instance: completely mixed pair probed with a basis state
-        s = Scenario(0.5, 0.6, EnvironmentState([0.5, 0.5]))
-        probe = np.array([1.0, 0.0], dtype=complex)
-        assert abs(
-            binary_trace_norm(s, probe) - trace_norm(omega(s, projector(probe), CONVENTIONAL))
-        ) <= 1e-12
-
-    def test_binary_closed_form_random(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            s = random_scenario(rng, 2)
-            probe = haar_random_state(2, rng)
-            two_ways = (
-                binary_trace_norm(s, probe),
-                trace_norm(omega(s, projector(probe), CONVENTIONAL)),
-            )
-            assert abs(two_ways[0] - two_ways[1]) <= 1e-12
-
     def test_completely_mixed_closed_form(self):
         # |p1 eta + gamma/d| + (d-1)/d |gamma| for any pure probe of I/d
         rng = np.random.default_rng(13)

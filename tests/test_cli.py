@@ -417,6 +417,13 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err.splitlines() == ["error: --seed must be >= 0, got -3"]
 
+    def test_zero_trials_is_input_error_before_any_read(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--p0", "0.5", "--eta", "0.6",
+                                 "--spectrum", "0.5,0.5", "--mode", "conventional",
+                                 "--trials", "0", "--probe-file", "/nonexistent")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: --trials must be >= 1, got 0"]
+
     def test_probe_file(self, capsys, tmp_path):
         probe = tmp_path / "probe.json"
         probe.write_text(json.dumps([[1.0, 0.0], [0.0, 0.0]]))
