@@ -124,21 +124,26 @@ def partial_trace_first(op, dim_a: int, dim_b: int) -> np.ndarray:
 
 
 def projector(psi) -> np.ndarray:
-    """Rank-one projector |psi><psi| of a state vector."""
-    psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    return np.outer(psi, psi.conj())
+    """Rank-one projector |psi><psi| of a state vector, or of each row of a stack ``(..., n)``."""
+    psi = np.asarray(psi, dtype=np.complex128)
+    # the products np.outer forms, so one vector's projector keeps its bits
+    return psi[..., :, None] * psi.conj()[..., None, :]
 
 
-def haar_random_state(dim: int, seed) -> np.ndarray:
-    """Draw a Haar-random pure state of the given dimension.
+def haar_random_state(dim: int, seed, shape: tuple = ()) -> np.ndarray:
+    """Draw a Haar-random pure state of the given dimension, or a stack ``(*shape, dim)`` of them.
 
     Entries are independent standard complex Gaussians, normalized to unit
-    length. ``seed`` may be an integer (deterministic: the same seed gives
+    length; a stack draws all real parts in one call, then all imaginary
+    parts. ``seed`` may be an integer (deterministic: the same seed gives
     the same state) or an existing :class:`numpy.random.Generator`, which is
     advanced in place.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return raw / np.linalg.norm(raw)
+    size = (*shape, dim)
+    raw = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    if not shape:  # one state keeps its whole-vector norm, and so its bits
+        return raw / np.linalg.norm(raw)
+    return raw / np.linalg.norm(raw, axis=-1, keepdims=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,6 +144,32 @@ class Scenario:
         return (self.eta * self.p1 / abs(gamma)) if gamma < -BOUNDARY_TOL else None
 
 
+class ScenarioStack(NamedTuple):
+    """Scenarios held row by row as arrays: the stacked form of :class:`Scenario`.
+
+    ``p0`` and ``eta`` share one stack shape; ``env`` holds each row's
+    environment density matrix, shape ``(*stack, d, d)``. :func:`omega` takes
+    a stack where it takes a scenario and builds every row's hypothesis
+    difference at once. Nothing is validated: the builders that draw stacks
+    (``oracle.random_scenario``) produce valid rows.
+    """
+
+    p0: np.ndarray
+    eta: np.ndarray
+    env: np.ndarray
+
+    # Scenario's own formulas, elementwise
+    p1 = Scenario.p1
+    gamma = Scenario.gamma
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """:attr:`Scenario.alpha` per row, NaN outside the measurement regime."""
+        gamma = self.gamma
+        return np.divide(self.eta * self.p1, np.abs(gamma), out=np.full(np.shape(gamma), np.nan),
+                         where=gamma < -BOUNDARY_TOL)
+
+
 def require_mode(mode: str) -> str:
     """Validate an illumination mode and return it."""
     if mode not in MODES:
@@ -150,14 +177,18 @@ def require_mode(mode: str) -> str:
     return mode
 
 
-def absent_state(env: EnvironmentState, rho, mode: str) -> np.ndarray:
+def absent_state(env: EnvironmentState | np.ndarray, rho, mode: str) -> np.ndarray:
     """Target-absent state of a probe ``rho``: one density matrix or a stack ``(..., n, n)``.
 
     Conventional (``n = d``): the probe is lost and only ``rho_E`` returns.
     Quantum (``n = d**2``, signal tensor idler): the signal is lost, the
     environment returns and the idler is kept, ``rho_E (x) tr_A rho``.
+    ``env`` is an :class:`EnvironmentState`, or environment density matrices
+    ``(..., d, d)`` whose stack broadcasts against the probe stack (one
+    environment per row, as in a :class:`ScenarioStack`).
     """
-    d = env.dim
+    rho_e = env.density() if isinstance(env, EnvironmentState) else np.asarray(env, np.complex128)
+    d = rho_e.shape[-1]
     n = d if require_mode(mode) == CONVENTIONAL else d * d
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape[-2:] != (n, n):
@@ -167,20 +198,27 @@ def absent_state(env: EnvironmentState, rho, mode: str) -> np.ndarray:
             f"for environment dimension {d}"
         )
     if mode == CONVENTIONAL:
-        return np.broadcast_to(env.density(), rho.shape)
+        return np.broadcast_to(rho_e, rho.shape)
     idler = partial_trace_first(rho, d, d)
-    return np.einsum("ab,...cd->...acbd", env.density(), idler).reshape(rho.shape)
+    return np.einsum("...ab,...cd->...acbd", rho_e, idler).reshape(rho.shape)
 
 
-def omega(s: Scenario, rho, mode: str) -> np.ndarray:
+def omega(s: Scenario | ScenarioStack, rho, mode: str) -> np.ndarray:
     """Weighted hypothesis difference ``p1 rho_1 - p0 rho_0`` of a probe ``rho`` (or a stack).
 
     With the target-present state ``rho_1 = eta rho + (1 - eta) rho_0`` this
     is ``p1 eta rho + gamma rho_0``, ``rho_0`` the :func:`absent_state`. The
-    minimal error of the probe is ``(1 - ||omega||_1) / 2``.
+    minimal error of the probe is ``(1 - ||omega||_1) / 2``. ``s`` is a
+    :class:`Scenario`, or a :class:`ScenarioStack` whose stack broadcasts
+    against the probe stack.
     """
     rho = np.asarray(rho, dtype=np.complex128)
-    return s.p1 * s.eta * rho + s.gamma * absent_state(s.env, rho, mode)
+    c, gamma = s.p1 * s.eta, s.gamma
+    if isinstance(s, ScenarioStack):  # one scenario per row of the probe stack
+        c, gamma = c[..., None, None], gamma[..., None, None]
+    w = gamma * absent_state(s.env, rho, mode)
+    w += c * rho  # in place: one stack-sized temporary fewer
+    return w
 
 
 def json_reals(values, what: str) -> list[float]:

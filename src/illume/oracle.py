@@ -21,6 +21,7 @@ eigendecomposition (quantum): O(d^3) per probe where a dense
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -37,9 +38,11 @@ from .linalg import (
 )
 from .model import (
     CONVENTIONAL,
+    MODES,
     QUANTUM,
     EnvironmentState,
     Scenario,
+    ScenarioStack,
     absent_state,
     omega,
     require_mode,
@@ -60,9 +63,21 @@ MAX_QUANTUM_SEARCH_DIM = 16
 # from the first step, and a handful suffice.
 SECULAR_MAX_STEPS = 30
 
+# Trials of a lemma check drawn and checked together, as one stack per
+# instance group; a multiple of 12, so every cycle of dimensions, branches
+# and modes splits evenly. Memory sets it: the largest stack of a block,
+# four quantum d = 4 convexity trials of 17 matrices 16 x 16 each, holds
+# 0.3 MB. Larger blocks run faster but raise the process's peak memory.
+LEMMA_BLOCK = 24
+
 # Step lengths tried along each see-saw move, in order; a longer one is
 # tried only while the previous one still improved the trace norm.
 EXTRAPOLATION_STEPS = (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0)
+
+
+def _require_integer(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -76,9 +91,7 @@ class SearchConfig:
 
     def __post_init__(self):
         for name, least in (("restarts", 1), ("steps_per_restart", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            _require_integer(name, getattr(self, name), least)
         tol = self.tolerance
         if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0.0:
             raise ValueError(f"tolerance must be a positive number, got {tol!r}")
@@ -352,30 +365,43 @@ def maximize_trace_norm(
     )
 
 
-def _single_negative_margin(rho: np.ndarray, alpha: float, psi: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(rho - alpha * projector(psi))
-    if w.size < 2:
-        return np.inf  # one eigenvalue: at most one can be negative
-    return float(w[1]) + DENSITY_EIG_TOL  # second-smallest must clear -tol
+def _per_matrix(x):
+    """A number, or a per-row array shaped to scale a stack of matrices row by row."""
+    return x[..., None, None] if isinstance(x, np.ndarray) else x
+
+
+def _require_finite_alpha(alpha) -> None:
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
+
+
+# Each lemma margin takes one instance or a stack of them (a leading stack
+# shape on every array argument) and makes one eigvalsh/eigh call for the
+# whole stack. The check_* functions validate one instance and pass it
+# through with the empty stack shape; the lemma suite passes stacks.
+
+def _single_negative_margins(rho: np.ndarray, alpha, psi: np.ndarray) -> np.ndarray:
+    w = np.linalg.eigvalsh(rho - _per_matrix(alpha) * projector(psi))
+    if w.shape[-1] < 2:
+        return np.full(w.shape[:-1], np.inf)  # one eigenvalue: at most one can be negative
+    return w[..., 1] + DENSITY_EIG_TOL  # second-smallest must clear -tol
 
 
 def check_single_negative_eigenvalue(rho, alpha: float, psi) -> bool:
     """A density matrix minus a positive rank-one term has at most one negative eigenvalue."""
     rho = require_density_matrix(rho)
+    _require_finite_alpha(alpha)
     psi = require_state_vector(psi)
     if rho.shape != (psi.size, psi.size):
         raise ValueError(f"dimension mismatch: rho {rho.shape} vs psi {psi.size}")
-    return _single_negative_margin(rho, alpha, psi) >= 0.0
+    return bool(_single_negative_margins(rho, alpha, psi) >= 0.0)
 
 
-def _ground_level_margin(env: EnvironmentState, alpha: float, psi: np.ndarray) -> float:
+def _ground_level_margins(env, lam_h, alpha, psi: np.ndarray) -> np.ndarray:
     rho_ab = projector(psi)
-    h = absent_state(env, rho_ab, QUANTUM) - alpha * rho_ab
-    e_g = float(np.linalg.eigvalsh(h)[0])
-    lam_h = env.lambda_harmonic
-    if alpha > lam_h:
-        return e_g - (lam_h - alpha) + DENSITY_EIG_TOL
-    return e_g + DENSITY_EIG_TOL
+    h = absent_state(env, rho_ab, QUANTUM) - _per_matrix(alpha) * rho_ab
+    e_g = np.linalg.eigvalsh(h)[..., 0]
+    return e_g - np.minimum(lam_h - alpha, 0.0) + DENSITY_EIG_TOL  # the bound: min(lam_h - alpha, 0)
 
 
 def check_eigenvalue_lower_bound(env: EnvironmentState, alpha: float, psi) -> bool:
@@ -388,16 +414,23 @@ def check_eigenvalue_lower_bound(env: EnvironmentState, alpha: float, psi) -> bo
     product probe has ground level exactly 0, below ``lambda_h - alpha``
     whenever ``alpha < lambda_h``.)
     """
-    return _ground_level_margin(env, alpha, require_state_vector(psi)) >= 0.0
+    _require_finite_alpha(alpha)
+    psi = require_state_vector(psi)
+    return bool(_ground_level_margins(env, env.lambda_harmonic, alpha, psi) >= 0.0)
 
 
-def _linearity_margin(s: Scenario, psi: np.ndarray) -> float:
+def _linearity_margins(s: Scenario | ScenarioStack, psi: np.ndarray) -> np.ndarray:
     alpha = s.alpha
-    e_d = float(np.linalg.eigvalsh(s.env.density() - alpha * projector(psi))[0])
-    if e_d > 0.0:
-        return LEMMA_MARGIN_TOL
-    predicted = 0.5 * (1.0 - abs(s.gamma) * (1.0 - alpha - 2.0 * e_d))
-    return LEMMA_MARGIN_TOL - abs(predicted - perr_of_state(s, psi, CONVENTIONAL))
+    p = projector(psi)
+    # the shifted environment and omega, diagonalized as one stack
+    w = np.linalg.eigvalsh(np.stack([
+        absent_state(s.env, p, CONVENTIONAL) - _per_matrix(alpha) * p,
+        omega(s, p, CONVENTIONAL),
+    ]))
+    e_d = w[0, ..., 0]
+    perr = (1.0 - np.sum(np.abs(w[1]), axis=-1)) / 2.0  # perr_of_state, row by row
+    predicted = 0.5 * (1.0 - np.abs(s.gamma) * (1.0 - alpha - 2.0 * e_d))
+    return np.where(e_d > 0.0, LEMMA_MARGIN_TOL, LEMMA_MARGIN_TOL - np.abs(predicted - perr))
 
 
 def check_perr_linear_in_min_eigenvalue(s: Scenario, psi) -> bool:
@@ -405,35 +438,33 @@ def check_perr_linear_in_min_eigenvalue(s: Scenario, psi) -> bool:
 
     Requires ``gamma < 0``. With ``E_d`` the smallest eigenvalue of
     ``rho_E - alpha |psi><psi|`` and ``E_d <= 0``, the error equals
-    ``(1 - |gamma| (1 - alpha - 2 E_d)) / 2``; compared against
-    :func:`perr_of_state` at 1e-10. States with ``E_d > 0`` are outside the
-    identity's precondition and pass vacuously.
+    ``(1 - |gamma| (1 - alpha - 2 E_d)) / 2``; compared against the error
+    ``(1 - ||omega||_1) / 2`` of :func:`perr_of_state` at 1e-10. States
+    with ``E_d > 0`` are outside the identity's precondition and pass
+    vacuously.
     """
     if s.alpha is None:
         raise ValueError("check requires gamma < 0")
     psi = require_state_vector(psi)
     if psi.size != s.env.dim:
         raise ValueError(f"probe has dimension {psi.size}, expected {s.env.dim}")
-    return _linearity_margin(s, psi) >= 0.0
+    return bool(_linearity_margins(s, psi) >= 0.0)
 
 
-def _convexity_margin(s: Scenario, rho: np.ndarray, mode: str) -> float:
-    mixed_value = trace_norm(omega(s, rho, mode))
-    decomp = eig(rho)
-    best_pure = max(
-        (
-            trace_norm(omega(s, projector(decomp.eigenvectors[:, k]), mode))
-            for k, weight in enumerate(decomp.eigenvalues)
-            if weight > MIXTURE_WEIGHT_TOL
-        ),
-        default=0.0,
-    )
-    return best_pure + LEMMA_MARGIN_TOL - mixed_value
+def _convexity_margins(s: Scenario | ScenarioStack, rho: np.ndarray, mode: str) -> np.ndarray:
+    weights, vectors = np.linalg.eigh(rho)
+    # axis 0: the mixture, then the projector on each of its eigenvectors
+    probes = np.concatenate([rho[None], projector(np.moveaxis(vectors, -1, 0))])
+    norms = np.sum(np.abs(np.linalg.eigvalsh(omega(s, probes, mode))), axis=-1)
+    # trace norms are >= 0, so a 0 in place of a dropped eigenstate never wins
+    kept = np.moveaxis(weights, -1, 0) > MIXTURE_WEIGHT_TOL
+    best_pure = np.max(np.where(kept, norms[1:], 0.0), axis=0)
+    return best_pure + LEMMA_MARGIN_TOL - norms[0]
 
 
 def check_convexity_reduction(s: Scenario, rho, mode: str) -> bool:
     """A mixed probe never out-performs the best eigenstate in its mixture."""
-    return _convexity_margin(s, require_density_matrix(rho), mode) >= 0.0
+    return bool(_convexity_margins(s, require_density_matrix(rho), mode) >= 0.0)
 
 
 def simulate_measurement(
@@ -533,25 +564,41 @@ def bundled_scenarios() -> list[BundledCase]:
     ]
 
 
-def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random full-rank density matrix ``G G^dagger / tr(G G^dagger)``, ``G`` complex Gaussian."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+def random_density(rng: np.random.Generator, dim: int, shape: tuple = ()) -> np.ndarray:
+    """Random full-rank density matrix ``G G^dagger / tr(G G^dagger)``, ``G`` complex Gaussian.
+
+    With a ``shape``, a stack ``(*shape, dim, dim)`` of them, drawn with one
+    call for all real parts and one for all imaginary parts.
+    """
+    size = (*shape, dim, dim)
+    g = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    rho = g @ np.swapaxes(g.conj(), -1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def random_scenario(rng: np.random.Generator, dim: int, gamma_negative: bool = False) -> Scenario:
+def random_scenario(
+    rng: np.random.Generator, dim: int, gamma_negative: bool = False, shape: tuple | None = None
+) -> Scenario | ScenarioStack:
     """Random scenario with a normalized exponential spectrum and a uniform (p0, eta).
 
     ``p0 ~ U(0.01, 0.99)`` and ``eta ~ U(0, 1)``; with ``gamma_negative`` the
     (p0, eta) draw repeats until ``gamma < -1e-6`` (the measurement regime).
+    With a ``shape``, a :class:`ScenarioStack` of that stack shape in the
+    computational basis, drawn with one call per array and per redraw of
+    the rows still outside the regime.
     """
-    spectrum = rng.exponential(size=dim)
-    env = EnvironmentState(spectrum / spectrum.sum())
-    while True:
-        s = Scenario(float(rng.uniform(0.01, 0.99)), float(rng.uniform(0.0, 1.0)), env)
-        if not gamma_negative or s.gamma < -1e-6:
-            return s
+    stack = () if shape is None else shape
+    spectra = rng.exponential(size=(*stack, dim))
+    spectra = spectra / spectra.sum(axis=-1, keepdims=True)
+    s = ScenarioStack(rng.uniform(0.01, 0.99, stack), rng.uniform(0.0, 1.0, stack),
+                      spectra[..., None] * np.eye(dim))
+    while gamma_negative and np.any(redraw := ~(s.gamma < -1e-6)):
+        n = np.count_nonzero(redraw)
+        s.p0[redraw] = rng.uniform(0.01, 0.99, n)
+        s.eta[redraw] = rng.uniform(0.0, 1.0, n)
+    if shape is None:
+        return Scenario(float(s.p0), float(s.eta), EnvironmentState(spectra))
+    return s
 
 
 def _suite_payload(suite: str, seed: int, checks: list[dict]) -> dict:
@@ -565,54 +612,62 @@ def run_lemma_suite(seed: int = 0, trials: int = 10000) -> dict:
 
     Each check runs the margin behind its ``check_*`` function and reports
     the worst one; the tolerance is folded in, so a pass means margin >= 0.
+    Trial ``t`` of a check is an instance of group ``t % len(groups)`` (a
+    dimension, and a branch or a mode), so the groups share the trials
+    evenly. The trials run in blocks of ``LEMMA_BLOCK``; in each block a
+    group is drawn with one rng call per array and checked as one stack,
+    and only the running worst margin and violation count outlive it.
     """
+    _require_integer("trials", trials, 1)
     rng = np.random.default_rng([seed, 101])
-    dims = (2, 3, 4, 6)
 
-    def single_negative(t: int) -> float:
-        d = dims[t % len(dims)]
-        rho = random_density(rng, d)
-        psi = haar_random_state(d, rng)
-        alpha = float(rng.uniform(1e-3, 2.0))
-        return _single_negative_margin(rho, alpha, psi)
+    def single_negative(d: int, n: int) -> np.ndarray:
+        rho = random_density(rng, d, (n,))
+        alpha = rng.uniform(1e-3, 2.0, n)
+        return _single_negative_margins(rho, alpha, haar_random_state(d, rng, (n,)))
 
-    def ground_level(t: int) -> float:
-        d = 2 + (t % 2)
-        env = EnvironmentState(np.sort(rng.dirichlet(np.ones(d)))[::-1])
-        psi = haar_random_state(d * d, rng)
-        if t % 2 == 0:
-            alpha = float(rng.uniform(0.0, 1.0)) * env.lambda_harmonic  # below the harmonic level
+    def ground_level(group: tuple, n: int) -> np.ndarray:
+        d, below_harmonic = group
+        lam = rng.dirichlet(np.ones(d), n)
+        lam_h = 1.0 / np.sum(1.0 / lam, axis=1)  # Dirichlet eigenvalues are positive
+        if below_harmonic:
+            alpha = rng.uniform(0.0, 1.0, n) * lam_h
         else:
-            alpha = env.lambda_harmonic + float(rng.exponential(0.5))
-        return _ground_level_margin(env, alpha, psi)
+            alpha = lam_h + rng.exponential(0.5, n)
+        env = lam[:, :, None] * np.eye(d)
+        return _ground_level_margins(env, lam_h, alpha, haar_random_state(d * d, rng, (n,)))
 
-    def linearity(t: int) -> float:
-        d = dims[t % len(dims)]
-        s = random_scenario(rng, d, gamma_negative=True)
-        return _linearity_margin(s, haar_random_state(d, rng))
+    def linearity(d: int, n: int) -> np.ndarray:
+        s = random_scenario(rng, d, gamma_negative=True, shape=(n,))
+        return _linearity_margins(s, haar_random_state(d, rng, (n,)))
 
-    def convexity(t: int) -> float:
-        d = 2 + (t % 3)
-        s = random_scenario(rng, d)
-        mode = CONVENTIONAL if t % 2 == 0 else QUANTUM
+    def convexity(group: tuple, n: int) -> np.ndarray:
+        d, mode = group
+        s = random_scenario(rng, d, shape=(n,))
         probe_dim = d if mode == CONVENTIONAL else d * d
-        return _convexity_margin(s, random_density(rng, probe_dim), mode)
+        return _convexity_margins(s, random_density(rng, probe_dim, (n,)), mode)
 
+    dims = (2, 3, 4, 6)
     n_small = max(trials // 10, 1)
     checks = []
-    for name, n, margin_of in (
-        ("single_negative_eigenvalue", trials, single_negative),
-        ("bipartite_ground_level_bound", n_small, ground_level),
-        ("perr_linear_in_ground_level", n_small, linearity),
-        ("convexity_reduction", n_small, convexity),
+    for name, n, groups, margins_of in (
+        ("single_negative_eigenvalue", trials, dims, single_negative),
+        ("bipartite_ground_level_bound", n_small,
+         [(d, below) for below in (True, False) for d in (2, 3)], ground_level),
+        ("perr_linear_in_ground_level", n_small, dims, linearity),
+        ("convexity_reduction", n_small, [(d, mode) for d in (2, 3, 4) for mode in MODES],
+         convexity),
     ):
         violations = 0
         worst = np.inf
-        for t in range(n):
-            margin = margin_of(t)
-            worst = min(worst, margin)
-            if not margin >= 0.0:
-                violations += 1
+        for start in range(0, n, LEMMA_BLOCK):
+            block = np.arange(start, min(start + LEMMA_BLOCK, n)) % len(groups)
+            for i, group in enumerate(groups):
+                count = int(np.count_nonzero(block == i))
+                if count:
+                    margins = margins_of(group, count)
+                    worst = min(worst, float(margins.min()))
+                    violations += int(np.count_nonzero(~(margins >= 0.0)))
         checks.append({"name": name, "trials": n, "violations": violations, "worst_margin": worst})
 
     return _suite_payload("lemmas", seed, checks)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,3 +245,31 @@ class TestHaarRandomState:
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError, match="dim"):
             haar_random_state(0, seed=0)
+
+    def test_one_state_draws_are_pinned(self):
+        # a stack shape was added; the draws of one state, which seeded tests
+        # and the oracle-search restarts depend on, keep every bit
+        h = hashlib.sha256()
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            for d in (1, 2, 3, 4, 9, 16):
+                h.update(haar_random_state(d, rng).tobytes())
+            h.update(haar_random_state(5, seed=seed).tobytes())
+        assert h.hexdigest() == (
+            "98a82aefb5c7a4ec5bc5001ab4102884de6a6aba01e8350a932c841a0387c8bb")
+
+    def test_stack_of_unit_vectors(self):
+        stack = haar_random_state(6, np.random.default_rng(3), (2, 5))
+        assert stack.shape == (2, 5, 6)
+        np.testing.assert_allclose(np.linalg.norm(stack, axis=-1), 1.0, atol=1e-14)
+        assert len({row.tobytes() for row in stack.reshape(-1, 6)}) == 10
+
+
+class TestProjector:
+    def test_stack_rows_equal_outer_products(self):
+        stack = haar_random_state(4, np.random.default_rng(5), (3,))
+        out = projector(stack)
+        assert out.shape == (3, 4, 4)
+        for psi, p in zip(stack, out):
+            assert p.tobytes() == np.outer(psi, psi.conj()).tobytes()
+            assert p.tobytes() == projector(psi).tobytes()

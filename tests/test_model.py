@@ -21,6 +21,7 @@ from illume import (
     scenario_from_dict,
     trace_norm,
 )
+from illume.model import ScenarioStack
 
 SKEW3 = [0.5, 0.3, 0.2]
 
@@ -321,6 +322,38 @@ class TestBuilder:
         s = Scenario(0.5, 0.5, EnvironmentState(SKEW3))
         with pytest.raises(ValueError, match="mode"):
             omega(s, np.eye(3) / 3, "classical")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_scenario_stack_rows_equal_scenarios(self, mode):
+        # one scenario per row, each with its own spectrum and basis: every
+        # row of the stacked omega is the scalar omega of that row's scenario
+        rng = np.random.default_rng(13)
+        n = 3 if mode == CONVENTIONAL else 9
+        scenarios = [
+            Scenario(float(rng.uniform()), float(rng.uniform()),
+                     EnvironmentState(random_spectrum(rng, 3), random_unitary(rng, 3).T))
+            for _ in range(4)
+        ]
+        stack = ScenarioStack(np.array([s.p0 for s in scenarios]),
+                              np.array([s.eta for s in scenarios]),
+                              np.array([s.env.density() for s in scenarios]))
+        rho = np.array([random_density(rng, n) for _ in scenarios])
+        w = omega(stack, rho, mode)
+        b = absent_state(stack.env, rho, mode)
+        for i, s in enumerate(scenarios):
+            assert w[i].tobytes() == omega(s, rho[i], mode).tobytes()
+            assert b[i].tobytes() == np.ascontiguousarray(absent_state(s.env, rho[i], mode)).tobytes()
+        # a stack (m, 4) of probes against the 4 scenarios: broadcast on the last stack axis
+        wide = omega(stack, np.array([rho, rho[::-1]]), mode)
+        assert wide.shape == (2, 4, n, n) and wide[0].tobytes() == w.tobytes()
+
+    def test_scenario_stack_derived_params(self):
+        stack = ScenarioStack(np.array([0.3, 0.6, 0.5]), np.array([0.5, 0.9, 0.0]),
+                              np.broadcast_to(np.eye(2) / 2, (3, 2, 2)))
+        for i, (p0, eta) in enumerate(zip(stack.p0, stack.eta)):
+            s = Scenario(float(p0), float(eta), EnvironmentState([0.5, 0.5]))
+            assert (stack.p1[i], stack.gamma[i]) == (s.p1, s.gamma)
+            np.testing.assert_equal(stack.alpha[i], np.nan if s.alpha is None else s.alpha)
 
 
 class TestScenarioJson:

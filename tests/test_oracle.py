@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,12 +36,15 @@ from illume import (
     perr_quantum,
     projector,
     report,
+    require_density_matrix,
     run_lemma_suite,
     run_montecarlo_suite,
     run_oracle_suite,
     run_sweep,
     simulate_measurement,
 )
+from illume import oracle as oracle_mod
+from illume.model import ScenarioStack
 
 SKEW3 = [0.5, 0.3, 0.2]
 # 2x2 matrices that are not density matrices, with the error each must raise
@@ -479,6 +484,12 @@ class TestSingleNegativeEigenvalue:
         with pytest.raises(ValueError, match=message):
             check_single_negative_eigenvalue(rho, 0.5, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        rng = np.random.default_rng(6)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            check_single_negative_eigenvalue(random_density(rng, 3), alpha, haar_random_state(3, rng))
+
 
 class TestEigenvalueLowerBound:
     def test_optimal_state_saturates(self):
@@ -515,6 +526,12 @@ class TestEigenvalueLowerBound:
         env = EnvironmentState(SKEW3)
         with pytest.raises(ValueError, match=r"bipartite probe has shape \(3, 3\)"):
             check_eigenvalue_lower_bound(env, 0.1, haar_random_state(3, seed=0))
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        env = EnvironmentState(SKEW3)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            check_eigenvalue_lower_bound(env, alpha, haar_random_state(9, seed=0))
 
 
 class TestPerrLinearInMinEigenvalue:
@@ -577,6 +594,100 @@ class TestConvexityReduction:
         s = Scenario(0.5, 0.6, EnvironmentState([0.5, 0.5]))
         with pytest.raises(ValueError, match=message):
             check_convexity_reduction(s, rho, CONVENTIONAL)
+
+
+def _scenario_rows(rng, d, n, gamma_negative=False):
+    """``n`` scenarios with their own spectra and bases, and the same rows as one stack."""
+    rows = []
+    for _ in range(n):
+        base = random_scenario(rng, d, gamma_negative)
+        env = EnvironmentState(base.env.spectrum, random_unitary(rng, d).T)
+        rows.append(Scenario(base.p0, base.eta, env))
+    stack = ScenarioStack(np.array([s.p0 for s in rows]), np.array([s.eta for s in rows]),
+                          np.array([s.env.density() for s in rows]))
+    return rows, stack
+
+
+class TestStackedMargins:
+    """Each lemma margin on a stack equals its one-instance calls, row by row and bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_single_negative(self, d):
+        rng = np.random.default_rng(20 + d)
+        rho, psi = random_density(rng, d, (6,)), haar_random_state(d, rng, (6,))
+        alpha = rng.uniform(1e-3, 2.0, 6)
+        stacked = oracle_mod._single_negative_margins(rho, alpha, psi)
+        assert stacked.shape == (6,)
+        for i in range(6):
+            row = oracle_mod._single_negative_margins(rho[i], float(alpha[i]), psi[i])
+            assert stacked[i].tobytes() == row.tobytes()
+            assert check_single_negative_eigenvalue(rho[i], float(alpha[i]), psi[i]) == (row >= 0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ground_level(self, d):
+        rng = np.random.default_rng(30 + d)
+        envs = [EnvironmentState(rng.dirichlet(np.ones(d)), random_unitary(rng, d).T)
+                for _ in range(6)]
+        lam_h = np.array([env.lambda_harmonic for env in envs])
+        alpha = lam_h * rng.uniform(0.0, 2.0, 6)  # both sides of the harmonic level
+        psi = haar_random_state(d * d, rng, (6,))
+        stacked = oracle_mod._ground_level_margins(np.array([env.density() for env in envs]),
+                                                   lam_h, alpha, psi)
+        for i, env in enumerate(envs):
+            row = oracle_mod._ground_level_margins(env, env.lambda_harmonic, float(alpha[i]), psi[i])
+            assert stacked[i].tobytes() == row.tobytes()
+            assert check_eigenvalue_lower_bound(env, float(alpha[i]), psi[i]) == (row >= 0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_linearity(self, d):
+        rng = np.random.default_rng(40 + d)
+        rows, stack = _scenario_rows(rng, d, 6, gamma_negative=True)
+        psi = haar_random_state(d, rng, (6,))
+        stacked = oracle_mod._linearity_margins(stack, psi)
+        for i, s in enumerate(rows):
+            row = oracle_mod._linearity_margins(s, psi[i])
+            assert stacked[i].tobytes() == row.tobytes()
+            assert check_perr_linear_in_min_eigenvalue(s, psi[i]) == (row >= 0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("mode", [CONVENTIONAL, QUANTUM])
+    def test_convexity(self, d, mode):
+        rng = np.random.default_rng(50 + d)
+        rows, stack = _scenario_rows(rng, d, 5)
+        rho = random_density(rng, d if mode == CONVENTIONAL else d * d, (5,))
+        rho[0] = projector(haar_random_state(rho.shape[-1], rng))  # dropped eigenstates
+        stacked = oracle_mod._convexity_margins(stack, rho, mode)
+        for i, s in enumerate(rows):
+            row = oracle_mod._convexity_margins(s, rho[i], mode)
+            assert stacked[i].tobytes() == row.tobytes()
+            assert check_convexity_reduction(s, rho[i], mode) == (row >= 0.0)
+
+
+class TestRandomBuilders:
+    def test_one_density_draws_are_pinned(self):
+        # a stack shape was added; one-matrix draws keep every bit
+        h = hashlib.sha256()
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            for d in (1, 2, 3, 4, 9, 16):
+                h.update(random_density(rng, d).tobytes())
+        assert h.hexdigest() == (
+            "e3b904ce42540748abde6339d8d3c83cf050a8b45a309e1b3703f60cc9ed3961")
+
+    def test_density_stack(self):
+        stack = random_density(np.random.default_rng(1), 3, (2, 4))
+        assert stack.shape == (2, 4, 3, 3)
+        for rho in stack.reshape(-1, 3, 3):
+            require_density_matrix(rho)
+
+    @pytest.mark.parametrize("gamma_negative", [False, True])
+    def test_scenario_stack(self, gamma_negative):
+        s = random_scenario(np.random.default_rng(2), 3, gamma_negative, shape=(50,))
+        assert isinstance(s, ScenarioStack)
+        assert s.p0.shape == s.eta.shape == (50,) and s.env.shape == (50, 3, 3)
+        assert np.all((0.01 <= s.p0) & (s.p0 <= 0.99) & (0.0 <= s.eta) & (s.eta <= 1.0))
+        np.testing.assert_allclose(np.trace(s.env, axis1=1, axis2=2), 1.0, atol=1e-15)
+        assert np.all(s.gamma < -1e-6) == gamma_negative
 
 
 class TestSimulateMeasurement:
@@ -664,6 +775,38 @@ class TestSuites:
         assert result["checks"][0]["trials"] == 400
         assert all(c["worst_margin"] >= 0.0 for c in result["checks"])
 
+    @pytest.mark.parametrize("trials", [0, -3, 2.5, 10.0, True, "10"])
+    def test_lemma_suite_rejects_bad_trials(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            run_lemma_suite(0, trials)
+
+    def test_lemma_suite_memory_does_not_grow_with_trials(self):
+        # the suite keeps one block of stacks, a running worst margin and a
+        # violation count: ten times the trials, about the same peak
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                run_lemma_suite(0, trials)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20_000) <= 1.25 * peak(2_000)
+
+    def test_ground_level_trials_split_evenly(self, monkeypatch):
+        # each (dimension, side of the harmonic level) pair gets a quarter
+        seen = collections.Counter()
+        margins = oracle_mod._ground_level_margins
+
+        def spy(env, lam_h, alpha, psi):
+            for below in alpha <= lam_h:
+                seen[env.shape[-1], bool(below)] += 1
+            return margins(env, lam_h, alpha, psi)
+
+        monkeypatch.setattr(oracle_mod, "_ground_level_margins", spy)
+        run_lemma_suite(0, 2000)
+        assert seen == {(2, True): 50, (3, True): 50, (2, False): 50, (3, False): 50}
+
     def test_oracle_suite_clean_with_cheap_config(self):
         result = run_oracle_suite(seed=5, cfg=SearchConfig(restarts=8, steps_per_restart=800,
                                                            seed=5, tolerance=1e-5))
@@ -689,24 +832,29 @@ class TestSuites:
             "0e86d7c8777b761b3d35adf21866780c37fbed7c34143046c2a3b154c2a3febc")
 
     # sha256 of each suite payload: any drift in the draws, the arithmetic
-    # or the reported margins fails. The conventional hypothesis difference
-    # is built as p1 eta rho + gamma rho_E (model.omega), not as
-    # p1 E1 - p0 E0; that rounding moved worst_margin of
-    # perr_linear_in_ground_level (and, at seed 2026, of
-    # convexity_reduction) by at most 1.2e-16, every other field is
-    # unchanged, so these digests were regenerated. The payloads carry raw
-    # eigenvalues, so the digests hold for one LAPACK build (computed with
-    # numpy 2.4.6 / OpenBLAS on x86-64).
+    # or the reported margins fails. The payloads carry raw eigenvalues, so
+    # the digests hold for one LAPACK build (computed with numpy 2.4.6 /
+    # OpenBLAS on x86-64). Earlier, the conventional hypothesis difference
+    # became p1 eta rho + gamma rho_E (model.omega), which moved two
+    # worst_margin fields by at most 1.2e-16. The suite now draws each
+    # check's instances in blocks of LEMMA_BLOCK trials, one rng call per
+    # array for each group (dimension and branch or mode) of a block, and
+    # checks each group as one stack; the ground-level check also pairs
+    # each dimension with both sides of the harmonic level. The instances
+    # are new, so all three digests were regenerated, once every check
+    # reported 0 violations and a worst margin >= 0 and criterion 4 still
+    # saw trials [10000, 1000, 1000, 1000]. They were, in order,
+    # 19ada9e0..., 6c8598ca... and 7aa2b61d...
     @pytest.mark.parametrize("seed, trials, digest", [
-        (0, 400, "19ada9e00950763d9525c3b558621c58527c7b50e5b78675e508c318d9db4da3"),
-        (7, 2000, "6c8598ca714619bea0533ffe556371d676a7b1c9e12fa2805297e1c9107c263c"),
+        (0, 400, "bdde4f9c7a3f12192501ae0ad449a63962d5385556c6fc0d13a52df6275d8ab6"),
+        (7, 2000, "69a08b6ef8c88c89bc08bb14e129a782f062d2512db5ea4e9153de29f42c64fe"),
     ])
     def test_lemma_suite_golden_payload(self, seed, trials, digest):
         assert _digest(run_lemma_suite(seed=seed, trials=trials)) == digest
 
     def test_lemma_suite_golden_payload_full_size(self, lemma_suite_2026):
         assert _digest(lemma_suite_2026) == (
-            "7aa2b61dfdbc2a19c1cc23cd08895cf5c62cd1de12190767289ba87d08ef8878")
+            "2c082c59a8a71f7bf3c770c221003f52f341b0308b26768a815b738614a35d69")
 
     def test_montecarlo_suite_golden_payload(self):
         assert _digest(run_montecarlo_suite(seed=0, trials=2000)) == (
