@@ -12,11 +12,12 @@ The search never forms the dense hypothesis difference. For a pure probe,
 rank-one term in the eigenframe of the absent state ``B`` (the environment
 basis, times the idler marginal's eigenbasis in quantum mode), so its trace
 norm follows from the top root of a secular equation (the rank-one
-eigenvalue update of Bunch, Nielsen and Sorensen), and its see-saw target
-from the same root (conventional) or from a second one after a d x d
-eigendecomposition (quantum): O(d^3) per probe where a dense
-``eigvalsh`` of the d^2 x d^2 quantum ``omega`` costs O(d^6). The dense
-``perr_of_state`` rechecks every search result.
+eigenvalue update of Bunch, Nielsen and Sorensen). Each probe is solved
+once: the solve that scores it also gives the top eigenvector, kept with
+the probe, from which its see-saw target follows directly (conventional)
+or by a second root after a d x d eigendecomposition (quantum). That is
+O(d^3) per probe where a dense ``eigvalsh`` of the d^2 x d^2 quantum
+``omega`` costs O(d^6). The dense ``perr_of_state`` rechecks every result.
 """
 
 from __future__ import annotations
@@ -125,12 +126,12 @@ def perr_of_state(s: Scenario, probe, mode: str) -> float:
     return (1.0 - trace_norm(omega(s, projector(probe), mode))) / 2.0
 
 
-def _top_root(poles: np.ndarray, weights: np.ndarray, c: float):
-    """Largest root ``mu`` of ``1 = c sum_j weights_j / (mu - poles_j)`` for each row.
+def _top_root(poles: np.ndarray, u: np.ndarray, c: float):
+    """Top eigenpair of ``diag(poles) + c u u^dagger``, ``c > 0``, for each row.
 
-    This is the top eigenvalue of ``diag(poles) + c u u^dagger`` with
-    ``weights = |u|^2`` and ``c > 0``; entries of zero weight are deflated
-    (eigenpairs of the diagonal alone) and do not enter. In the shift
+    The eigenvalue ``mu`` is the largest root of ``1 = c sum_j w_j / (mu -
+    poles_j)`` with weights ``w = |u|^2``; entries of zero weight are
+    deflated (eigenpairs of the diagonal alone) and do not enter. In the shift
     ``tau = mu - top`` from the top weighted pole the root is at least
     ``c w_top``. Each step solves, as a quadratic, the model that keeps the
     top pole exact and matches the other poles' sum and slope with one pole
@@ -142,9 +143,9 @@ def _top_root(poles: np.ndarray, weights: np.ndarray, c: float):
     within rounding of zero or ``tau`` stops falling, and after
     ``SECULAR_MAX_STEPS`` steps at most.
 
-    Returns ``mu`` and the shifted denominators ``mu - poles`` (valid on the
-    weighted entries).
+    Returns ``mu`` and the unit top eigenvector ``z ~ (mu - poles)^-1 u``.
     """
+    weights = np.abs(u) ** 2
     weighted = weights > 0.0
     top = np.max(np.where(weighted, poles, -np.inf), axis=1)
     gaps = top[:, None] - poles
@@ -178,15 +179,8 @@ def _top_root(poles: np.ndarray, weights: np.ndarray, c: float):
         step = np.minimum(np.maximum(model_root(k, k * near - far * tilt - w_top), low), tau)
         active &= step < tau
         tau = np.where(active, step, tau)
-    return top + tau, tau[:, None] + gaps
-
-
-def _top_vector(poles: np.ndarray, u: np.ndarray, c: float) -> np.ndarray:
-    """Unit top eigenvector ``z ~ (mu - poles)^-1 u`` of ``diag(poles) + c u u^dagger``, per row."""
-    w = np.abs(u) ** 2
-    denom = _top_root(poles, w, c)[1]
-    z = np.divide(u, denom, out=np.zeros_like(u), where=w > 0.0)
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    z = np.divide(u, tau[:, None] + gaps, out=np.zeros_like(u), where=weighted)
+    return top + tau, z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 def _see_saw_maps(s: Scenario, mode: str):
@@ -212,7 +206,8 @@ def _see_saw_maps(s: Scenario, mode: str):
     M)`` plus a constant, with ``M = Z^T diag(lambda) Z*`` built from the
     d x d reshape ``Z`` of ``z``: in the eigenbasis of ``M`` a diagonal plus
     a rank-one term again, whose top eigenvector is a second secular root.
-    Where the form is flat, the probe itself is the target.
+    A flat form makes the probe its own target and frame; otherwise ``values``
+    returns, beside each norm, the frame ``z`` (with ``v`` in quantum mode).
     """
     d = s.env.dim
     lam = s.env.spectrum
@@ -222,37 +217,35 @@ def _see_saw_maps(s: Scenario, mode: str):
     # omega >= 0, or its rank-one term is below the rounding of gamma B
     flat = gamma >= 0.0 or c <= np.finfo(float).eps * -gamma
 
-    def frame(states: np.ndarray):
-        """``u``, the poles of ``A``, and in quantum mode the idler bases."""
-        if mode == CONVENTIONAL:
-            return states @ basis.conj().T, np.broadcast_to(gamma * lam, states.shape), None
-        x = states.reshape(-1, d, d)
-        m, v = np.linalg.eigh(np.swapaxes(x, 1, 2) @ x.conj())  # rho_B = X^T X*
-        u = basis.conj() @ x @ v.conj()
-        poles = gamma * lam[:, None] * np.maximum(m, 0.0)[:, None, :]
-        return u.reshape(len(states), -1), poles.reshape(len(states), -1), v
-
-    def values(states: np.ndarray) -> np.ndarray:
+    def values(states: np.ndarray):
+        """Trace norms, and the frames their targets are built from (one row per state)."""
+        n = len(states)
         if flat:
-            return np.full(len(states), abs(c + gamma))
-        u, poles, _ = frame(states)
-        mu = _top_root(poles, np.abs(u) ** 2, c)[0]
-        return 2.0 * np.maximum(mu, 0.0) - (c + gamma)
-
-    def targets(states: np.ndarray) -> np.ndarray:
-        if flat:
-            return states
-        u, poles, v = frame(states)
-        z = _top_vector(poles, u, c)
+            return np.full(n, abs(c + gamma)), states
         if mode == CONVENTIONAL:
-            return z @ basis
+            poles, u = np.broadcast_to(gamma * lam, states.shape), states @ basis.conj().T
+            mu, frames = _top_root(poles, u, c)
+        else:
+            x = states.reshape(n, d, d)
+            m, v = np.linalg.eigh(np.swapaxes(x, 1, 2) @ x.conj())  # rho_B = X^T X*
+            u = basis.conj() @ x @ v.conj()
+            poles = gamma * lam[:, None] * np.maximum(m, 0.0)[:, None, :]
+            mu, z = _top_root(poles.reshape(n, -1), u.reshape(n, -1), c)
+            frames = np.stack([z.reshape(n, d, d), v], axis=1)
+        return 2.0 * np.maximum(mu, 0.0) - (c + gamma), frames
+
+    def targets(frames: np.ndarray) -> np.ndarray:
+        if flat:
+            return frames
+        if mode == CONVENTIONAL:
+            return frames @ basis
         # the form c z z^dagger + gamma (I (x) M), M = Z^T diag(lambda) Z*: in
         # the eigenbasis W of M, poles gamma nu_k on every environment row
         # plus c z' z'^dagger
-        n = len(states)
-        z = z.reshape(n, d, d)
+        n = len(frames)
+        z, v = frames[:, 0], frames[:, 1]
         nu, w = np.linalg.eigh(np.swapaxes(z, 1, 2) @ (lam[:, None] * z.conj()))
-        y = _top_vector(np.tile(gamma * nu, (1, d)), (z @ w.conj()).reshape(n, -1), c)
+        y = _top_root(np.tile(gamma * nu, (1, d)), (z @ w.conj()).reshape(n, -1), c)[1]
         return (basis.T @ y.reshape(n, d, d) @ np.swapaxes(v @ w, 1, 2)).reshape(n, -1)
 
     return (d if mode == CONVENTIONAL else d * d), values, targets
@@ -274,7 +267,8 @@ def maximize_trace_norm(
     structured maps of :func:`_see_saw_maps`, which use ``omega``'s
     definition and exact linear algebra only: top roots of secular
     equations and d x d eigendecompositions, never the dense n x n
-    ``omega`` and never a closed-form quantity. The move
+    ``omega`` and never a closed-form quantity. Each state keeps the frame
+    its value came with, so its target needs no second solve. The move
     ``m = (psi' - psi) + beta m_prev`` adds the previous move with a
     Polak-Ribiere weight (``beta >= 0``, a nonlinear conjugate-gradient
     acceleration of the see-saw, which alone crawls on ill-conditioned
@@ -309,7 +303,7 @@ def maximize_trace_norm(
             states[r] = start
         else:
             states[r] = haar_random_state(dim, np.random.default_rng([cfg.seed, r]))
-    values = values_of(states)
+    values, frames = values_of(states)
     evaluations = cfg.restarts
     iterations = np.zeros(cfg.restarts, dtype=int)
     active = np.ones(cfg.restarts, dtype=bool)
@@ -322,7 +316,7 @@ def maximize_trace_norm(
             break
         iterations[idx] += 1
         psi = states[idx]
-        target = targets(psi)
+        target = targets(frames[idx])
         overlap = np.einsum("ni,ni->n", target.conj(), psi)
         residual = target * np.exp(1j * np.angle(overlap))[:, None] - psi
         previous = residuals[idx]
@@ -333,16 +327,18 @@ def maximize_trace_norm(
 
         best_states = psi.copy()
         best_values = values[idx]
+        best_frames = frames[idx]
         live = np.arange(idx.size)
         for t in EXTRAPOLATION_STEPS:
             trial = psi[live] + t * move[live]
             trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-            trial_values = values_of(trial)
+            trial_values, trial_frames = values_of(trial)
             evaluations += live.size
             improved = trial_values > best_values[live]
             live = live[improved]
             best_states[live] = trial[improved]
             best_values[live] = trial_values[improved]
+            best_frames[live] = trial_frames[improved]
             if live.size == 0:
                 break
 
@@ -352,6 +348,7 @@ def maximize_trace_norm(
         moves[idx] = move
         states[idx] = best_states
         values[idx] = best_values
+        frames[idx] = best_frames
 
     best = int(np.argmax(values))
     best_value = float(values[best])
@@ -484,8 +481,8 @@ def simulate_measurement(
     the expected error rate is :func:`perr_of_state`. Fixed seeds reproduce
     identical statistics.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _require_integer("trials", trials, 1)
+    _require_integer("seed", seed, 0)
     rho = projector(require_state_vector(probe))
     rho0 = absent_state(s.env, rho, mode)
     rho1 = s.eta * rho + (1.0 - s.eta) * rho0  # the target-present state in either mode
@@ -618,6 +615,7 @@ def run_lemma_suite(seed: int = 0, trials: int = 10000) -> dict:
     group is drawn with one rng call per array and checked as one stack,
     and only the running worst margin and violation count outlive it.
     """
+    _require_integer("seed", seed, 0)
     _require_integer("trials", trials, 1)
     rng = np.random.default_rng([seed, 101])
 
@@ -700,6 +698,8 @@ def run_montecarlo_suite(seed: int = 0, trials: int = 100000) -> dict:
 
     Each case must land within four standard errors of the analytic value.
     """
+    _require_integer("seed", seed, 0)
+    _require_integer("trials", trials, 1)
     checks = []
     for i, case in enumerate(bundled_scenarios()):
         stats = simulate_measurement(

@@ -255,14 +255,14 @@ class TestSeeSawSearch:
             base = random_scenario(rng, d, gamma_negative=True)
             env = EnvironmentState(base.env.spectrum, random_unitary(rng, d).T)
             s = Scenario(base.p0, base.eta, env)
-            dim, _, targets = _see_saw_maps(s, mode)
+            dim, values, targets = _see_saw_maps(s, mode)
             psi = haar_random_state(dim, rng)
             sign = _see_saw_sign(s, psi, mode)[1]
             basis = np.eye(dim)
             offset = omega(s, np.zeros((dim, dim)), mode)
             q = np.array([[np.trace(sign @ (omega(s, np.outer(basis[j], basis[i]), mode) - offset))
                            for j in range(dim)] for i in range(dim)])
-            move = targets(psi[None])[0]
+            move = targets(values(psi[None])[1])[0]
             assert np.vdot(move, q @ move).real >= np.linalg.eigvalsh(q)[-1] - 1e-12
 
     def test_iterations_and_budget_stops(self):
@@ -275,6 +275,30 @@ class TestSeeSawSearch:
         assert len(full.iterations) == 5 and min(full.iterations) >= 1
         # every iteration evaluates between one and six extrapolation candidates
         assert 5 + sum(full.iterations) <= full.evaluations <= 5 + 6 * sum(full.iterations)
+
+    def test_each_probe_is_solved_once(self, monkeypatch):
+        # a values batch solves the top root of every state it scores, and
+        # keeps the frame; a target batch solves only the second, quantum root
+        calls = collections.Counter()
+        top_root, see_saw_maps = oracle_mod._top_root, oracle_mod._see_saw_maps
+
+        def counted(name, fn):
+            def spy(*args):
+                calls[name] += 1
+                return fn(*args)
+            return spy
+
+        def maps(s, mode):
+            dim, values, targets = see_saw_maps(s, mode)
+            return dim, counted("values", values), counted("targets", targets)
+
+        monkeypatch.setattr(oracle_mod, "_top_root", counted("roots", top_root))
+        monkeypatch.setattr(oracle_mod, "_see_saw_maps", maps)
+        s = Scenario(0.5, 0.6, EnvironmentState(SKEW3))
+        assert classify(s)[1] == REGION_III
+        result = maximize_trace_norm(s, QUANTUM, SearchConfig(restarts=4, seed=5))
+        assert calls["targets"] == max(result.iterations) > 0
+        assert calls["roots"] == calls["values"] + calls["targets"]
 
     @pytest.mark.parametrize("field, value", [
         ("restarts", 2.5), ("restarts", True), ("restarts", "4"),
@@ -399,8 +423,9 @@ class TestStructuredSeeSaw:
         s, psi, mode = instance
         dim, values, targets = _see_saw_maps(s, mode)
         spectrum, form = _dense_see_saw(s, psi, mode)
-        assert abs(values(psi[None])[0] - np.abs(spectrum).sum()) <= 1e-12
-        move = targets(psi[None])[0]
+        value, frame = values(psi[None])
+        assert abs(value[0] - np.abs(spectrum).sum()) <= 1e-12
+        move = targets(frame)[0]
         assert np.isfinite(move).all() and abs(np.linalg.norm(move) - 1.0) <= 1e-10
         if spectrum[-1] > 1e-12:  # below, the form may peak at a pole where z has no weight
             assert np.vdot(move, form @ move).real >= np.linalg.eigvalsh(form)[-1] - 1e-12
@@ -414,7 +439,7 @@ class TestStructuredSeeSaw:
         from illume.oracle import _see_saw_maps
 
         s = Scenario(0.6, 0.55, EnvironmentState([0.6, 0.4, 0.0, 0.0]))
-        _, _, targets = _see_saw_maps(s, QUANTUM)
+        _, values, targets = _see_saw_maps(s, QUANTUM)
         for seed in range(10):
             rng = np.random.default_rng(seed)
             x = haar_random_state(4 * rank, rng).reshape(4, rank)
@@ -422,7 +447,7 @@ class TestStructuredSeeSaw:
             x[2:] *= zero_share
             psi = (x / np.linalg.norm(x)).reshape(-1)
             spectrum, form = _dense_see_saw(s, psi, QUANTUM)
-            move = targets(psi[None])[0]
+            move = targets(values(psi[None])[1])[0]
             assert np.isfinite(move).all() and abs(np.linalg.norm(move) - 1.0) <= 1e-10
             if spectrum[-1] > 1e-12:
                 assert np.vdot(move, form @ move).real >= np.linalg.eigvalsh(form)[-1] - 1e-12
@@ -436,9 +461,11 @@ class TestStructuredSeeSaw:
         for mode, dim in ((CONVENTIONAL, 4), (QUANTUM, 16)):
             _, values, targets = _see_saw_maps(s, mode)
             stack = np.array([haar_random_state(dim, rng) for _ in range(5)])
+            stack_values, stack_frames = values(stack)
             for i, psi in enumerate(stack):
-                assert abs(values(stack)[i] - values(psi[None])[0]) <= 1e-15
-                np.testing.assert_allclose(targets(stack)[i], targets(psi[None])[0], atol=1e-13)
+                value, frame = values(psi[None])
+                assert abs(stack_values[i] - value[0]) <= 1e-15
+                np.testing.assert_allclose(targets(stack_frames)[i], targets(frame)[0], atol=1e-13)
 
 
 class TestSingleNegativeEigenvalue:
@@ -728,6 +755,17 @@ class TestSimulateMeasurement:
         with pytest.raises(ValueError, match="trials"):
             simulate_measurement(s, [1.0, 0.0], CONVENTIONAL, 0, seed=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("trials", -4), ("trials", 2.5), ("trials", True), ("trials", "10"),
+        ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", None),
+    ])
+    def test_rejects_bad_trials_and_seed(self, field, value):
+        # the zero probe would be rejected too: the counts are checked first
+        s = Scenario(0.5, 0.6, EnvironmentState([0.5, 0.5]))
+        counts = {"trials": 10, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= "):
+            simulate_measurement(s, [0.0, 0.0], CONVENTIONAL, **counts)
+
     def test_empirical_monotonicity_in_reflectivity(self):
         env = EnvironmentState([0.5, 0.5])
         stats = []
@@ -779,6 +817,21 @@ class TestSuites:
     def test_lemma_suite_rejects_bad_trials(self, trials):
         with pytest.raises(ValueError, match="trials must be an integer >= 1"):
             run_lemma_suite(0, trials)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "0", None])
+    def test_suites_reject_bad_seed(self, seed):
+        for run in (run_lemma_suite, run_montecarlo_suite):
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+                run(seed, 10)
+
+    @pytest.mark.parametrize("trials", [0, -3, 2.5, True, "10"])
+    def test_montecarlo_suite_rejects_bad_trials_before_any_case(self, trials, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("no simulation may run")
+
+        monkeypatch.setattr(oracle_mod, "simulate_measurement", never)
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            run_montecarlo_suite(0, trials)
 
     def test_lemma_suite_memory_does_not_grow_with_trials(self):
         # the suite keeps one block of stacks, a running worst margin and a
