@@ -24,11 +24,13 @@ import numpy as np
 
 from .analytic import report, schmidt_squares
 from .model import (
+    ENVIRONMENT_KEYS,
     MODES,
     EnvironmentState,
     Scenario,
     environment_from_dict,
     json_complex,
+    json_object,
     scenario_from_dict,
 )
 from .oracle import (
@@ -41,6 +43,9 @@ from .oracle import (
 )
 from .sweep import SweepSpec, run_sweep, write_csv
 from .tolerances import SPECTRUM_SUM_TOL
+
+SPEC_KEYS = ENVIRONMENT_KEYS | {"p0_range", "eta_range", "oracle", "oracle_cfg"}
+SEARCH_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(SearchConfig))
 
 
 def _emit(payload: dict) -> None:
@@ -92,19 +97,8 @@ def _scenario_from_args(args) -> Scenario:
     return Scenario(p0=args.p0, eta=args.eta, env=env)
 
 
-def _search_config_from_dict(data: dict) -> SearchConfig:
-    if not isinstance(data, dict):
-        raise ValueError("oracle_cfg must be a JSON object")
-    allowed = {f.name for f in dataclasses.fields(SearchConfig)}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ValueError(f"unknown oracle_cfg fields: {', '.join(unknown)}")
-    return SearchConfig(**data)
-
-
 def _sweep_spec_from_dict(data: dict, force_oracle: bool) -> SweepSpec:
-    if not isinstance(data, dict):
-        raise ValueError("sweep spec must be a JSON object")
+    json_object(data, SPEC_KEYS, "sweep spec")
     try:
         p0_range, eta_range = data["p0_range"], data["eta_range"]
     except KeyError as exc:
@@ -114,7 +108,8 @@ def _sweep_spec_from_dict(data: dict, force_oracle: bool) -> SweepSpec:
     if not isinstance(oracle, bool):
         raise ValueError(f"oracle must be true or false, got {oracle!r}")
     cfg = data.get("oracle_cfg")
-    cfg = None if cfg is None else _search_config_from_dict(cfg)  # checked even with the oracle off
+    if cfg is not None:  # checked even with the oracle off
+        cfg = SearchConfig(**json_object(cfg, SEARCH_CONFIG_KEYS, "oracle_cfg"))
     return SweepSpec(p0_range, eta_range, env,
                      oracle=(cfg or SearchConfig()) if oracle or force_oracle else None)
 

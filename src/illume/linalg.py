@@ -48,24 +48,25 @@ class EigenDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def require_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(a) -> np.ndarray:
     """Validate that ``a`` is a square Hermitian matrix and return it as complex128."""
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     residual = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if not residual <= tol:  # also rejects NaN entries
-        raise ValueError(f"matrix is not Hermitian: max |A - A^dagger| = {residual:.3e} > {tol:.1e}")
+    if not residual <= HERMITICITY_TOL:  # also rejects NaN entries
+        raise ValueError(
+            f"matrix is not Hermitian: max |A - A^dagger| = {residual:.3e} > {HERMITICITY_TOL:.1e}")
     return a
 
 
-def require_state_vector(v, tol: float = STATE_NORM_TOL) -> np.ndarray:
+def require_state_vector(v) -> np.ndarray:
     """Validate that ``v`` is a unit-norm complex vector and return it as complex128."""
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     if v.size < 1:
         raise ValueError("state vector must have dimension >= 1")
     norm = float(np.linalg.norm(v))
-    if not abs(norm - 1.0) <= tol:  # also rejects NaN entries
+    if not abs(norm - 1.0) <= STATE_NORM_TOL:  # also rejects NaN entries
         raise ValueError(f"state vector is not normalized: ||psi|| = {norm!r}")
     return v
 

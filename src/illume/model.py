@@ -11,6 +11,7 @@ all the detection-error information: the minimal discrimination error is
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -221,6 +222,22 @@ def omega(s: Scenario | ScenarioStack, rho, mode: str) -> np.ndarray:
     return w
 
 
+def require_integer(name: str, value, least: int) -> None:
+    """Reject ``value`` unless it is an integer of at least ``least``; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def json_object(data, keys: frozenset, what: str) -> dict:
+    """``data``, which must be a JSON object with no key outside ``keys``: a typo is no default."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = data.keys() - keys
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {', '.join(sorted(map(str, unknown)))}")
+    return data
+
+
 def json_reals(values, what: str) -> list[float]:
     """``values`` as floats; each must be a JSON number or a numpy real, not a bool or a string."""
     if not _REAL_TYPES.issuperset(map(type, values)):
@@ -243,6 +260,11 @@ def json_complex(data, shape: tuple, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be {dims} [re, im] pairs, got shape {raw.shape}")
     raw = np.reshape(json_reals(raw.ravel().tolist(), f"{what} entries"), raw.shape)
     return raw[..., 0] + 1j * raw[..., 1]
+
+
+# keys of the JSON objects that hold an environment: its own, and a scenario's
+ENVIRONMENT_KEYS = frozenset(["spectrum", "basis"])
+SCENARIO_KEYS = ENVIRONMENT_KEYS | {"p0", "eta"}
 
 
 def environment_from_dict(data: dict) -> EnvironmentState:
@@ -268,10 +290,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     """Build a scenario from the JSON schema.
 
     Expected keys: ``p0`` (real), ``eta`` (real), ``spectrum`` (list of
-    reals) and optionally ``basis`` as in :func:`environment_from_dict`.
+    reals) and optionally ``basis`` as in :func:`environment_from_dict`;
+    any other key is rejected.
     """
-    if not isinstance(data, dict):
-        raise ValueError("scenario input must be a JSON object")
+    json_object(data, SCENARIO_KEYS, "scenario")
     try:
         p0, eta = json_reals([data["p0"], data["eta"]], "p0 and eta")
     except (KeyError, ValueError) as exc:

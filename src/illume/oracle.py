@@ -23,8 +23,8 @@ O(d^3) per probe where a dense ``eigvalsh`` of the d^2 x d^2 quantum
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .model import (
     ScenarioStack,
     absent_state,
     omega,
+    require_integer,
     require_mode,
 )
 from .tolerances import (
@@ -76,11 +77,6 @@ LEMMA_BLOCK = 24
 EXTRAPOLATION_STEPS = (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0)
 
 
-def _require_integer(name: str, value, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """Budget and seeding for the see-saw trace-norm maximization."""
@@ -88,14 +84,12 @@ class SearchConfig:
     restarts: int = 32
     steps_per_restart: int = 2000
     seed: int = 0
-    tolerance: float = 1e-6
+    # not a field: the oracle suite's fixed agreement with the closed forms
+    tolerance: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         for name, least in (("restarts", 1), ("steps_per_restart", 1), ("seed", 0)):
-            _require_integer(name, getattr(self, name), least)
-        tol = self.tolerance
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0.0:
-            raise ValueError(f"tolerance must be a positive number, got {tol!r}")
+            require_integer(name, getattr(self, name), least)
 
 
 @dataclass
@@ -251,12 +245,7 @@ def _see_saw_maps(s: Scenario, mode: str):
     return (d if mode == CONVENTIONAL else d * d), values, targets
 
 
-def maximize_trace_norm(
-    s: Scenario,
-    mode: str,
-    cfg: SearchConfig,
-    initial_state=None,
-) -> OracleResult:
+def maximize_trace_norm(s: Scenario, mode: str, cfg: SearchConfig) -> OracleResult:
     """Maximize the hypothesis-difference trace norm over pure probe states.
 
     A batched see-saw over the restarts, resting on ``||w||_1 = max tr(S w)``
@@ -281,10 +270,9 @@ def maximize_trace_norm(
     ``evaluations`` counts every trace norm computed.
 
     Restart ``r`` draws its Haar-random start from ``default_rng([cfg.seed,
-    r])``, so results are reproducible bit-for-bit given the config. If
-    ``initial_state`` is given, restart 0 starts there instead. The returned
-    ``perr`` is an upper bound on the true minimal error; ties between
-    restarts resolve to the lowest restart index.
+    r])``, so results are reproducible bit-for-bit given the config. The
+    returned ``perr`` is an upper bound on the true minimal error; ties
+    between restarts resolve to the lowest restart index.
     """
     require_mode(mode)
     if mode == QUANTUM and s.env.dim > MAX_QUANTUM_SEARCH_DIM:
@@ -296,13 +284,7 @@ def maximize_trace_norm(
 
     states = np.empty((cfg.restarts, dim), dtype=np.complex128)
     for r in range(cfg.restarts):
-        if r == 0 and initial_state is not None:
-            start = require_state_vector(initial_state)
-            if start.size != dim:
-                raise ValueError(f"initial state has dimension {start.size}, expected {dim}")
-            states[r] = start
-        else:
-            states[r] = haar_random_state(dim, np.random.default_rng([cfg.seed, r]))
+        states[r] = haar_random_state(dim, np.random.default_rng([cfg.seed, r]))
     values, frames = values_of(states)
     evaluations = cfg.restarts
     iterations = np.zeros(cfg.restarts, dtype=int)
@@ -481,8 +463,8 @@ def simulate_measurement(
     the expected error rate is :func:`perr_of_state`. Fixed seeds reproduce
     identical statistics.
     """
-    _require_integer("trials", trials, 1)
-    _require_integer("seed", seed, 0)
+    require_integer("trials", trials, 1)
+    require_integer("seed", seed, 0)
     rho = projector(require_state_vector(probe))
     rho0 = absent_state(s.env, rho, mode)
     rho1 = s.eta * rho + (1.0 - s.eta) * rho0  # the target-present state in either mode
@@ -615,8 +597,8 @@ def run_lemma_suite(seed: int = 0, trials: int = 10000) -> dict:
     group is drawn with one rng call per array and checked as one stack,
     and only the running worst margin and violation count outlive it.
     """
-    _require_integer("seed", seed, 0)
-    _require_integer("trials", trials, 1)
+    require_integer("seed", seed, 0)
+    require_integer("trials", trials, 1)
     rng = np.random.default_rng([seed, 101])
 
     def single_negative(d: int, n: int) -> np.ndarray:
@@ -671,20 +653,21 @@ def run_lemma_suite(seed: int = 0, trials: int = 10000) -> dict:
     return _suite_payload("lemmas", seed, checks)
 
 
-def run_oracle_suite(seed: int = 0, cfg: SearchConfig | None = None) -> dict:
+def run_oracle_suite(seed: int = 0) -> dict:
     """See-saw search versus the closed forms on the bundled scenarios.
 
-    A case passes when the search error agrees with the analytic error to
-    the search tolerance (two-sided: the search must neither beat the
-    claimed optimum nor fall short of reaching it). Each check also reports
-    ``budget_stops``, the restarts that ended on the iteration cap.
+    Each case runs the default search seeded with ``seed``. It passes when
+    the search error agrees with the analytic error to
+    ``SearchConfig.tolerance``, 1e-6 (two-sided: the search must neither
+    beat the claimed optimum nor fall short of reaching it). Each check also
+    reports ``budget_stops``, the restarts that ended on the iteration cap.
     """
+    cfg = SearchConfig(seed=seed)
     checks = []
     for case in bundled_scenarios():
-        case_cfg = cfg if cfg is not None else SearchConfig(seed=seed)
-        result = maximize_trace_norm(case.scenario, case.mode, case_cfg)
+        result = maximize_trace_norm(case.scenario, case.mode, cfg)
         diff = abs(result.perr - case.analytic_perr())
-        margin = case_cfg.tolerance - diff
+        margin = cfg.tolerance - diff
         checks.append(
             {"name": case.name, "trials": result.evaluations,
              "violations": int(margin < 0.0), "worst_margin": margin,
@@ -698,8 +681,8 @@ def run_montecarlo_suite(seed: int = 0, trials: int = 100000) -> dict:
 
     Each case must land within four standard errors of the analytic value.
     """
-    _require_integer("seed", seed, 0)
-    _require_integer("trials", trials, 1)
+    require_integer("seed", seed, 0)
+    require_integer("trials", trials, 1)
     checks = []
     for i, case in enumerate(bundled_scenarios()):
         stats = simulate_measurement(

@@ -7,14 +7,13 @@ outer loop. Plotting is out of scope; the CSV is the deliverable.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
 
 from .analytic import REGIONS, solve_grid
-from .model import MODES, EnvironmentState, Scenario, json_reals
+from .model import MODES, EnvironmentState, Scenario, json_reals, require_integer
 from .oracle import MAX_QUANTUM_SEARCH_DIM, SearchConfig, maximize_trace_norm
 
 CSV_FIELDS = ("p0", "eta", "region_c", "region_q", "perr_c", "perr_q", "advantage")
@@ -37,10 +36,7 @@ def _check_range(name: str, rng: tuple) -> tuple[float, float, int]:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be a (min, max, steps) triple: {exc}") from exc
     lo, hi = json_reals([lo, hi], f"{name} bounds")
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
-        raise ValueError(f"{name} steps must be an integer, got {steps!r}")
-    if steps < 2:
-        raise ValueError(f"{name} needs at least 2 steps, got {steps}")
+    require_integer(f"{name} steps", steps, 2)
     if not (0.0 <= lo <= hi <= 1.0):
         raise ValueError(f"{name} must satisfy 0 <= min <= max <= 1, got ({lo}, {hi})")
     return lo, hi, steps

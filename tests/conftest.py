@@ -7,7 +7,7 @@ the ones the lemma suite draws from.
 import numpy as np
 import pytest
 
-from illume import eig, run_lemma_suite
+from illume import eig, run_lemma_suite, run_oracle_suite
 from illume.oracle import random_density, random_scenario  # noqa: F401
 
 
@@ -15,6 +15,12 @@ from illume.oracle import random_density, random_scenario  # noqa: F401
 def lemma_suite_2026():
     """The 10^4-trial lemma suite at seed 2026, run once for all tests that read it."""
     return run_lemma_suite(seed=2026, trials=10_000)
+
+
+@pytest.fixture(scope="session")
+def oracle_suite_7():
+    """The default-config oracle suite at seed 7, run once for all tests that read it."""
+    return run_oracle_suite(seed=7)
 
 
 def random_hermitian(rng, dim, scale=1.0):

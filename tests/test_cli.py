@@ -105,6 +105,15 @@ class TestSolve:
         assert code == 2
         assert "--eta" in err and "--spectrum" in err
 
+    def test_unknown_scenario_key_is_input_error(self, capsys, tmp_path):
+        # a misspelled "basis" was solved in the computational basis
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"p0": 0.5, "eta": 0.6, "spectrum": [0.5, 0.5],
+                                    "bassis": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}))
+        code, out, err = run_cli(capsys, "solve", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: unknown scenario fields: bassis"]
+
     def test_unreadable_scenario_is_input_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "solve", "--scenario", str(tmp_path / "missing.json"))
         assert code == 2
@@ -163,7 +172,7 @@ class TestSweep:
             tmp_path,
             p0_range=[0.3, 0.7, 3],
             eta_range=[0.3, 0.9, 3],
-            oracle_cfg={"restarts": 6, "steps_per_restart": 600, "seed": 2, "tolerance": 1e-6},
+            oracle_cfg={"restarts": 6, "steps_per_restart": 600, "seed": 2},
         )
         out_csv = tmp_path / "oracle.csv"
         code, _, _ = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out_csv), "--oracle")
@@ -262,13 +271,26 @@ class TestSweep:
         assert "oracle must be true or false" in err
         assert not out_csv.exists()
 
-    @pytest.mark.parametrize("field, value", [("initial_step", 0.5), ("shrink_factor", 0.9)])
+    @pytest.mark.parametrize("field, value", [
+        ("initial_step", 0.5), ("shrink_factor", 0.9), ("tolerance", 1e-6),
+    ])
     def test_removed_oracle_cfg_field_is_input_error(self, capsys, tmp_path, field, value):
         spec = self.write_spec(tmp_path, p0_range=[0, 1, 2], eta_range=[0, 1, 2], oracle=True,
                                oracle_cfg={"restarts": 1, "seed": 0, field: value})
         code, out, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(tmp_path / "x.csv"))
         assert (code, out) == (2, "")
         assert f"unknown oracle_cfg fields: {field}" in err
+
+    @pytest.mark.parametrize("oracle_flag", [True, False])
+    def test_unknown_spec_key_is_input_error(self, capsys, tmp_path, oracle_flag):
+        # a misspelled "oracle" ran with the oracle off
+        spec = self.write_spec(tmp_path, p0_range=[0, 1, 2], eta_range=[0, 1, 2],
+                               orcale=oracle_flag)
+        out_csv = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out_csv))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: unknown sweep spec fields: orcale"]
+        assert not out_csv.exists()
 
     @pytest.mark.parametrize("cfg, message", [
         ({"steps_per_restart": 0}, "must be an integer >= 1"),
@@ -525,7 +547,7 @@ def _input_files(draw, kind):
         # an oracle_cfg is validated even when the (slow) oracle is off
         data["oracle_cfg"] = None
         bad["oracle_cfg"] = st.one_of(_FIELD, st.fixed_dictionaries(
-            {}, optional={"restarts": _FIELD, "seed": _FIELD, "tolerance": _FIELD}))
+            {}, optional={"restarts": _FIELD, "steps_per_restart": _FIELD, "seed": _FIELD}))
     for key, strategy in bad.items():
         if draw(st.integers(0, 3)) == 0:
             data[key] = draw(strategy)
@@ -553,13 +575,24 @@ def _leaves(value):
         yield value
 
 
-def _mistyped(data) -> bool:
-    """A bool or a string where a number belongs, or a spectrum that is not a list.
+_KEYS = {
+    "scenario": {"p0", "eta", "spectrum", "basis"},
+    "sweep": {"p0_range", "eta_range", "spectrum", "basis", "oracle", "oracle_cfg"},
+}
+_CFG_KEYS = {"restarts", "steps_per_restart", "seed"}
 
-    Such a file must exit 2 even where a cast would read it as a number.
+
+def _mistyped(data, kind) -> bool:
+    """A bool or a string where a number belongs, a spectrum that is not a list, or an unknown key.
+
+    Such a file must exit 2 even where a cast would read it as a number, or
+    a missing key as its default.
     """
     if not isinstance(data, dict):
         return False
+    cfg = data.get("oracle_cfg")
+    if not data.keys() <= _KEYS[kind] or (isinstance(cfg, dict) and not cfg.keys() <= _CFG_KEYS):
+        return True
     spectrum = data.get("spectrum")
     if not isinstance(spectrum, list):
         return True
@@ -598,6 +631,8 @@ class TestInputBoundaryProperty:
     @example(data={"p0": 0.5, "eta": 0.5, "spectrum": [True]})
     @example(data={"p0": 0.5, "eta": 0.5, "spectrum": {"0.5": 0, "0.50": 1}})
     @example(data={"p0": 0.5, "eta": 0.5, "spectrum": [1.0], "basis": [[[True, 0.0]]]})
+    # a misspelled key was ignored (exit 0)
+    @example(data={"p0": 0.5, "eta": 0.5, "spectrum": [1.0], "bassis": [[[1.0, 0.0]]]})
     def test_scenario_file_exits_2_or_gives_finite_json(self, tmp_path_factory, data):
         path = tmp_path_factory.getbasetemp() / "scenario.json"
         _write_json(path, data)
@@ -605,7 +640,7 @@ class TestInputBoundaryProperty:
         if code == 2:
             assert out == "" and err.startswith("error: ")
             return
-        assert code == 0 and not _mistyped(data)
+        assert code == 0 and not _mistyped(data, "scenario")
         _assert_finite(json.loads(out, parse_constant=_reject_constant))
 
     @settings(max_examples=40, deadline=None)
@@ -618,6 +653,11 @@ class TestInputBoundaryProperty:
     @example(data={"p0_range": [0.0, 1.0, 3], "eta_range": [False, True, 2], "spectrum": [1.0]})
     @example(data={"p0_range": [0.0, 1.0, 2], "eta_range": [0.0, 1.0, 2], "spectrum": [1.0],
                    "oracle_cfg": {"tolerance": True}})
+    # a misspelled key was ignored (exit 0); tolerance is no longer an oracle_cfg field
+    @example(data={"p0_range": [0.0, 1.0, 2], "eta_range": [0.0, 1.0, 2], "spectrum": [1.0],
+                   "orcale": True})
+    @example(data={"p0_range": [0.0, 1.0, 2], "eta_range": [0.0, 1.0, 2], "spectrum": [1.0],
+                   "oracle_cfg": {"tolerance": 1e-6}})
     def test_sweep_spec_exits_2_or_gives_finite_csv(self, tmp_path_factory, data):
         spec = tmp_path_factory.getbasetemp() / "spec.json"
         csv = tmp_path_factory.getbasetemp() / "out.csv"
@@ -628,7 +668,7 @@ class TestInputBoundaryProperty:
         if code == 2:
             assert err.startswith("error: ") and not csv.exists()
             return
-        assert code == 0 and not _mistyped(data)
+        assert code == 0 and not _mistyped(data, "sweep")
         header, *rows = csv.read_text().splitlines()
         assert header == "p0,eta,region_c,region_q,perr_c,perr_q,advantage"
         assert rows

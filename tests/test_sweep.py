@@ -120,7 +120,7 @@ class TestRunSweep:
                 assert b.perr_c < a.perr_c + 1e-15
 
     def test_oracle_columns_match_analytic(self):
-        cfg = SearchConfig(restarts=6, steps_per_restart=600, seed=2, tolerance=1e-6)
+        cfg = SearchConfig(restarts=6, steps_per_restart=600, seed=2)
         spec = SweepSpec(
             (0.3, 0.7, 3), (0.2, 1.0, 3), EnvironmentState([0.5, 0.5]), oracle=cfg,
         )
@@ -129,7 +129,7 @@ class TestRunSweep:
             assert abs(r.oracle_perr_q - r.perr_q) <= 1e-5
 
     def test_oracle_columns_equal_per_cell_searches(self):
-        cfg = SearchConfig(restarts=4, steps_per_restart=300, seed=4, tolerance=1e-5)
+        cfg = SearchConfig(restarts=4, steps_per_restart=300, seed=4)
         env = EnvironmentState(SKEW3)
         spec = SweepSpec((0.4, 0.6, 2), (0.3, 0.9, 3), env, oracle=cfg)
         records = run_sweep(spec)
@@ -292,7 +292,7 @@ class TestCsv:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_oracle_header(self):
-        cfg = SearchConfig(restarts=2, steps_per_restart=50, seed=1, tolerance=1e-4)
+        cfg = SearchConfig(restarts=2, steps_per_restart=50, seed=1)
         spec = SweepSpec((0.5, 0.5, 2), (0.5, 0.5, 2), EnvironmentState([0.5, 0.5]), oracle=cfg)
         text = records_to_csv(run_sweep(spec))
         header = text.splitlines()[0]
