@@ -193,7 +193,7 @@ def optimal_probe_quantum(s: Scenario) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DetectionReport:
     """Analytic answer for one scenario: what the ``solve`` payload carries, no probe vectors."""
 

@@ -11,6 +11,7 @@ all the detection-error information: the minimal discrimination error is
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,6 +46,10 @@ class EnvironmentState:
     ``spectrum[i]``. Without a given basis the computational one is built on
     first use: every analytic quantity downstream depends on the spectrum
     alone, the basis only matters when building explicit operators.
+
+    Set on construction: ``lambda_min``, the smallest eigenvalue, and
+    ``lambda_harmonic``, the inverse of the summed inverse eigenvalues (0 if
+    one is numerically 0, else at most ``lambda_min``, and below it if d >= 2).
     """
 
     def __init__(self, spectrum, basis=None):
@@ -53,17 +58,27 @@ class EnvironmentState:
             raise ValueError(f"spectrum must be one-dimensional, got shape {spectrum.shape}")
         if spectrum.size < 1:
             raise ValueError("spectrum must have at least one eigenvalue")
-        if not np.isfinite(spectrum).all():
+        # sorted first: the ends serve the finiteness, sign and overflow checks
+        order = np.argsort(-spectrum, kind="stable")  # NaN sorts last
+        ordered = spectrum[order]
+        largest, smallest = float(ordered[0]), float(ordered[-1])
+        if not (math.isfinite(largest) and math.isfinite(smallest)):
             raise ValueError(f"spectrum must be finite, got {spectrum.tolist()!r}")
-        if np.any(spectrum < -ZERO_EIGENVALUE_TOL):
-            raise ValueError(f"spectrum has a negative eigenvalue: {spectrum.min()!r}")
-        total = float(spectrum.sum())
+        if smallest < -ZERO_EIGENVALUE_TOL:
+            raise ValueError(f"spectrum has a negative eigenvalue: {smallest!r}")
+        if largest <= 2.0:  # then the sum cannot overflow
+            total = float(spectrum.sum())
+        else:  # fails the check below; entries near the float limit may sum to inf
+            with np.errstate(over="ignore"):
+                total = float(spectrum.sum())
         if abs(total - 1.0) > DENSITY_TRACE_TOL:
             raise ValueError(f"spectrum must sum to 1, got {total!r}")
-        spectrum = np.clip(spectrum, 0.0, None)
+        if smallest <= 0.0:  # clipped, -0.0 included, then sorted again: zeros tie
+            spectrum = np.clip(spectrum, 0.0, None)
+            order = np.argsort(-spectrum, kind="stable")
+            ordered = spectrum[order]
 
-        order = np.argsort(-spectrum, kind="stable")
-        d = spectrum.size
+        self.dim = d = spectrum.size
         if basis is not None:
             basis = np.asarray(basis, dtype=np.complex128)
             if basis.shape != (d, d):
@@ -75,9 +90,11 @@ class EnvironmentState:
                 raise ValueError("basis rows are not orthonormal")
             self.basis = basis[order]
 
-        self.spectrum = spectrum[order]
+        self.spectrum = ordered
         self._order = order
-        self.dim = d
+        self.lambda_min = lam = float(ordered[-1])
+        self.lambda_harmonic = (min(1.0 / float((1.0 / ordered).sum()), lam)
+                                if lam > ZERO_EIGENVALUE_TOL else 0.0)
 
     @classmethod
     def completely_mixed(cls, dim: int) -> "EnvironmentState":
@@ -88,23 +105,6 @@ class EnvironmentState:
     def basis(self) -> np.ndarray:
         """Eigenbasis rows in spectrum order; the computational basis unless one was given."""
         return np.eye(self.dim, dtype=np.complex128)[self._order]
-
-    @cached_property
-    def lambda_min(self) -> float:
-        """Smallest eigenvalue of the environment (computed once)."""
-        return float(self.spectrum[-1])
-
-    @cached_property
-    def lambda_harmonic(self) -> float:
-        """Inverse of the summed inverse eigenvalues; 0 if any eigenvalue is (numerically) 0.
-
-        Always at most ``lambda_min``, and strictly below it for d >= 2 with a
-        fully positive spectrum. Computed once per environment.
-        """
-        if self.lambda_min <= ZERO_EIGENVALUE_TOL:
-            return 0.0
-        value = 1.0 / float(np.sum(1.0 / self.spectrum))
-        return min(value, self.lambda_min)
 
     def density(self) -> np.ndarray:
         """Environment density matrix sum_i lambda_i |theta_i><theta_i|."""

@@ -93,6 +93,29 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert "finite" in err
 
+    def test_negative_eigenvalue_message_is_a_plain_float(self, capsys, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"p0": 0.3, "eta": 0.5, "spectrum": [1.1, -0.1]}')
+        for source in (["--p0", "0.3", "--eta", "0.5", "--spectrum", "1.1,-0.1"],
+                       ["--scenario", str(path)]):
+            code, out, err = run_cli(capsys, "solve", *source)
+            assert (code, out) == (2, "")
+            assert err == "error: spectrum has a negative eigenvalue: -0.1\n"
+
+    def test_negative_zero_eigenvalue_payload(self, capsys, tmp_path):
+        # -0.0 is clipped to +0.0, so eta_c = ratio * 0.0 keeps the sign of ratio < 0
+        path = tmp_path / "scenario.json"
+        path.write_text('{"p0": 0.3, "eta": 0.5, "spectrum": [-0.0, 1.0]}')
+        for source in (["--p0", "0.3", "--eta", "0.5", "--spectrum=-0.0,1.0"],
+                       ["--scenario", str(path)]):
+            code, out, _ = run_cli(capsys, "solve", *source)
+            assert code == 0
+            assert out == (
+                '{"schema": 1, "region_c": "I", "region_q": "I", "perr_c": 0.3, "perr_q": 0.3, '
+                '"advantage": 0.0, "eta_star": 0.5714285714285714, "eta_c": -0.0, "eta_q": -0.0, '
+                '"mu_sq": [0.0, 1.0]}\n'
+            )
+
     def test_nested_spectrum_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text('{"p0": 0.5, "eta": 0.6, "spectrum": [[0.5], [0.5]]}')

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     random_density,
@@ -22,6 +26,7 @@ from illume import (
     trace_norm,
 )
 from illume.model import ScenarioStack
+from illume.tolerances import ZERO_EIGENVALUE_TOL
 
 SKEW3 = [0.5, 0.3, 0.2]
 
@@ -114,6 +119,71 @@ class TestEnvironmentState:
             assert env.lambda_harmonic <= env.lambda_min
             if env.dim >= 2 and env.spectrum[-1] > 1e-12:
                 assert env.lambda_harmonic < env.lambda_min
+
+
+def _reference_environment(spectrum, basis):
+    """Spectrum, basis rows and lambdas by the constructor's formulas, written out step by step."""
+    x = np.clip(np.asarray(spectrum, dtype=float), 0.0, None)
+    order = np.argsort(-x, kind="stable")
+    x = x[order]
+    lam_min = float(x[-1])
+    lam_h = 0.0 if lam_min <= ZERO_EIGENVALUE_TOL else min(1.0 / float(np.sum(1.0 / x)), lam_min)
+    rows = np.eye(x.size, dtype=np.complex128) if basis is None else np.asarray(basis, np.complex128)
+    return x, rows[order], lam_min, lam_h
+
+
+@st.composite
+def _valid_spectra(draw):
+    """Dimension 1 to 64: tied weights, exact zeros, -0.0, and negatives within tolerance."""
+    d = draw(st.integers(1, 64))
+    n_small = draw(st.sampled_from([0, 0, min(1, d - 1), d // 2, d - 1]))
+    weights = draw(st.lists(st.sampled_from([1, 2, 8]) | st.integers(1, 10**6),
+                            min_size=d - n_small, max_size=d - n_small))
+    small = draw(st.lists(st.sampled_from([0.0, -0.0, 1e-13, -1e-13, -ZERO_EIGENVALUE_TOL]),
+                          min_size=n_small, max_size=n_small))
+    return draw(st.permutations((np.asarray(weights) / math.fsum(weights)).tolist() + small))
+
+
+class TestEnvironmentConstruction:
+    @settings(max_examples=100, deadline=None)
+    @given(spectrum=_valid_spectra(), basis_seed=st.none() | st.integers(0, 2**32 - 1),
+           as_array=st.booleans())
+    def test_matches_the_reference_bit_for_bit(self, spectrum, basis_seed, as_array):
+        basis = None
+        if basis_seed is not None:
+            basis = random_unitary(np.random.default_rng(basis_seed), len(spectrum)).T
+        given_spectrum = np.array(spectrum) if as_array else list(spectrum)
+        env = EnvironmentState(given_spectrum, basis)
+        x, rows, lam_min, lam_h = _reference_environment(spectrum, basis)
+        assert env.spectrum.tobytes() == x.tobytes()
+        assert env.basis.tobytes() == rows.tobytes()
+        assert (env.lambda_min.hex(), env.lambda_harmonic.hex()) == (lam_min.hex(), lam_h.hex())
+        assert np.asarray(given_spectrum).tobytes() == np.array(spectrum).tobytes()  # untouched
+
+    @pytest.mark.parametrize("spectrum, message", [
+        ([float("nan"), 1.0], "spectrum must be finite, got [nan, 1.0]"),
+        ([float("inf"), float("-inf")], "spectrum must be finite, got [inf, -inf]"),
+        ([float("nan"), -1.0, 2.0], "spectrum must be finite, got [nan, -1.0, 2.0]"),
+        ([1e308, 1e308], "spectrum must sum to 1, got inf"),
+        ([1.1, -0.1], "spectrum has a negative eigenvalue: -0.1"),
+        ([2.0, -0.5], "spectrum has a negative eigenvalue: -0.5"),
+        ([0.5, 0.5 + 1e-9], "spectrum must sum to 1, got 1.000000001"),
+    ])
+    def test_first_failing_check_names_the_error(self, spectrum, message):
+        # finite, then negative, then the sum; the value is printed as a plain float
+        with pytest.raises(ValueError) as info:
+            EnvironmentState(spectrum)
+        assert str(info.value) == message
+
+    def test_negative_zero_is_clipped_to_zero(self):
+        env = EnvironmentState([-0.0, 1.0])
+        assert env.spectrum.tobytes() == np.array([1.0, 0.0]).tobytes()
+        assert (env.lambda_min.hex(), env.lambda_harmonic.hex()) == ("0x0.0p+0", "0x0.0p+0")
+
+    def test_lambdas_are_plain_attributes(self):
+        env = EnvironmentState(SKEW3)
+        assert {"lambda_min", "lambda_harmonic"} <= env.__dict__.keys()
+        assert type(env.lambda_min) is float and type(env.lambda_harmonic) is float
 
 
 class TestScenario:
