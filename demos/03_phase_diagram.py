@@ -8,24 +8,27 @@ smaller than the conventional one whenever the environment spectrum is
 anisotropic, because lambda_h < lambda_d.
 """
 
-from collections import Counter
+import numpy as np
 
-from illume import EnvironmentState, SweepSpec, region_boundaries, run_sweep, write_csv
+from illume import REGIONS, EnvironmentState, SweepSpec, region_boundaries, run_sweep, write_csv
 
 env = EnvironmentState([0.5, 0.3, 0.2])
 spec = SweepSpec(p0_range=(0.0, 1.0, 101), eta_range=(0.0, 1.0, 101), env=env)
-records = run_sweep(spec)
+table = run_sweep(spec)  # columns: p0 and eta axes, region codes and errors per cell
 
-write_csv(records, "phase_diagram_skew3.csv")
-print(f"wrote {len(records)} grid cells to phase_diagram_skew3.csv")
+write_csv(table, "phase_diagram_skew3.csv")
+print(f"wrote {len(table)} grid cells to phase_diagram_skew3.csv")
 
-tally_c = Counter(r.region_c for r in records)
-tally_q = Counter(r.region_q for r in records)
+# region codes index REGIONS ("I", "II", "III"); count them straight from the columns
+grid = table.grid
+tally_c = np.bincount(grid.region_c.ravel(), minlength=len(REGIONS))
+tally_q = np.bincount(grid.region_q.ravel(), minlength=len(REGIONS))
 print("\nregion cell counts (conventional vs quantum):")
-for region in ("I", "II", "III"):
-    print(f"  {region:>3}: {tally_c[region]:6d} vs {tally_q[region]:6d}")
+for region, n_c, n_q in zip(REGIONS, tally_c, tally_q):
+    print(f"  {region:>3}: {n_c:6d} vs {n_q:6d}")
+two = REGIONS.index("II")
 print("  quantum region II is contained in the conventional one:",
-      all(r.region_c == "II" for r in records if r.region_q == "II"))
+      bool(np.all(grid.region_c[grid.region_q == two] == two)))
 
 # the boundary curves separating the regions, as plottable polylines
 curves = region_boundaries(env, (0.0, 1.0, 101))

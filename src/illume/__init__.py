@@ -69,6 +69,7 @@ from .sweep import (
     BoundaryCurves,
     SweepRecord,
     SweepSpec,
+    SweepTable,
     records_to_csv,
     region_boundaries,
     run_sweep,

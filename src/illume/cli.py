@@ -150,9 +150,9 @@ def _cmd_sweep(args) -> int:
         f"oracle={'off' if spec.oracle is None else 'on'}",
         file=sys.stderr,
     )
-    records = run_sweep(spec)
-    write_csv(records, args.out)
-    print(f"sweep: wrote {len(records)} records to {args.out}", file=sys.stderr)
+    table = run_sweep(spec)
+    write_csv(table, args.out)
+    print(f"sweep: wrote {len(table)} records to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -247,6 +247,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse would read "-0.1,1.1" as a flag: pass "--spectrum -0.1,1.1" as "--spectrum=-0.1,1.1"
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--spectrum" and argv[i + 1][:1] == "-" and argv[i + 1][:2] != "--":
+            argv[i:i + 2] = [f"--spectrum={argv[i + 1]}"]
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

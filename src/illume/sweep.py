@@ -1,26 +1,25 @@
 """Grid evaluation over (p0, eta) for phase-diagram and error-curve datasets.
 
 The sweep is a pure function of its spec: rerunning one produces
-byte-identical CSV output. Records are ordered row-major with p0 as the
+byte-identical CSV output. Cells are ordered row-major with p0 as the
 outer loop. Plotting is out of scope; the CSV is the deliverable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
-from .analytic import REGIONS, solve_grid
+from .analytic import REGIONS, GridSolution, solve_grid
 from .model import MODES, EnvironmentState, Scenario, json_reals, require_integer
 from .oracle import MAX_QUANTUM_SEARCH_DIM, SearchConfig, maximize_trace_norm
 
 CSV_FIELDS = ("p0", "eta", "region_c", "region_q", "perr_c", "perr_q", "advantage")
 CSV_ORACLE_FIELDS = CSV_FIELDS + ("oracle_perr_c", "oracle_perr_q")
 
-# Largest grid a spec may ask for (2001 x 2001). The whole grid is evaluated
-# in memory at once, so larger specs are rejected before anything is built.
+# Largest grid a spec may ask for (2001 x 2001), checked before anything is built.
+# A sweep peaks at 42 bytes a cell (tracemalloc, 1001 x 1001); its CSV is streamed.
 MAX_GRID_CELLS = 4_000_000
 # Oracle sweep caps. Each cell runs two trace-norm searches whose cost grows
 # with the restart count and steeply with d (see the README). Charging
@@ -92,7 +91,39 @@ class SweepRecord:
     oracle_perr_q: float | None = None
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
+@dataclass(frozen=True)
+class SweepTable:
+    """A sweep's results as columns over the grid ``p0[i] x eta[j]``.
+
+    ``grid`` holds the analytic columns; the oracle ones have its shape, or are None.
+    ``len`` is the cell count; iterating yields a :class:`SweepRecord` per cell, by p0 row.
+    """
+
+    p0: np.ndarray
+    eta: np.ndarray
+    grid: GridSolution
+    oracle_perr_c: np.ndarray | None = None
+    oracle_perr_q: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.p0.size * self.eta.size
+
+    def _rows(self):
+        # Per p0 row: p0 and, as lists, the row's columns that follow eta in the CSV.
+        g, labels = self.grid, np.array(REGIONS, dtype=object)
+        oracle = () if self.oracle_perr_c is None else (self.oracle_perr_c, self.oracle_perr_q)
+        for i, p0 in enumerate(map(float, self.p0)):
+            pc, pq = g.perr_c[i], g.perr_q[i]
+            columns = (labels[g.region_c[i]], labels[g.region_q[i]], pc, pq, pc - pq)
+            yield p0, [x.tolist() for x in columns + tuple(o[i] for o in oracle)]
+
+    def __iter__(self):
+        etas = self.eta.tolist()
+        for p0, columns in self._rows():
+            yield from map(SweepRecord, [p0] * len(etas), etas, *columns)
+
+
+def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate every grid cell; oracle columns are filled only when requested.
 
     The oracle reuses one search config (and hence one seed) per cell, so
@@ -101,44 +132,32 @@ def run_sweep(spec: SweepSpec) -> list[SweepRecord]:
     p0s = np.linspace(*spec.p0_range)
     etas = np.linspace(*spec.eta_range)
     grid = solve_grid(p0s, etas, spec.env.lambda_min, spec.env.lambda_harmonic)
-
-    # Columns become plain Python values; the p0 and eta floats and the
-    # region labels are shared between records rather than copied per cell.
-    labels = np.array(REGIONS, dtype=object)
-    n = etas.size
-    columns = (
-        [p0 for p0 in p0s.tolist() for _ in range(n)],
-        etas.tolist() * p0s.size,
-        labels[grid.region_c].ravel().tolist(),
-        labels[grid.region_q].ravel().tolist(),
-        grid.perr_c.ravel().tolist(),
-        grid.perr_q.ravel().tolist(),
-        (grid.perr_c - grid.perr_q).ravel().tolist(),
-    )
     if spec.oracle is None:
-        return list(map(SweepRecord, *columns))
-    scenarios = [Scenario(p0, eta, spec.env) for p0, eta in zip(*columns[:2])]
-    oracle = [[maximize_trace_norm(s, mode, spec.oracle).perr for mode in MODES] for s in scenarios]
-    return list(map(SweepRecord, *columns, *zip(*oracle)))
+        return SweepTable(p0s, etas, grid)
+    oracle = np.array([[maximize_trace_norm(Scenario(p0, eta, spec.env), mode, spec.oracle).perr
+                        for mode in MODES] for p0 in p0s.tolist() for eta in etas.tolist()])
+    return SweepTable(p0s, etas, grid, *oracle.T.reshape(2, p0s.size, etas.size))
 
 
-def records_to_csv(records: list[SweepRecord]) -> str:
-    """Render records as CSV text (12 significant digits, LF newlines).
-
-    The oracle columns are included when the records carry them.
-    """
-    oracle = bool(records) and records[0].oracle_perr_c is not None
-    fields = CSV_ORACLE_FIELDS if oracle else CSV_FIELDS
-    row = ",".join("%s" if f.startswith("region_") else "%.12g" for f in fields) + "\n"
-    values = attrgetter(*fields)
-    return ",".join(fields) + "\n" + "".join([row % values(r) for r in records])
+def _csv_chunks(table: SweepTable):
+    # The header, then one chunk per p0 row; each p0 and eta string is formatted once.
+    fields = CSV_FIELDS if table.oracle_perr_c is None else CSV_ORACLE_FIELDS
+    cell = ",%s,%s,%s" + ",%.12g" * (len(fields) - 4) + "\n"
+    etas = ["%.12g" % eta for eta in table.eta.tolist()]
+    yield ",".join(fields) + "\n"
+    for p0, columns in table._rows():
+        yield "".join(map((("%.12g" % p0) + cell).__mod__, zip(etas, *columns)))
 
 
-def write_csv(records: list[SweepRecord], path) -> None:
-    """Write the CSV dataset; identical specs yield byte-identical files."""
-    text = records_to_csv(records)
+def records_to_csv(table: SweepTable) -> str:
+    """Render a sweep as CSV text (12 significant digits, LF newlines, oracle columns if any)."""
+    return "".join(_csv_chunks(table))
+
+
+def write_csv(table: SweepTable, path) -> None:
+    """Stream the CSV one p0 row at a time; identical specs yield byte-identical files."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(_csv_chunks(table))
 
 
 @dataclass

@@ -116,6 +116,12 @@ class TestSolve:
                 '"mu_sq": [0.0, 1.0]}\n'
             )
 
+    def test_spectrum_value_with_a_leading_minus(self, capsys):
+        # read as the value of --spectrum, not as a flag: the same as --spectrum=-0.0,1.0
+        split = run_cli(capsys, "solve", "--p0", "0.3", "--eta", "0.5", "--spectrum", "-0.0,1.0")
+        joined = run_cli(capsys, "solve", "--p0", "0.3", "--eta", "0.5", "--spectrum=-0.0,1.0")
+        assert split == joined and split[0] == 0 and split[2] == ""
+
     def test_nested_spectrum_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text('{"p0": 0.5, "eta": 0.6, "spectrum": [[0.5], [0.5]]}')
@@ -162,6 +168,12 @@ class TestOptimalState:
         np.testing.assert_allclose(data["mu_sq"], [6 / 31, 10 / 31, 15 / 31], atol=1e-12)
         assert data["lambda_h"] == pytest.approx(3 / 31, abs=1e-12)
         assert data["conventional_probe_index"] == 2
+
+    def test_spectrum_value_with_a_leading_minus(self, capsys):
+        # rejected by the spectrum check with one error line, not by argparse
+        split = run_cli(capsys, "optimal-state", "--spectrum", "-0.1,1.1")
+        assert split == run_cli(capsys, "optimal-state", "--spectrum=-0.1,1.1")
+        assert split == (2, "", "error: spectrum has a negative eigenvalue: -0.1\n")
 
 
 class TestSweep:
@@ -439,6 +451,12 @@ class TestSimulate:
         assert out_a == out_b
         data = json.loads(out_a)
         assert abs(data["empirical_perr"] - data["analytic_perr"]) <= 4 * data["std_error"]
+
+    def test_spectrum_value_with_a_leading_minus(self, capsys):
+        args = ["--p0", "0.5", "--eta", "0.6", "--mode", "conventional", "--trials", "1000"]
+        split = run_cli(capsys, "simulate", *args, "--spectrum", "-0.0,0.5,0.5")
+        joined = run_cli(capsys, "simulate", *args, "--spectrum=-0.0,0.5,0.5")
+        assert split == joined and split[0] == 0 and json.loads(split[1])["trials"] == 1000
 
     def test_default_conventional_probe(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--p0", "0.5", "--eta", "0.6",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from illume import (
     CONVENTIONAL,
     QUANTUM,
+    REGIONS,
     EnvironmentState,
     Scenario,
     SearchConfig,
@@ -66,8 +67,9 @@ def sweep_specs(draw):
 class TestRunSweep:
     def test_row_major_ordering_and_count(self):
         spec = SweepSpec((0.0, 1.0, 3), (0.0, 1.0, 4), EnvironmentState([0.5, 0.5]))
-        records = run_sweep(spec)
-        assert len(records) == 12
+        table = run_sweep(spec)
+        records = list(table)
+        assert len(table) == len(records) == 12
         assert [r.p0 for r in records[:4]] == [0.0] * 4
         np.testing.assert_allclose([r.eta for r in records[:4]], np.linspace(0, 1, 4))
         assert records[4].p0 == 0.5
@@ -112,12 +114,43 @@ class TestRunSweep:
 
     def test_region_three_monotone_along_eta(self):
         spec = SweepSpec((0.3, 0.7, 3), (0.0, 1.0, 101), EnvironmentState(SKEW3))
-        records = run_sweep(spec)
+        records = list(run_sweep(spec))
         for i in range(3):
             row = records[i * 101:(i + 1) * 101]
             inside = [r for r in row if r.region_c == "III"]
             for a, b in zip(inside, inside[1:]):
                 assert b.perr_c < a.perr_c + 1e-15
+
+    @pytest.mark.parametrize("oracle", [None, SearchConfig(restarts=2, steps_per_restart=50)])
+    def test_rows_equal_columns_bit_for_bit(self, oracle):
+        spec = SweepSpec((0.0, 1.0, 3), (0.0, 1.0, 4), EnvironmentState(SKEW3), oracle=oracle)
+        table = run_sweep(spec)
+        g = table.grid
+        columns = {"p0": np.repeat(table.p0, 4), "eta": np.tile(table.eta, 3),
+                   "perr_c": g.perr_c, "perr_q": g.perr_q, "advantage": g.perr_c - g.perr_q}
+        if oracle is not None:
+            columns.update(oracle_perr_c=table.oracle_perr_c, oracle_perr_q=table.oracle_perr_q)
+        records = list(table)
+        for name, column in columns.items():
+            values = [getattr(r, name) for r in records]
+            assert all(type(v) is float for v in values)
+            assert np.array(values).tobytes() == np.ravel(column).tobytes()
+        for name in ("region_c", "region_q"):
+            assert [getattr(r, name) for r in records] == [
+                REGIONS[k] for k in getattr(g, name).ravel()]
+        if oracle is None:
+            assert all(r.oracle_perr_c is None and r.oracle_perr_q is None for r in records)
+
+    def test_peak_memory_of_a_201_squared_sweep(self):
+        # columns only: about 40 bytes a cell, where a record per cell took about 260
+        spec = SweepSpec((0.0, 1.0, 201), (0.0, 1.0, 201), EnvironmentState(SKEW3))
+        tracemalloc.start()
+        try:
+            run_sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     def test_oracle_columns_match_analytic(self):
         cfg = SearchConfig(restarts=6, steps_per_restart=600, seed=2)
@@ -299,8 +332,26 @@ class TestCsv:
         assert header == "p0,eta,region_c,region_q,perr_c,perr_q,advantage,oracle_perr_c,oracle_perr_q"
         assert all(len(line.split(",")) == 9 for line in text.splitlines()[1:])
 
-    def test_empty_records_render_the_header_only(self):
-        assert records_to_csv([]) == "p0,eta,region_c,region_q,perr_c,perr_q,advantage\n"
+    @pytest.mark.parametrize("oracle", [None, SearchConfig(restarts=2, steps_per_restart=50)])
+    def test_streamed_file_equals_rendered_text(self, tmp_path, oracle):
+        spec = SweepSpec((0.2, 0.8, 2), (0.0, 1.0, 3), EnvironmentState(SKEW3), oracle=oracle)
+        table = run_sweep(spec)
+        write_csv(table, tmp_path / "grid.csv")
+        assert (tmp_path / "grid.csv").read_bytes() == records_to_csv(table).encode("utf-8")
+
+    def test_streamed_peak_memory_does_not_grow_with_p0_steps(self, tmp_path):
+        # the CSV is written one p0 row at a time, so 16 times the rows at a
+        # fixed eta width must not raise the write's own allocation peak
+        peaks = []
+        for steps in (16, 256):
+            table = run_sweep(SweepSpec((0.0, 1.0, steps), (0.0, 1.0, 51), EnvironmentState(SKEW3)))
+            tracemalloc.start()
+            try:
+                write_csv(table, tmp_path / "grid.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
 
 class TestRegionBoundaries:
