@@ -152,7 +152,9 @@ def _cmd_sweep(args) -> int:
     )
     table = run_sweep(spec)
     write_csv(table, args.out)
-    print(f"sweep: wrote {len(table)} records to {args.out}", file=sys.stderr)
+    stops = table.oracle_budget_stops
+    tally = "" if stops is None else ", budget_stops " + " ".join(f"{m}={n}" for m, n in stops.items())
+    print(f"sweep: wrote {len(table)} records to {args.out}{tally}", file=sys.stderr)
     return 0
 
 

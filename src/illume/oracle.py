@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -62,8 +62,9 @@ from .tolerances import (
 MAX_QUANTUM_SEARCH_DIM = 16
 
 # Cap on the secular-equation steps of one root; they converge quadratically
-# from the first step, and a handful suffice.
+# from the first step, and a handful suffice. FLOAT_EPS is their rounding unit.
 SECULAR_MAX_STEPS = 30
+FLOAT_EPS = float(np.finfo(float).eps)
 
 # Trials of a lemma check drawn and checked together, as one stack per
 # instance group; a multiple of 12, so every cycle of dimensions, branches
@@ -72,9 +73,13 @@ SECULAR_MAX_STEPS = 30
 # 0.3 MB. Larger blocks run faster but raise the process's peak memory.
 LEMMA_BLOCK = 24
 
-# Step lengths tried along each see-saw move, in order; a longer one is
-# tried only while the previous one still improved the trace norm.
-EXTRAPOLATION_STEPS = (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0)
+# Step lengths tried along each see-saw move, a round per trace-norm call; a
+# row takes the next round only while each step improved on the one before.
+EXTRAPOLATION_ROUNDS = ((1.0, 4.0, 16.0), (64.0, 256.0, 1024.0))
+
+# Probe-vector bytes of one chunk of (cell, restart) rows in a batched search;
+# it peaks at about 45 times that (d = 2, 4, 8), and larger ran no faster.
+SEARCH_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -120,8 +125,8 @@ def perr_of_state(s: Scenario, probe, mode: str) -> float:
     return (1.0 - trace_norm(omega(s, projector(probe), mode))) / 2.0
 
 
-def _top_root(poles: np.ndarray, u: np.ndarray, c: float):
-    """Top eigenpair of ``diag(poles) + c u u^dagger``, ``c > 0``, for each row.
+def _top_root(poles: np.ndarray, u: np.ndarray, c: np.ndarray):
+    """Top eigenpair of ``diag(poles) + c u u^dagger``, ``c > 0`` per row, for each row.
 
     The eigenvalue ``mu`` is the largest root of ``1 = c sum_j w_j / (mu -
     poles_j)`` with weights ``w = |u|^2``; entries of zero weight are
@@ -164,7 +169,7 @@ def _top_root(poles: np.ndarray, u: np.ndarray, c: float):
         terms = w_rest / denom
         psi = terms.sum(axis=1)
         phi = w_top / tau
-        active &= np.abs(inv_c - phi - psi) > 8.0 * np.finfo(float).eps * (inv_c + phi + psi)
+        active &= np.abs(inv_c - phi - psi) > 8.0 * FLOAT_EPS * (inv_c + phi + psi)
         if not active.any():
             break
         far = tau + near
@@ -177,19 +182,20 @@ def _top_root(poles: np.ndarray, u: np.ndarray, c: float):
     return top + tau, z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def _see_saw_maps(s: Scenario, mode: str):
+def _see_saw_maps(env: EnvironmentState, c: np.ndarray, gamma: np.ndarray, mode: str):
     """Probe dimension, batched trace norms ``||omega(psi)||_1`` and see-saw targets.
 
-    Both work in the eigenframe of the absent state ``B`` (``omega = c psi
-    psi^dagger + gamma B``, ``c = p1 eta``), where ``omega`` is ``A + c u
-    u^dagger`` with ``A`` diagonal and ``u`` the probe's coordinates: the
-    environment basis in conventional mode, the products ``theta_i (x)
-    v_k`` of the environment basis and the eigenvectors of the idler
-    marginal ``rho_B`` in quantum mode. For ``gamma < 0``, ``A <= 0`` and
-    ``omega`` has at most its top eigenvalue ``mu`` (:func:`_top_root`)
-    above zero, so ``||omega||_1 = 2 max(mu, 0) - tr omega``; for ``gamma >=
-    0`` (or ``c`` below ``gamma``'s rounding) every probe gives ``|c +
-    gamma|``.
+    Row ``i`` of the stack has ``c[i] = p1 eta`` and ``gamma[i]``;
+    ``values`` and ``targets`` take each state's row. Both work in the
+    eigenframe of the absent state ``B`` (``omega = c psi psi^dagger + gamma
+    B``), where ``omega`` is ``A + c u u^dagger`` with ``A`` diagonal and
+    ``u`` the probe's coordinates: the environment basis in conventional
+    mode, the products ``theta_i (x) v_k`` of the environment basis and the
+    eigenvectors of the idler marginal ``rho_B`` in quantum mode. For
+    ``gamma < 0``, ``A <= 0`` and ``omega`` has at most its top eigenvalue
+    ``mu`` (:func:`_top_root`) above zero, so ``||omega||_1 = 2 max(mu, 0) -
+    tr omega``; for ``gamma >= 0`` (or ``c`` below ``gamma``'s rounding: a
+    flat row) every probe gives ``|c + gamma|``.
 
     The target is a top eigenvector of the form ``phi -> tr(S omega(phi))``
     with ``S = 2 z z^dagger - I``, ``z ~ (mu - A)^-1 u`` the unit top
@@ -200,49 +206,133 @@ def _see_saw_maps(s: Scenario, mode: str):
     M)`` plus a constant, with ``M = Z^T diag(lambda) Z*`` built from the
     d x d reshape ``Z`` of ``z``: in the eigenbasis of ``M`` a diagonal plus
     a rank-one term again, whose top eigenvector is a second secular root.
-    A flat form makes the probe its own target and frame; otherwise ``values``
+    A flat row makes the probe its own target and frame; otherwise ``values``
     returns, beside each norm, the frame ``z`` (with ``v`` in quantum mode).
     """
-    d = s.env.dim
-    lam = s.env.spectrum
-    basis = s.env.basis
-    c = s.p1 * s.eta
-    gamma = s.gamma
+    d = env.dim
+    lam = env.spectrum
+    basis = env.basis
     # omega >= 0, or its rank-one term is below the rounding of gamma B
-    flat = gamma >= 0.0 or c <= np.finfo(float).eps * -gamma
+    flat = (gamma >= 0.0) | (c <= FLOAT_EPS * -gamma)
+    # a flat row is solved as the stand-in c = 1, gamma = -1, and the result dropped
+    c_run, g_run = np.where(flat, 1.0, c), np.where(flat, -1.0, gamma)
 
-    def values(states: np.ndarray):
+    def values(states: np.ndarray, rows: np.ndarray):
         """Trace norms, and the frames their targets are built from (one row per state)."""
         n = len(states)
-        if flat:
-            return np.full(n, abs(c + gamma)), states
+        cr, gr, keep = c_run[rows], g_run[rows], flat[rows, None]
         if mode == CONVENTIONAL:
-            poles, u = np.broadcast_to(gamma * lam, states.shape), states @ basis.conj().T
-            mu, frames = _top_root(poles, u, c)
+            mu, z = _top_root(gr[:, None] * lam, states @ basis.conj().T, cr)
+            frames = np.where(keep, states, z)
         else:
             x = states.reshape(n, d, d)
             m, v = np.linalg.eigh(np.swapaxes(x, 1, 2) @ x.conj())  # rho_B = X^T X*
             u = basis.conj() @ x @ v.conj()
-            poles = gamma * lam[:, None] * np.maximum(m, 0.0)[:, None, :]
-            mu, z = _top_root(poles.reshape(n, -1), u.reshape(n, -1), c)
-            frames = np.stack([z.reshape(n, d, d), v], axis=1)
-        return 2.0 * np.maximum(mu, 0.0) - (c + gamma), frames
+            poles = gr[:, None, None] * lam[:, None] * np.maximum(m, 0.0)[:, None, :]
+            mu, z = _top_root(poles.reshape(n, -1), u.reshape(n, -1), cr)
+            frames = np.stack([np.where(keep, states, z).reshape(n, d, d), v], axis=1)
+        return np.where(flat[rows], np.abs(c[rows] + gamma[rows]),
+                        2.0 * np.maximum(mu, 0.0) - (cr + gr)), frames
 
-    def targets(frames: np.ndarray) -> np.ndarray:
-        if flat:
-            return frames
+    def targets(frames: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        keep = flat[rows, None]
         if mode == CONVENTIONAL:
-            return frames @ basis
+            return np.where(keep, frames, frames @ basis)
         # the form c z z^dagger + gamma (I (x) M), M = Z^T diag(lambda) Z*: in
         # the eigenbasis W of M, poles gamma nu_k on every environment row
         # plus c z' z'^dagger
         n = len(frames)
         z, v = frames[:, 0], frames[:, 1]
         nu, w = np.linalg.eigh(np.swapaxes(z, 1, 2) @ (lam[:, None] * z.conj()))
-        y = _top_root(np.tile(gamma * nu, (1, d)), (z @ w.conj()).reshape(n, -1), c)[1]
-        return (basis.T @ y.reshape(n, d, d) @ np.swapaxes(v @ w, 1, 2)).reshape(n, -1)
+        y = _top_root(np.tile(g_run[rows, None] * nu, (1, d)), (z @ w.conj()).reshape(n, -1),
+                      c_run[rows])[1].reshape(n, d, d)
+        return np.where(keep, z.reshape(n, -1),
+                        (basis.T @ y @ np.swapaxes(v @ w, 1, 2)).reshape(n, -1))
 
     return (d if mode == CONVENTIONAL else d * d), values, targets
+
+
+def _search(env, c, gamma, mode: str, cfg: SearchConfig, starts) -> Iterator[OracleResult]:
+    """The see-saw of :func:`maximize_trace_norm` on rows ``(c[i], gamma[i])``, one per restart."""
+    _, values_of, targets = _see_saw_maps(env, c, gamma, mode)
+    states = np.tile(starts, (len(c) // len(starts), 1))
+    values, frames = values_of(states, np.arange(len(states)))
+    evaluations = np.ones(len(states), dtype=int)
+    iterations = np.zeros(len(states), dtype=int)
+    active = np.ones(len(states), dtype=bool)
+    residuals = np.zeros_like(states)  # last see-saw step psi' - psi; zero restarts the momentum
+    moves = np.zeros_like(states)
+
+    for _ in range(cfg.steps_per_restart):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        iterations[idx] += 1
+        psi = states[idx]
+        target = targets(frames[idx], idx)
+        overlap = np.einsum("ni,ni->n", target.conj(), psi)
+        residual = target * np.exp(1j * np.angle(overlap))[:, None] - psi
+        previous = residuals[idx]
+        beta = np.einsum("ni,ni->n", residual.conj(), residual - previous).real
+        scale = np.einsum("ni,ni->n", previous.conj(), previous).real
+        beta = np.divide(np.maximum(beta, 0.0), scale, out=np.zeros_like(beta), where=scale > 0.0)
+        move = residual + beta[:, None] * moves[idx]
+
+        best_states = psi.copy()
+        best_values = values[idx]
+        best_frames = frames[idx]
+        live = np.arange(idx.size)
+        for steps in EXTRAPOLATION_ROUNDS:
+            trial = (psi[live] + np.array(steps)[:, None, None] * move[live]).reshape(-1, psi.shape[1])
+            trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+            trial_values, trial_frames = values_of(trial, np.tile(idx[live], len(steps)))
+            evaluations[idx[live]] += len(steps)
+            # a row takes the last step of its leading run of strict improvements
+            chain = np.vstack([best_values[live], trial_values.reshape(len(steps), -1)])
+            taken = np.logical_and.accumulate(chain[1:] > chain[:-1]).sum(axis=0)
+            won = np.flatnonzero(taken)
+            pick = (taken[won] - 1) * live.size + won
+            best_states[live[won]] = trial[pick]
+            best_values[live[won]] = trial_values[pick]
+            best_frames[live[won]] = trial_frames[pick]
+            live = live[taken == len(steps)]
+            if live.size == 0:
+                break
+
+        stalled = best_values - values[idx] <= SEARCH_CONVERGED_GAIN
+        active[idx[stalled & (beta == 0.0)]] = False
+        residuals[idx] = np.where(stalled[:, None], 0.0, residual)
+        moves[idx] = move
+        states[idx] = best_states
+        values[idx] = best_values
+        frames[idx] = best_frames
+
+    for first in range(0, len(states), cfg.restarts):
+        rows = slice(first, first + cfg.restarts)
+        best = first + int(np.argmax(values[rows]))  # ties: the lowest restart
+        value = float(values[best])
+        yield OracleResult(value, states[best].copy(), (1.0 - value) / 2.0,
+                           int(evaluations[rows].sum()), iterations[rows].tolist(),
+                           int(np.count_nonzero(active[rows])))
+
+
+def search_cells(env: EnvironmentState, p0, eta, mode: str, cfg: SearchConfig) -> list[OracleResult]:
+    """:func:`maximize_trace_norm` on each scenario ``(p0[i], eta[i], env)``, bit for bit.
+
+    One see-saw runs over (cell, restart) rows from Haar starts drawn once,
+    in chunks of whole cells whose probe vectors fit ``SEARCH_BLOCK_BYTES``.
+    """
+    if require_mode(mode) == QUANTUM and env.dim > MAX_QUANTUM_SEARCH_DIM:
+        raise ValueError(f"quantum search supports environment dimension <= "
+                         f"{MAX_QUANTUM_SEARCH_DIM}, got {env.dim}")
+    cells = ScenarioStack(np.asarray(p0, float), np.asarray(eta, float), env.density())
+    c, gamma = (np.repeat(x, cfg.restarts) for x in (cells.p1 * cells.eta, cells.gamma))
+    dim = env.dim if mode == CONVENTIONAL else env.dim ** 2
+    starts = np.array([haar_random_state(dim, np.random.default_rng([cfg.seed, r]))
+                       for r in range(cfg.restarts)])
+    block = max(1, SEARCH_BLOCK_BYTES // starts.nbytes) * cfg.restarts  # rows of whole cells
+    return [result for i in range(0, c.size, block)
+            for result in _search(env, c[i:i + block], gamma[i:i + block], mode, cfg, starts)]
 
 
 def maximize_trace_norm(s: Scenario, mode: str, cfg: SearchConfig) -> OracleResult:
@@ -261,10 +351,10 @@ def maximize_trace_norm(s: Scenario, mode: str, cfg: SearchConfig) -> OracleResu
     ``m = (psi' - psi) + beta m_prev`` adds the previous move with a
     Polak-Ribiere weight (``beta >= 0``, a nonlinear conjugate-gradient
     acceleration of the see-saw, which alone crawls on ill-conditioned
-    spectra). The search tries ``normalize(psi + t m)`` for ``t`` in
-    ``EXTRAPOLATION_STEPS`` and moves to the best only on strict
-    improvement, so every restart is monotone. A restart has converged once
-    a plain see-saw move (``beta = 0``; a stalled momentum move is retried
+    spectra). The search scores ``normalize(psi + t m)`` for the lengths
+    ``t`` of ``EXTRAPOLATION_ROUNDS``, a round per trace-norm call, and moves
+    to the last of the leading strict improvements, so every restart is
+    monotone. A restart has converged once a plain see-saw move (``beta = 0``; a stalled momentum move is retried
     as one) gains at most ``SEARCH_CONVERGED_GAIN``; otherwise it stops
     after ``cfg.steps_per_restart`` iterations (a budget stop).
     ``evaluations`` counts every trace norm computed.
@@ -274,74 +364,7 @@ def maximize_trace_norm(s: Scenario, mode: str, cfg: SearchConfig) -> OracleResu
     returned ``perr`` is an upper bound on the true minimal error; ties
     between restarts resolve to the lowest restart index.
     """
-    require_mode(mode)
-    if mode == QUANTUM and s.env.dim > MAX_QUANTUM_SEARCH_DIM:
-        raise ValueError(
-            f"quantum search supports environment dimension <= {MAX_QUANTUM_SEARCH_DIM}, "
-            f"got {s.env.dim}"
-        )
-    dim, values_of, targets = _see_saw_maps(s, mode)
-
-    states = np.empty((cfg.restarts, dim), dtype=np.complex128)
-    for r in range(cfg.restarts):
-        states[r] = haar_random_state(dim, np.random.default_rng([cfg.seed, r]))
-    values, frames = values_of(states)
-    evaluations = cfg.restarts
-    iterations = np.zeros(cfg.restarts, dtype=int)
-    active = np.ones(cfg.restarts, dtype=bool)
-    residuals = np.zeros_like(states)  # last see-saw step psi' - psi; zero restarts the momentum
-    moves = np.zeros_like(states)
-
-    for _ in range(cfg.steps_per_restart):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        iterations[idx] += 1
-        psi = states[idx]
-        target = targets(frames[idx])
-        overlap = np.einsum("ni,ni->n", target.conj(), psi)
-        residual = target * np.exp(1j * np.angle(overlap))[:, None] - psi
-        previous = residuals[idx]
-        beta = np.einsum("ni,ni->n", residual.conj(), residual - previous).real
-        scale = np.einsum("ni,ni->n", previous.conj(), previous).real
-        beta = np.divide(np.maximum(beta, 0.0), scale, out=np.zeros_like(beta), where=scale > 0.0)
-        move = residual + beta[:, None] * moves[idx]
-
-        best_states = psi.copy()
-        best_values = values[idx]
-        best_frames = frames[idx]
-        live = np.arange(idx.size)
-        for t in EXTRAPOLATION_STEPS:
-            trial = psi[live] + t * move[live]
-            trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-            trial_values, trial_frames = values_of(trial)
-            evaluations += live.size
-            improved = trial_values > best_values[live]
-            live = live[improved]
-            best_states[live] = trial[improved]
-            best_values[live] = trial_values[improved]
-            best_frames[live] = trial_frames[improved]
-            if live.size == 0:
-                break
-
-        stalled = best_values - values[idx] <= SEARCH_CONVERGED_GAIN
-        active[idx[stalled & (beta == 0.0)]] = False
-        residuals[idx] = np.where(stalled[:, None], 0.0, residual)
-        moves[idx] = move
-        states[idx] = best_states
-        values[idx] = best_values
-        frames[idx] = best_frames
-
-    best = int(np.argmax(values))
-    best_value = float(values[best])
-    return OracleResult(
-        best_value=best_value,
-        best_state=states[best].copy(),
-        perr=(1.0 - best_value) / 2.0,
-        evaluations=evaluations,
-        iterations=iterations.tolist(),
-        budget_stops=int(np.count_nonzero(active)),
-    )
+    return search_cells(s.env, [s.p0], [s.eta], mode, cfg)[0]
 
 
 def _per_matrix(x):

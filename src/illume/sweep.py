@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import REGIONS, GridSolution, solve_grid
-from .model import MODES, EnvironmentState, Scenario, json_reals, require_integer
-from .oracle import MAX_QUANTUM_SEARCH_DIM, SearchConfig, maximize_trace_norm
+from .model import MODES, EnvironmentState, json_reals, require_integer
+from .oracle import MAX_QUANTUM_SEARCH_DIM, SearchConfig, search_cells
 
 CSV_FIELDS = ("p0", "eta", "region_c", "region_q", "perr_c", "perr_q", "advantage")
 CSV_ORACLE_FIELDS = CSV_FIELDS + ("oracle_perr_c", "oracle_perr_q")
@@ -96,6 +96,7 @@ class SweepTable:
     """A sweep's results as columns over the grid ``p0[i] x eta[j]``.
 
     ``grid`` holds the analytic columns; the oracle ones have its shape, or are None.
+    ``oracle_budget_stops`` counts each mode's restarts that ended on the iteration cap.
     ``len`` is the cell count; iterating yields a :class:`SweepRecord` per cell, by p0 row.
     """
 
@@ -104,6 +105,7 @@ class SweepTable:
     grid: GridSolution
     oracle_perr_c: np.ndarray | None = None
     oracle_perr_q: np.ndarray | None = None
+    oracle_budget_stops: dict[str, int] | None = None
 
     def __len__(self) -> int:
         return self.p0.size * self.eta.size
@@ -126,17 +128,19 @@ class SweepTable:
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate every grid cell; oracle columns are filled only when requested.
 
-    The oracle reuses one search config (and hence one seed) per cell, so
-    reruns are bit-identical.
+    The oracle runs one batched search per mode over all cells with one
+    search config, and hence one seed, so reruns are bit-identical.
     """
     p0s = np.linspace(*spec.p0_range)
     etas = np.linspace(*spec.eta_range)
     grid = solve_grid(p0s, etas, spec.env.lambda_min, spec.env.lambda_harmonic)
     if spec.oracle is None:
         return SweepTable(p0s, etas, grid)
-    oracle = np.array([[maximize_trace_norm(Scenario(p0, eta, spec.env), mode, spec.oracle).perr
-                        for mode in MODES] for p0 in p0s.tolist() for eta in etas.tolist()])
-    return SweepTable(p0s, etas, grid, *oracle.T.reshape(2, p0s.size, etas.size))
+    p0, eta = (a.ravel() for a in np.meshgrid(p0s, etas, indexing="ij"))
+    results = [search_cells(spec.env, p0, eta, mode, spec.oracle) for mode in MODES]
+    perr = [np.array([r.perr for r in rs]).reshape(p0s.size, etas.size) for rs in results]
+    stops = {mode: sum(r.budget_stops for r in rs) for mode, rs in zip(MODES, results)}
+    return SweepTable(p0s, etas, grid, *perr, stops)
 
 
 def _csv_chunks(table: SweepTable):

@@ -341,6 +341,21 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert message in err
 
+    @pytest.mark.parametrize("steps, stops", [(2000, "conventional=0 quantum=0"),
+                                              (1, "conventional=6 quantum=6")])
+    def test_oracle_budget_stops_on_stderr(self, capsys, tmp_path, steps, stops):
+        # one flat cell (gamma >= 0) stops after one iteration; at the cap of
+        # one iteration, the two restarts of each other cell are budget stops
+        spec = self.write_spec(tmp_path, p0_range=[0.3, 0.5, 2], eta_range=[0.5, 0.7, 2],
+                               spectrum=[0.7, 0.3],
+                               oracle_cfg={"restarts": 2, "steps_per_restart": steps})
+        path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(path), "--oracle")
+        assert (code, out) == (0, "")
+        assert err.splitlines()[-1] == f"sweep: wrote 4 records to {path}, budget_stops {stops}"
+        code, _, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(path))
+        assert err.splitlines()[-1] == f"sweep: wrote 4 records to {path}"
+
     def test_oracle_reruns_are_byte_identical(self, capsys, tmp_path):
         spec = self.write_spec(tmp_path, p0_range=[0.4, 0.6, 2], eta_range=[0.5, 0.7, 2],
                                oracle_cfg={"restarts": 2, "seed": 0})

@@ -57,6 +57,14 @@ NOT_DENSITY = [
 CHEAP = SearchConfig(restarts=6, steps_per_restart=600, seed=3)
 
 
+def _scenario_maps(s: Scenario, mode: str):
+    """The see-saw maps of one scenario: a one-row stack, with every state on row 0."""
+    dim, values, targets = oracle_mod._see_saw_maps(
+        s.env, np.array([s.p1 * s.eta]), np.array([s.gamma]), mode)
+    return (dim, lambda states: values(states, np.zeros(len(states), dtype=int)),
+            lambda frames: targets(frames, np.zeros(len(frames), dtype=int)))
+
+
 class TestPerrOfState:
     def test_no_signal_gives_min_prior(self):
         rng = np.random.default_rng(0)
@@ -136,11 +144,9 @@ class TestMaximizeTraceNorm:
     def test_analytic_state_is_fixed_point(self):
         # the see-saw maps score the closed-form optimum at its error and
         # send it to itself, up to a phase
-        from illume.oracle import _see_saw_maps
-
         s = Scenario(0.5, 0.6, EnvironmentState(SKEW3))
         probe = optimal_probe_quantum(s)
-        _, values, targets = _see_saw_maps(s, QUANTUM)
+        _, values, targets = _scenario_maps(s, QUANTUM)
         value, frame = values(probe[None])
         assert abs(value[0] - (1.0 - 2.0 * perr_quantum(s))) <= 1e-12
         assert abs(abs(np.vdot(targets(frame)[0], probe)) - 1.0) <= 1e-12
@@ -254,15 +260,13 @@ class TestSeeSawSearch:
         # 2 z z^dagger - I with z the top eigenvector of omega(psi), over unit
         # vectors; its matrix is built here from the model's omega builder:
         # Q_ij = tr(S [omega(|j><i|) - omega(0)])
-        from illume.oracle import _see_saw_maps
-
         rng = np.random.default_rng(21)
         for _ in range(10):
             d = int(rng.integers(2, 4))
             base = random_scenario(rng, d, gamma_negative=True)
             env = EnvironmentState(base.env.spectrum, random_unitary(rng, d).T)
             s = Scenario(base.p0, base.eta, env)
-            dim, values, targets = _see_saw_maps(s, mode)
+            dim, values, targets = _scenario_maps(s, mode)
             psi = haar_random_state(dim, rng)
             sign = _see_saw_sign(s, psi, mode)[1]
             basis = np.eye(dim)
@@ -280,23 +284,25 @@ class TestSeeSawSearch:
         full = maximize_trace_norm(s, QUANTUM, SearchConfig(restarts=5, seed=2))
         assert full.budget_stops == 0
         assert len(full.iterations) == 5 and min(full.iterations) >= 1
-        # every iteration evaluates between one and six extrapolation candidates
-        assert 5 + sum(full.iterations) <= full.evaluations <= 5 + 6 * sum(full.iterations)
+        # every iteration scores one or two rounds of three step lengths
+        assert 5 + 3 * sum(full.iterations) <= full.evaluations <= 5 + 6 * sum(full.iterations)
 
     def test_each_probe_is_solved_once(self, monkeypatch):
         # a values batch solves the top root of every state it scores, and
-        # keeps the frame; a target batch solves only the second, quantum root
-        calls = collections.Counter()
+        # keeps the frame; a target batch solves only the second, quantum
+        # root; evaluations counts the states the values batches scored
+        calls, rows = collections.Counter(), collections.Counter()
         top_root, see_saw_maps = oracle_mod._top_root, oracle_mod._see_saw_maps
 
         def counted(name, fn):
             def spy(*args):
                 calls[name] += 1
+                rows[name] += len(args[0])
                 return fn(*args)
             return spy
 
-        def maps(s, mode):
-            dim, values, targets = see_saw_maps(s, mode)
+        def maps(*args):
+            dim, values, targets = see_saw_maps(*args)
             return dim, counted("values", values), counted("targets", targets)
 
         monkeypatch.setattr(oracle_mod, "_top_root", counted("roots", top_root))
@@ -306,6 +312,39 @@ class TestSeeSawSearch:
         result = maximize_trace_norm(s, QUANTUM, SearchConfig(restarts=4, seed=5))
         assert calls["targets"] == max(result.iterations) > 0
         assert calls["roots"] == calls["values"] + calls["targets"]
+        assert rows["values"] == result.evaluations
+        # one values call per round: the starts, then one or two per iteration
+        assert calls["targets"] <= calls["values"] - 1 <= 2 * calls["targets"]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("mode", [CONVENTIONAL, QUANTUM])
+    def test_batched_cells_equal_their_own_searches(self, monkeypatch, mode, d):
+        # cells of a batched search, chunked two at a time, with a flat cell
+        # (gamma >= 0) in a chunk beside a region-III cell, against a search
+        # of each scenario alone
+        env = EnvironmentState([0.6, 0.4] if d == 2 else SKEW3)
+        p0, eta = [0.3, 0.5, 0.45, 0.2, 0.6], [0.5, 0.7, 0.9, 0.1, 0.95]
+        cells = [Scenario(a, b, env) for a, b in zip(p0, eta)]
+        assert cells[0].gamma >= 0.0 and classify(cells[1]) == (REGION_III, REGION_III)
+        cfg = SearchConfig(restarts=3, seed=5)
+        dim = d if mode == CONVENTIONAL else d * d
+        monkeypatch.setattr(oracle_mod, "SEARCH_BLOCK_BYTES", 2 * cfg.restarts * dim * 16)
+        chunks = collections.Counter()
+        search = oracle_mod._search
+
+        def spy(env, c, *args):
+            chunks[c.size // cfg.restarts] += 1
+            return search(env, c, *args)
+
+        monkeypatch.setattr(oracle_mod, "_search", spy)
+        batched = oracle_mod.search_cells(env, p0, eta, mode, cfg)
+        assert chunks == {2: 2, 1: 1}
+        for s, got in zip(cells, batched):
+            alone = maximize_trace_norm(s, mode, cfg)
+            assert got.best_state.tobytes() == alone.best_state.tobytes()
+            assert (got.best_value, got.perr, got.evaluations, got.iterations, got.budget_stops) == (
+                alone.best_value, alone.perr, alone.evaluations, alone.iterations,
+                alone.budget_stops)
 
     @pytest.mark.parametrize("field, value", [
         ("restarts", 2.5), ("restarts", True), ("restarts", "4"),
@@ -424,10 +463,8 @@ class TestStructuredSeeSaw:
     @settings(max_examples=500, deadline=None)
     @given(see_saw_instances())
     def test_structured_equals_dense(self, instance):
-        from illume.oracle import _see_saw_maps
-
         s, psi, mode = instance
-        dim, values, targets = _see_saw_maps(s, mode)
+        dim, values, targets = _scenario_maps(s, mode)
         spectrum, form = _dense_see_saw(s, psi, mode)
         value, frame = values(psi[None])
         assert abs(value[0] - np.abs(spectrum).sum()) <= 1e-12
@@ -442,10 +479,8 @@ class TestStructuredSeeSaw:
         # Schmidt-rank deficient probes with little or no weight on the rows
         # of zero environment eigenvalue: the idler marginal and M both have
         # kernels, and the form's poles repeat
-        from illume.oracle import _see_saw_maps
-
         s = Scenario(0.6, 0.55, EnvironmentState([0.6, 0.4, 0.0, 0.0]))
-        _, values, targets = _see_saw_maps(s, QUANTUM)
+        _, values, targets = _scenario_maps(s, QUANTUM)
         for seed in range(10):
             rng = np.random.default_rng(seed)
             x = haar_random_state(4 * rank, rng).reshape(4, rank)
@@ -459,13 +494,11 @@ class TestStructuredSeeSaw:
                 assert np.vdot(move, form @ move).real >= np.linalg.eigvalsh(form)[-1] - 1e-12
 
     def test_stack_equals_its_rows(self):
-        from illume.oracle import _see_saw_maps
-
         rng = np.random.default_rng(4)
         env = EnvironmentState([0.5, 0.3, 0.2, 0.0], random_unitary(rng, 4).T)
         s = Scenario(0.4, 0.7, env)
         for mode, dim in ((CONVENTIONAL, 4), (QUANTUM, 16)):
-            _, values, targets = _see_saw_maps(s, mode)
+            _, values, targets = _scenario_maps(s, mode)
             stack = np.array([haar_random_state(dim, rng) for _ in range(5)])
             stack_values, stack_frames = values(stack)
             for i, psi in enumerate(stack):
@@ -878,13 +911,17 @@ class TestSuites:
         # instead of sign(omega), which moves the evaluation counts of
         # skew3-region3-quant and zero-eig-quant and the last bits of three
         # quantum margins: regenerated to 0e86d7c8... under the same checks.
+        # The step lengths are now scored in rounds of three, so every
+        # evaluation count ("trials") rose while the states, values and
+        # margins kept their bits (the payload without "trials" hashes to
+        # aa0b2f29... on both): regenerated to f6333994... under the same checks.
         result = oracle_suite_7
         assert result["violations"] == 0
         assert len(result["checks"]) == 20
         assert min(c["worst_margin"] for c in result["checks"]) >= 0.0
         assert [c["budget_stops"] for c in result["checks"]] == [0] * 20
         assert _digest(result) == (
-            "0e86d7c8777b761b3d35adf21866780c37fbed7c34143046c2a3b154c2a3febc")
+            "f6333994b6f61ce507037dcc23d6383a10f297ee27f44884252a70d5cb1c1e5d")
 
     # sha256 of each suite payload: any drift in the draws, the arithmetic
     # or the reported margins fails. The payloads carry raw eigenvalues, so

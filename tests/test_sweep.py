@@ -173,6 +173,16 @@ class TestRunSweep:
             assert r.oracle_perr_c == maximize_trace_norm(s, CONVENTIONAL, cfg).perr
             assert r.oracle_perr_q == maximize_trace_norm(s, QUANTUM, cfg).perr
 
+    def test_budget_stops_sum_the_cells_searches(self):
+        cfg = SearchConfig(restarts=3, steps_per_restart=2, seed=1)
+        env = EnvironmentState(SKEW3)
+        table = run_sweep(SweepSpec((0.3, 0.6, 2), (0.2, 0.9, 3), env, oracle=cfg))
+        stops = {mode: sum(maximize_trace_norm(Scenario(p0, eta, env), mode, cfg).budget_stops
+                           for p0 in table.p0.tolist() for eta in table.eta.tolist())
+                 for mode in (CONVENTIONAL, QUANTUM)}
+        assert table.oracle_budget_stops == stops and stops[QUANTUM] > 0
+        assert run_sweep(SweepSpec((0.3, 0.6, 2), (0.2, 0.9, 3), env)).oracle_budget_stops is None
+
     def test_oracle_dimension_cap(self):
         env = EnvironmentState.completely_mixed(17)
         with pytest.raises(ValueError, match="dimension"):
