@@ -183,19 +183,18 @@ def _top_root(poles: np.ndarray, u: np.ndarray, c: np.ndarray):
 
 
 def _see_saw_maps(env: EnvironmentState, c: np.ndarray, gamma: np.ndarray, mode: str):
-    """Probe dimension, batched trace norms ``||omega(psi)||_1`` and see-saw targets.
+    """Batched trace norms ``||omega(psi)||_1`` and see-saw targets.
 
-    Row ``i`` of the stack has ``c[i] = p1 eta`` and ``gamma[i]``;
-    ``values`` and ``targets`` take each state's row. Both work in the
-    eigenframe of the absent state ``B`` (``omega = c psi psi^dagger + gamma
-    B``), where ``omega`` is ``A + c u u^dagger`` with ``A`` diagonal and
-    ``u`` the probe's coordinates: the environment basis in conventional
-    mode, the products ``theta_i (x) v_k`` of the environment basis and the
-    eigenvectors of the idler marginal ``rho_B`` in quantum mode. For
-    ``gamma < 0``, ``A <= 0`` and ``omega`` has at most its top eigenvalue
-    ``mu`` (:func:`_top_root`) above zero, so ``||omega||_1 = 2 max(mu, 0) -
-    tr omega``; for ``gamma >= 0`` (or ``c`` below ``gamma``'s rounding: a
-    flat row) every probe gives ``|c + gamma|``.
+    Row ``i`` of the stack is a searched cell of :func:`search_cells`, with
+    ``c[i] = p1 eta`` and ``gamma[i] < 0``; ``values`` and ``targets`` take
+    each state's row. Both work in the eigenframe of the absent state ``B``
+    (``omega = c psi psi^dagger + gamma B``), where ``omega`` is ``A + c u
+    u^dagger`` with ``A <= 0`` diagonal and ``u`` the probe's coordinates:
+    the environment basis in conventional mode, the products ``theta_i (x)
+    v_k`` of the environment basis and the eigenvectors of the idler
+    marginal ``rho_B`` in quantum mode. So ``omega`` has at most its top
+    eigenvalue ``mu`` (:func:`_top_root`) above zero, and ``||omega||_1 = 2
+    max(mu, 0) - tr omega``.
 
     The target is a top eigenvector of the form ``phi -> tr(S omega(phi))``
     with ``S = 2 z z^dagger - I``, ``z ~ (mu - A)^-1 u`` the unit top
@@ -206,55 +205,46 @@ def _see_saw_maps(env: EnvironmentState, c: np.ndarray, gamma: np.ndarray, mode:
     M)`` plus a constant, with ``M = Z^T diag(lambda) Z*`` built from the
     d x d reshape ``Z`` of ``z``: in the eigenbasis of ``M`` a diagonal plus
     a rank-one term again, whose top eigenvector is a second secular root.
-    A flat row makes the probe its own target and frame; otherwise ``values``
-    returns, beside each norm, the frame ``z`` (with ``v`` in quantum mode).
+    ``values`` returns, beside each norm, the frame ``z`` (and ``v``).
     """
     d = env.dim
     lam = env.spectrum
     basis = env.basis
-    # omega >= 0, or its rank-one term is below the rounding of gamma B
-    flat = (gamma >= 0.0) | (c <= FLOAT_EPS * -gamma)
-    # a flat row is solved as the stand-in c = 1, gamma = -1, and the result dropped
-    c_run, g_run = np.where(flat, 1.0, c), np.where(flat, -1.0, gamma)
 
     def values(states: np.ndarray, rows: np.ndarray):
         """Trace norms, and the frames their targets are built from (one row per state)."""
         n = len(states)
-        cr, gr, keep = c_run[rows], g_run[rows], flat[rows, None]
+        cr, gr = c[rows], gamma[rows]
         if mode == CONVENTIONAL:
-            mu, z = _top_root(gr[:, None] * lam, states @ basis.conj().T, cr)
-            frames = np.where(keep, states, z)
+            mu, frames = _top_root(gr[:, None] * lam, states @ basis.conj().T, cr)
         else:
             x = states.reshape(n, d, d)
             m, v = np.linalg.eigh(np.swapaxes(x, 1, 2) @ x.conj())  # rho_B = X^T X*
             u = basis.conj() @ x @ v.conj()
             poles = gr[:, None, None] * lam[:, None] * np.maximum(m, 0.0)[:, None, :]
             mu, z = _top_root(poles.reshape(n, -1), u.reshape(n, -1), cr)
-            frames = np.stack([np.where(keep, states, z).reshape(n, d, d), v], axis=1)
-        return np.where(flat[rows], np.abs(c[rows] + gamma[rows]),
-                        2.0 * np.maximum(mu, 0.0) - (cr + gr)), frames
+            frames = np.stack([z.reshape(n, d, d), v], axis=1)
+        return 2.0 * np.maximum(mu, 0.0) - (cr + gr), frames
 
     def targets(frames: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        keep = flat[rows, None]
         if mode == CONVENTIONAL:
-            return np.where(keep, frames, frames @ basis)
+            return frames @ basis
         # the form c z z^dagger + gamma (I (x) M), M = Z^T diag(lambda) Z*: in
         # the eigenbasis W of M, poles gamma nu_k on every environment row
         # plus c z' z'^dagger
         n = len(frames)
         z, v = frames[:, 0], frames[:, 1]
         nu, w = np.linalg.eigh(np.swapaxes(z, 1, 2) @ (lam[:, None] * z.conj()))
-        y = _top_root(np.tile(g_run[rows, None] * nu, (1, d)), (z @ w.conj()).reshape(n, -1),
-                      c_run[rows])[1].reshape(n, d, d)
-        return np.where(keep, z.reshape(n, -1),
-                        (basis.T @ y @ np.swapaxes(v @ w, 1, 2)).reshape(n, -1))
+        y = _top_root(np.tile(gamma[rows, None] * nu, (1, d)), (z @ w.conj()).reshape(n, -1),
+                      c[rows])[1].reshape(n, d, d)
+        return (basis.T @ y @ np.swapaxes(v @ w, 1, 2)).reshape(n, -1)
 
-    return (d if mode == CONVENTIONAL else d * d), values, targets
+    return values, targets
 
 
 def _search(env, c, gamma, mode: str, cfg: SearchConfig, starts) -> Iterator[OracleResult]:
     """The see-saw of :func:`maximize_trace_norm` on rows ``(c[i], gamma[i])``, one per restart."""
-    _, values_of, targets = _see_saw_maps(env, c, gamma, mode)
+    values_of, targets = _see_saw_maps(env, c, gamma, mode)
     states = np.tile(starts, (len(c) // len(starts), 1))
     values, frames = values_of(states, np.arange(len(states)))
     evaluations = np.ones(len(states), dtype=int)
@@ -319,20 +309,27 @@ def _search(env, c, gamma, mode: str, cfg: SearchConfig, starts) -> Iterator[Ora
 def search_cells(env: EnvironmentState, p0, eta, mode: str, cfg: SearchConfig) -> list[OracleResult]:
     """:func:`maximize_trace_norm` on each scenario ``(p0[i], eta[i], env)``, bit for bit.
 
-    One see-saw runs over (cell, restart) rows from Haar starts drawn once,
-    in chunks of whole cells whose probe vectors fit ``SEARCH_BLOCK_BYTES``.
+    A flat cell (``gamma >= 0``, or ``p1 eta`` below ``gamma``'s rounding) is
+    not searched: every probe gives ``|p1 eta + gamma|``, and its result holds
+    restart 0's start, no evaluation and no iteration. One see-saw runs over
+    the other cells' (cell, restart) rows from Haar starts drawn once, in
+    chunks of whole cells whose probe vectors fit ``SEARCH_BLOCK_BYTES``.
     """
     if require_mode(mode) == QUANTUM and env.dim > MAX_QUANTUM_SEARCH_DIM:
         raise ValueError(f"quantum search supports environment dimension <= "
                          f"{MAX_QUANTUM_SEARCH_DIM}, got {env.dim}")
     cells = ScenarioStack(np.asarray(p0, float), np.asarray(eta, float), env.density())
-    c, gamma = (np.repeat(x, cfg.restarts) for x in (cells.p1 * cells.eta, cells.gamma))
+    c, gamma = cells.p1 * cells.eta, cells.gamma
+    flat = (gamma >= 0.0) | (c <= FLOAT_EPS * -gamma)  # omega >= 0, or c u u^dagger rounds away
     dim = env.dim if mode == CONVENTIONAL else env.dim ** 2
     starts = np.array([haar_random_state(dim, np.random.default_rng([cfg.seed, r]))
                        for r in range(cfg.restarts)])
+    rows = np.repeat(np.flatnonzero(~flat), cfg.restarts)
     block = max(1, SEARCH_BLOCK_BYTES // starts.nbytes) * cfg.restarts  # rows of whole cells
-    return [result for i in range(0, c.size, block)
-            for result in _search(env, c[i:i + block], gamma[i:i + block], mode, cfg, starts)]
+    found = (result for i in range(0, rows.size, block) for result in
+             _search(env, c[rows[i:i + block]], gamma[rows[i:i + block]], mode, cfg, starts))
+    return [OracleResult(v, starts[0].copy(), (1.0 - v) / 2.0, 0, [0] * cfg.restarts, 0)
+            if f else next(found) for f, v in zip(flat, np.abs(c + gamma).tolist())]
 
 
 def maximize_trace_norm(s: Scenario, mode: str, cfg: SearchConfig) -> OracleResult:
@@ -354,10 +351,12 @@ def maximize_trace_norm(s: Scenario, mode: str, cfg: SearchConfig) -> OracleResu
     spectra). The search scores ``normalize(psi + t m)`` for the lengths
     ``t`` of ``EXTRAPOLATION_ROUNDS``, a round per trace-norm call, and moves
     to the last of the leading strict improvements, so every restart is
-    monotone. A restart has converged once a plain see-saw move (``beta = 0``; a stalled momentum move is retried
-    as one) gains at most ``SEARCH_CONVERGED_GAIN``; otherwise it stops
-    after ``cfg.steps_per_restart`` iterations (a budget stop).
-    ``evaluations`` counts every trace norm computed.
+    monotone. A restart has converged once a plain see-saw move (``beta =
+    0``; a stalled momentum move is retried as one) gains at most
+    ``SEARCH_CONVERGED_GAIN``; otherwise it stops after
+    ``cfg.steps_per_restart`` iterations (a budget stop). ``evaluations``
+    counts every trace norm computed; a flat scenario (:func:`search_cells`)
+    is not searched and computes none.
 
     Restart ``r`` draws its Haar-random start from ``default_rng([cfg.seed,
     r])``, so results are reproducible bit-for-bit given the config. The

@@ -344,8 +344,9 @@ class TestSweep:
     @pytest.mark.parametrize("steps, stops", [(2000, "conventional=0 quantum=0"),
                                               (1, "conventional=6 quantum=6")])
     def test_oracle_budget_stops_on_stderr(self, capsys, tmp_path, steps, stops):
-        # one flat cell (gamma >= 0) stops after one iteration; at the cap of
-        # one iteration, the two restarts of each other cell are budget stops
+        # one flat cell (gamma >= 0) is not searched and has no budget stop;
+        # at the cap of one iteration, the two restarts of each other cell are
+        # budget stops
         spec = self.write_spec(tmp_path, p0_range=[0.3, 0.5, 2], eta_range=[0.5, 0.7, 2],
                                spectrum=[0.7, 0.3],
                                oracle_cfg={"restarts": 2, "steps_per_restart": steps})

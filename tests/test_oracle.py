@@ -14,7 +14,6 @@ from conftest import random_density, random_scenario, random_unitary
 from illume import (
     CONVENTIONAL,
     QUANTUM,
-    REGION_I,
     REGION_III,
     EnvironmentState,
     Scenario,
@@ -26,6 +25,7 @@ from illume import (
     check_perr_linear_in_min_eigenvalue,
     check_single_negative_eigenvalue,
     classify,
+    eta_star,
     haar_random_state,
     maximize_trace_norm,
     omega,
@@ -59,9 +59,9 @@ CHEAP = SearchConfig(restarts=6, steps_per_restart=600, seed=3)
 
 def _scenario_maps(s: Scenario, mode: str):
     """The see-saw maps of one scenario: a one-row stack, with every state on row 0."""
-    dim, values, targets = oracle_mod._see_saw_maps(
+    values, targets = oracle_mod._see_saw_maps(
         s.env, np.array([s.p1 * s.eta]), np.array([s.gamma]), mode)
-    return (dim, lambda states: values(states, np.zeros(len(states), dtype=int)),
+    return (lambda states: values(states, np.zeros(len(states), dtype=int)),
             lambda frames: targets(frames, np.zeros(len(frames), dtype=int)))
 
 
@@ -102,16 +102,32 @@ class TestPerrOfState:
 
 
 class TestMaximizeTraceNorm:
-    def test_region_one_is_flat(self):
+    @pytest.mark.parametrize("p0, eta", [
+        (0.3, 0.5),  # gamma > 0: region I
+        (0.4, eta_star(0.4, 0.6)),  # gamma = 0 exactly, at eta*
+        (0.6, 0.0),  # gamma < 0 and no signal
+        (0.6, 1e-200),  # gamma < 0 and p1 eta below the rounding of gamma
+    ], ids=["gamma-positive", "eta-star", "no-signal", "faint-signal"])
+    @pytest.mark.parametrize("mode", [CONVENTIONAL, QUANTUM])
+    def test_region_one_is_flat(self, monkeypatch, mode, p0, eta):
+        # every probe gives the same trace norm, so the cell is answered
+        # without a search: no see-saw step and no secular root
+        s = Scenario(p0, eta, EnvironmentState(SKEW3))
+        assert s.gamma >= 0.0 or s.p1 * s.eta <= oracle_mod.FLOAT_EPS * -s.gamma
+
+        def no_root(*args):
+            raise AssertionError("a flat cell solved a secular root")
+
+        monkeypatch.setattr(oracle_mod, "_top_root", no_root)
+        result = maximize_trace_norm(s, mode, CHEAP)
+        assert result.iterations == [0] * CHEAP.restarts
+        assert result.evaluations == result.budget_stops == 0
+        assert result.perr == (1.0 - result.best_value) / 2.0
         rng = np.random.default_rng(1)
-        s = Scenario(0.3, 0.5, EnvironmentState([0.5, 0.5]))
-        assert classify(s) == (REGION_I, REGION_I)
-        result = maximize_trace_norm(s, CONVENTIONAL, CHEAP)
-        assert abs(result.perr - s.p0) <= CHEAP.tolerance
-        # flat landscape: every sampled state already achieves the bound
-        for _ in range(100):
-            psi = haar_random_state(2, rng)
-            assert perr_of_state(s, psi, CONVENTIONAL) == pytest.approx(s.p0, abs=1e-12)
+        dim = 3 if mode == CONVENTIONAL else 9
+        for psi in [result.best_state] + [haar_random_state(dim, rng) for _ in range(20)]:
+            norm = 1.0 - 2.0 * perr_of_state(s, psi, mode)
+            assert abs(result.best_value - norm) <= 1e-12
 
     def test_conventional_search_finds_optimum(self):
         s = Scenario(0.5, 0.6, EnvironmentState(SKEW3))
@@ -146,7 +162,7 @@ class TestMaximizeTraceNorm:
         # send it to itself, up to a phase
         s = Scenario(0.5, 0.6, EnvironmentState(SKEW3))
         probe = optimal_probe_quantum(s)
-        _, values, targets = _scenario_maps(s, QUANTUM)
+        values, targets = _scenario_maps(s, QUANTUM)
         value, frame = values(probe[None])
         assert abs(value[0] - (1.0 - 2.0 * perr_quantum(s))) <= 1e-12
         assert abs(abs(np.vdot(targets(frame)[0], probe)) - 1.0) <= 1e-12
@@ -266,7 +282,8 @@ class TestSeeSawSearch:
             base = random_scenario(rng, d, gamma_negative=True)
             env = EnvironmentState(base.env.spectrum, random_unitary(rng, d).T)
             s = Scenario(base.p0, base.eta, env)
-            dim, values, targets = _scenario_maps(s, mode)
+            values, targets = _scenario_maps(s, mode)
+            dim = d if mode == CONVENTIONAL else d * d
             psi = haar_random_state(dim, rng)
             sign = _see_saw_sign(s, psi, mode)[1]
             basis = np.eye(dim)
@@ -302,8 +319,8 @@ class TestSeeSawSearch:
             return spy
 
         def maps(*args):
-            dim, values, targets = see_saw_maps(*args)
-            return dim, counted("values", values), counted("targets", targets)
+            values, targets = see_saw_maps(*args)
+            return counted("values", values), counted("targets", targets)
 
         monkeypatch.setattr(oracle_mod, "_top_root", counted("roots", top_root))
         monkeypatch.setattr(oracle_mod, "_see_saw_maps", maps)
@@ -319,13 +336,14 @@ class TestSeeSawSearch:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("mode", [CONVENTIONAL, QUANTUM])
     def test_batched_cells_equal_their_own_searches(self, monkeypatch, mode, d):
-        # cells of a batched search, chunked two at a time, with a flat cell
-        # (gamma >= 0) in a chunk beside a region-III cell, against a search
-        # of each scenario alone
+        # cells of a batched search, chunked two at a time, against a search
+        # of each scenario alone; the flat cells 0 and 3 (gamma >= 0) join no
+        # chunk, so the three others make a chunk of two and one of one
         env = EnvironmentState([0.6, 0.4] if d == 2 else SKEW3)
         p0, eta = [0.3, 0.5, 0.45, 0.2, 0.6], [0.5, 0.7, 0.9, 0.1, 0.95]
         cells = [Scenario(a, b, env) for a, b in zip(p0, eta)]
-        assert cells[0].gamma >= 0.0 and classify(cells[1]) == (REGION_III, REGION_III)
+        assert [s.gamma >= 0.0 for s in cells] == [True, False, False, True, False]
+        assert classify(cells[1]) == (REGION_III, REGION_III)
         cfg = SearchConfig(restarts=3, seed=5)
         dim = d if mode == CONVENTIONAL else d * d
         monkeypatch.setattr(oracle_mod, "SEARCH_BLOCK_BYTES", 2 * cfg.restarts * dim * 16)
@@ -338,13 +356,17 @@ class TestSeeSawSearch:
 
         monkeypatch.setattr(oracle_mod, "_search", spy)
         batched = oracle_mod.search_cells(env, p0, eta, mode, cfg)
-        assert chunks == {2: 2, 1: 1}
+        assert chunks == {2: 1, 1: 1}
         for s, got in zip(cells, batched):
             alone = maximize_trace_norm(s, mode, cfg)
             assert got.best_state.tobytes() == alone.best_state.tobytes()
             assert (got.best_value, got.perr, got.evaluations, got.iterations, got.budget_stops) == (
                 alone.best_value, alone.perr, alone.evaluations, alone.iterations,
                 alone.budget_stops)
+        chunks.clear()
+        flat = oracle_mod.search_cells(env, [0.3, 0.6, 0.4], [0.5, 0.0, 1e-200], mode, cfg)
+        assert not chunks
+        assert [r.evaluations for r in flat] == [0, 0, 0]
 
     @pytest.mark.parametrize("field, value", [
         ("restarts", 2.5), ("restarts", True), ("restarts", "4"),
@@ -373,17 +395,14 @@ class TestSeeSawSearch:
 
 
 def _see_saw_sign(s: Scenario, psi: np.ndarray, mode: str):
-    """Spectrum of ``omega(psi)`` and the dense ``S`` of the see-saw form.
+    """Spectrum of ``omega(psi)`` and the dense ``S`` of the see-saw form (``gamma < 0``).
 
-    For ``gamma < 0``, ``S = 2 z z^dagger - I`` with ``z`` the eigenvector of
-    largest eigenvalue among those not orthogonal to ``psi``; for ``gamma >=
-    0``, ``sign(omega(psi))`` with eigenvalues within 1e-12 of zero mapped to 0.
+    ``S = 2 z z^dagger - I``, with ``z`` the eigenvector of largest
+    eigenvalue among those not orthogonal to ``psi``.
     """
     w, v = np.linalg.eigh(omega(s, projector(psi), mode))
-    if s.gamma < 0.0:
-        z = v[:, np.abs(v.conj().T @ psi) > 1e-12][:, -1]
-        return w, 2.0 * np.outer(z, z.conj()) - np.eye(psi.size)
-    return w, (v * np.where(np.abs(w) <= 1e-12, 0.0, np.sign(w))) @ v.conj().T
+    z = v[:, np.abs(v.conj().T @ psi) > 1e-12][:, -1]
+    return w, 2.0 * np.outer(z, z.conj()) - np.eye(psi.size)
 
 
 def _dense_see_saw(s: Scenario, psi: np.ndarray, mode: str):
@@ -406,8 +425,9 @@ def see_saw_instances(draw):
     """A scenario and a probe for the structured-versus-dense property.
 
     Spectra: random, with exact zeros, degenerate or uniform, in the
-    computational basis (exact zero coordinates) or a complex one. gamma
-    of either sign, eta = 0, 1e-200 and 1 included. Probes: Haar, product,
+    computational basis (exact zero coordinates) or a complex one. Only
+    searched rows: gamma < 0 and p1 eta above its rounding, eta = 1e-14 and
+    1 included (flat rows never reach the maps). Probes: Haar, product,
     Schmidt-rank deficient with coefficients >= 0.05, or with exact zero
     coordinates on some environment eigenvectors (deflation), or with a
     faint share, 1e-3 to 0.3 of the amplitude, on some of them. Knife edges,
@@ -426,12 +446,11 @@ def see_saw_instances(draw):
         spectrum[:] = 1.0
     basis = random_unitary(rng, d).T if draw(st.booleans()) else None
     env = EnvironmentState(spectrum / spectrum.sum(), basis)
-    eta = draw(st.sampled_from([None, 0.0, 1e-200, 1.0]))
-    negative = eta == 1.0 or draw(st.booleans())  # at eta = 1, gamma = -p0
+    eta = draw(st.sampled_from([None, 1e-14, 1.0]))
     while True:
         s = Scenario(float(rng.uniform(0.01, 0.99)),
                      float(rng.uniform(0.0, 1.0)) if eta is None else eta, env)
-        if (s.gamma < -1e-3) == negative and abs(s.gamma) > 1e-3:
+        if s.gamma < -1e-3:
             break
 
     theta = env.basis  # rows are the environment eigenvectors
@@ -464,7 +483,7 @@ class TestStructuredSeeSaw:
     @given(see_saw_instances())
     def test_structured_equals_dense(self, instance):
         s, psi, mode = instance
-        dim, values, targets = _scenario_maps(s, mode)
+        values, targets = _scenario_maps(s, mode)
         spectrum, form = _dense_see_saw(s, psi, mode)
         value, frame = values(psi[None])
         assert abs(value[0] - np.abs(spectrum).sum()) <= 1e-12
@@ -480,7 +499,7 @@ class TestStructuredSeeSaw:
         # of zero environment eigenvalue: the idler marginal and M both have
         # kernels, and the form's poles repeat
         s = Scenario(0.6, 0.55, EnvironmentState([0.6, 0.4, 0.0, 0.0]))
-        _, values, targets = _scenario_maps(s, QUANTUM)
+        values, targets = _scenario_maps(s, QUANTUM)
         for seed in range(10):
             rng = np.random.default_rng(seed)
             x = haar_random_state(4 * rank, rng).reshape(4, rank)
@@ -498,7 +517,7 @@ class TestStructuredSeeSaw:
         env = EnvironmentState([0.5, 0.3, 0.2, 0.0], random_unitary(rng, 4).T)
         s = Scenario(0.4, 0.7, env)
         for mode, dim in ((CONVENTIONAL, 4), (QUANTUM, 16)):
-            _, values, targets = _scenario_maps(s, mode)
+            values, targets = _scenario_maps(s, mode)
             stack = np.array([haar_random_state(dim, rng) for _ in range(5)])
             stack_values, stack_frames = values(stack)
             for i, psi in enumerate(stack):
@@ -902,26 +921,18 @@ class TestSuites:
 
     def test_oracle_suite_default_config_hits_1e6(self, oracle_suite_7):
         # the default 32x2000 search pins every bundled scenario to 1e-6.
-        # The search evaluates ||omega||_1 from the secular equation instead
-        # of a dense eigvalsh, so its last bits and its evaluation counts
-        # moved (flat scenarios now stop after one round of 64): the digest
-        # went from b4e6d25b... to b63db5bc..., regenerated once every check
-        # had no violation, a margin >= 0 and no budget stop. The see-saw
-        # target then became the top of the form with S = 2 z z^dagger - I
-        # instead of sign(omega), which moves the evaluation counts of
-        # skew3-region3-quant and zero-eig-quant and the last bits of three
-        # quantum margins: regenerated to 0e86d7c8... under the same checks.
-        # The step lengths are now scored in rounds of three, so every
-        # evaluation count ("trials") rose while the states, values and
-        # margins kept their bits (the payload without "trials" hashes to
-        # aa0b2f29... on both): regenerated to f6333994... under the same checks.
+        # Last regenerated when flat cells stopped being searched: the five
+        # flat checks (region1-conv, region1-quant, no-signal-conv,
+        # eta-star-boundary-conv, rare-target-region1) report 0 trials
+        # instead of 128, and nothing else moved (the payload without
+        # "trials" hashes to aa0b2f29... before and after).
         result = oracle_suite_7
         assert result["violations"] == 0
         assert len(result["checks"]) == 20
         assert min(c["worst_margin"] for c in result["checks"]) >= 0.0
         assert [c["budget_stops"] for c in result["checks"]] == [0] * 20
         assert _digest(result) == (
-            "f6333994b6f61ce507037dcc23d6383a10f297ee27f44884252a70d5cb1c1e5d")
+            "581ec0826fd13d7138d71a7d9a7cb6ba62b9419a9e356d8086b0409c197fea24")
 
     # sha256 of each suite payload: any drift in the draws, the arithmetic
     # or the reported margins fails. The payloads carry raw eigenvalues, so
