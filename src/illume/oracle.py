@@ -53,6 +53,7 @@ from .tolerances import (
     DENSITY_EIG_TOL,
     LEMMA_MARGIN_TOL,
     MIXTURE_WEIGHT_TOL,
+    ORACLE_AGREEMENT_TOL,
     POSITIVE_PART_TOL,
     SEARCH_CONVERGED_GAIN,
 )
@@ -81,20 +82,19 @@ EXTRAPOLATION_ROUNDS = ((1.0, 4.0, 16.0), (64.0, 256.0, 1024.0))
 # it peaks at about 45 times that (d = 2, 4, 8), and larger ran no faster.
 SEARCH_BLOCK_BYTES = 1 << 18
 
+RESTARTS = 32  # Haar-random starts of every search: the budget the oracle suite validates
+STEPS_PER_RESTART = 2000  # see-saw iterations of a start before it is a budget stop
+
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget and seeding for the see-saw trace-norm maximization."""
+    """Seeding of the see-saw trace-norm maximization."""
 
-    restarts: int = 32
-    steps_per_restart: int = 2000
     seed: int = 0
-    # not a field: the oracle suite's fixed agreement with the closed forms
-    tolerance: ClassVar[float] = 1e-6
+    tolerance: ClassVar[float] = ORACLE_AGREEMENT_TOL  # not a field: the oracle suite's pass margin
 
     def __post_init__(self):
-        for name, least in (("restarts", 1), ("steps_per_restart", 1), ("seed", 0)):
-            require_integer(name, getattr(self, name), least)
+        require_integer("seed", self.seed, 0)
 
 
 @dataclass
@@ -242,8 +242,8 @@ def _see_saw_maps(env: EnvironmentState, c: np.ndarray, gamma: np.ndarray, mode:
     return values, targets
 
 
-def _search(env, c, gamma, mode: str, cfg: SearchConfig, starts) -> Iterator[OracleResult]:
-    """The see-saw of :func:`maximize_trace_norm` on rows ``(c[i], gamma[i])``, one per restart."""
+def _search(env, c, gamma, mode: str, starts) -> Iterator[OracleResult]:
+    """The see-saw of :func:`maximize_trace_norm` on rows ``(c[i], gamma[i])``, one per start."""
     values_of, targets = _see_saw_maps(env, c, gamma, mode)
     states = np.tile(starts, (len(c) // len(starts), 1))
     values, frames = values_of(states, np.arange(len(states)))
@@ -253,7 +253,7 @@ def _search(env, c, gamma, mode: str, cfg: SearchConfig, starts) -> Iterator[Ora
     residuals = np.zeros_like(states)  # last see-saw step psi' - psi; zero restarts the momentum
     moves = np.zeros_like(states)
 
-    for _ in range(cfg.steps_per_restart):
+    for _ in range(STEPS_PER_RESTART):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -297,8 +297,8 @@ def _search(env, c, gamma, mode: str, cfg: SearchConfig, starts) -> Iterator[Ora
         values[idx] = best_values
         frames[idx] = best_frames
 
-    for first in range(0, len(states), cfg.restarts):
-        rows = slice(first, first + cfg.restarts)
+    for first in range(0, len(states), len(starts)):
+        rows = slice(first, first + len(starts))
         best = first + int(np.argmax(values[rows]))  # ties: the lowest restart
         value = float(values[best])
         yield OracleResult(value, states[best].copy(), (1.0 - value) / 2.0,
@@ -311,24 +311,25 @@ def search_cells(env: EnvironmentState, p0, eta, mode: str, cfg: SearchConfig) -
 
     A flat cell (``gamma >= 0``, or ``p1 eta`` below ``gamma``'s rounding) is
     not searched: every probe gives ``|p1 eta + gamma|``, and its result holds
-    restart 0's start, no evaluation and no iteration. One see-saw runs over
-    the other cells' (cell, restart) rows from Haar starts drawn once, in
-    chunks of whole cells whose probe vectors fit ``SEARCH_BLOCK_BYTES``.
+    restart 0's start (the only one drawn when no cell is searched), no
+    evaluation and no iteration. One see-saw runs over the other cells'
+    (cell, restart) rows from Haar starts drawn once, in chunks of whole
+    cells whose probe vectors fit ``SEARCH_BLOCK_BYTES``.
     """
     if require_mode(mode) == QUANTUM and env.dim > MAX_QUANTUM_SEARCH_DIM:
         raise ValueError(f"quantum search supports environment dimension <= "
                          f"{MAX_QUANTUM_SEARCH_DIM}, got {env.dim}")
-    cells = ScenarioStack(np.asarray(p0, float), np.asarray(eta, float), env.density())
+    cells = ScenarioStack(np.asarray(p0, float), np.asarray(eta, float), None)  # p1, gamma: no env
     c, gamma = cells.p1 * cells.eta, cells.gamma
     flat = (gamma >= 0.0) | (c <= FLOAT_EPS * -gamma)  # omega >= 0, or c u u^dagger rounds away
     dim = env.dim if mode == CONVENTIONAL else env.dim ** 2
     starts = np.array([haar_random_state(dim, np.random.default_rng([cfg.seed, r]))
-                       for r in range(cfg.restarts)])
-    rows = np.repeat(np.flatnonzero(~flat), cfg.restarts)
-    block = max(1, SEARCH_BLOCK_BYTES // starts.nbytes) * cfg.restarts  # rows of whole cells
+                       for r in range(1 if flat.all() else RESTARTS)])
+    rows = np.repeat(np.flatnonzero(~flat), len(starts))
+    block = max(1, SEARCH_BLOCK_BYTES // starts.nbytes) * len(starts)  # rows of whole cells
     found = (result for i in range(0, rows.size, block) for result in
-             _search(env, c[rows[i:i + block]], gamma[rows[i:i + block]], mode, cfg, starts))
-    return [OracleResult(v, starts[0].copy(), (1.0 - v) / 2.0, 0, [0] * cfg.restarts, 0)
+             _search(env, c[rows[i:i + block]], gamma[rows[i:i + block]], mode, starts))
+    return [OracleResult(v, starts[0].copy(), (1.0 - v) / 2.0, 0, [0] * RESTARTS, 0)
             if f else next(found) for f, v in zip(flat, np.abs(c + gamma).tolist())]
 
 
@@ -353,14 +354,15 @@ def maximize_trace_norm(s: Scenario, mode: str, cfg: SearchConfig) -> OracleResu
     to the last of the leading strict improvements, so every restart is
     monotone. A restart has converged once a plain see-saw move (``beta =
     0``; a stalled momentum move is retried as one) gains at most
-    ``SEARCH_CONVERGED_GAIN``; otherwise it stops after
-    ``cfg.steps_per_restart`` iterations (a budget stop). ``evaluations``
-    counts every trace norm computed; a flat scenario (:func:`search_cells`)
-    is not searched and computes none.
+    ``SEARCH_CONVERGED_GAIN``; otherwise it stops after ``STEPS_PER_RESTART``
+    iterations (a budget stop). ``evaluations`` counts every trace norm
+    computed; a flat scenario (:func:`search_cells`) is not searched and
+    computes none.
 
-    Restart ``r`` draws its Haar-random start from ``default_rng([cfg.seed,
-    r])``, so results are reproducible bit-for-bit given the config. The
-    returned ``perr`` is an upper bound on the true minimal error; ties
+    Every search runs ``RESTARTS`` restarts, the budget the oracle suite
+    validates; ``cfg`` sets only the seed. Restart ``r`` draws its start from
+    ``default_rng([cfg.seed, r])``, so results are reproducible bit for bit.
+    The returned ``perr`` is an upper bound on the true minimal error; ties
     between restarts resolve to the lowest restart index.
     """
     return search_cells(s.env, [s.p0], [s.eta], mode, cfg)[0]

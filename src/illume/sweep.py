@@ -22,11 +22,10 @@ CSV_ORACLE_FIELDS = CSV_FIELDS + ("oracle_perr_c", "oracle_perr_q")
 # A sweep peaks at 42 bytes a cell (tracemalloc, 1001 x 1001); its CSV is streamed.
 MAX_GRID_CELLS = 4_000_000
 # Oracle sweep caps. Each cell runs two trace-norm searches whose cost grows
-# with the restart count and steeply with d (see the README). Charging
-# restarts x d^4 per cell against the budget of the default 32 restarts on a
-# 64 x 64 grid at d = 2 admits 4,096 cells at d = 2, 256 at d = 4 and 16 at d = 8.
+# steeply with d (see the README). Charging d^4 per cell against the budget
+# of a 64 x 64 grid at d = 2 admits 4,096 cells at d = 2, 256 at d = 4 and 16 at d = 8.
 MAX_ORACLE_CELLS = 4096
-_ORACLE_BUDGET = MAX_ORACLE_CELLS * 32 * 2**4
+_ORACLE_BUDGET = MAX_ORACLE_CELLS * 2**4
 
 
 def _check_range(name: str, rng: tuple) -> tuple[float, float, int]:
@@ -45,9 +44,9 @@ def _check_range(name: str, rng: tuple) -> tuple[float, float, int]:
 class SweepSpec:
     """Grid specification: (min, max, steps) ranges include both endpoints.
 
-    ``oracle`` is the search config of the oracle columns, or None to leave
-    them out. Every admission rule is checked here, so a spec that exists
-    can be run; the ranges are stored as parsed ``(lo, hi, steps)`` triples.
+    ``oracle`` is the search config (the seed) of the oracle columns, or None
+    to leave them out. Every admission rule is checked here, so a spec that
+    exists can be run; the ranges are stored as parsed ``(lo, hi, steps)`` triples.
     """
 
     p0_range: tuple[float, float, int]
@@ -68,12 +67,10 @@ class SweepSpec:
             raise ValueError(
                 f"oracle sweep needs environment dimension <= {MAX_QUANTUM_SEARCH_DIM}, got {d}"
             )
-        limit = min(MAX_ORACLE_CELLS, _ORACLE_BUDGET // (self.oracle.restarts * d**4))
+        limit = min(MAX_ORACLE_CELLS, _ORACLE_BUDGET // d**4)
         if cells > limit:
-            raise ValueError(
-                f"oracle sweep grid has {cells} cells, more than the limit of {limit} "
-                f"at d = {d} with {self.oracle.restarts} restarts"
-            )
+            raise ValueError(f"oracle sweep grid has {cells} cells, more than the limit of "
+                             f"{limit} at d = {d}")
 
 
 @dataclass(slots=True)

@@ -7,7 +7,7 @@ the ones the lemma suite draws from.
 import numpy as np
 import pytest
 
-from illume import eig, run_lemma_suite, run_oracle_suite
+from illume import eig, oracle, run_lemma_suite, run_oracle_suite
 from illume.oracle import random_density, random_scenario  # noqa: F401
 
 
@@ -15,6 +15,22 @@ from illume.oracle import random_density, random_scenario  # noqa: F401
 def lemma_suite_2026():
     """The 10^4-trial lemma suite at seed 2026, run once for all tests that read it."""
     return run_lemma_suite(seed=2026, trials=10_000)
+
+
+@pytest.fixture
+def search_budget(monkeypatch):
+    """Sets the oracle's restart count and iteration cap for one test: ``search_budget(6, 600)``.
+
+    The library always searches with the ``RESTARTS`` x ``STEPS_PER_RESTART``
+    budget the oracle suite validates; a test that needs no optimum runs a
+    smaller search to keep its run time, and a test of the cap a tiny one.
+    """
+
+    def set_budget(restarts: int, steps: int = oracle.STEPS_PER_RESTART):
+        monkeypatch.setattr(oracle, "RESTARTS", restarts)
+        monkeypatch.setattr(oracle, "STEPS_PER_RESTART", steps)
+
+    return set_budget
 
 
 @pytest.fixture(scope="session")

@@ -73,7 +73,7 @@ def test_criterion_2_quantum_optimum_achievability():
     formula_gap = abs(direct - target)
     assert abs(perr_quantum(s) - target) <= 1e-12
 
-    result = maximize_trace_norm(s, QUANTUM, SearchConfig(restarts=64, seed=11))
+    result = maximize_trace_norm(s, QUANTUM, SearchConfig(seed=11))
     search_gap = result.perr - target  # negative would mean a better state exists
 
     elapsed = time.perf_counter() - start

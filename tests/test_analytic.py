@@ -24,10 +24,12 @@ from illume import (
     perr_conventional,
     perr_quantum,
     projector,
+    region_boundaries,
     report,
     schmidt_squares,
     trace_norm,
 )
+from illume.analytic import solve_grid
 from illume.tolerances import BOUNDARY_TOL
 
 SKEW3 = [0.5, 0.3, 0.2]
@@ -79,6 +81,18 @@ class TestBoundaries:
         env = EnvironmentState([1.0, 0.0])
         assert eta_guess_absent(0.8, 0.2, env.lambda_min) == 0.0
         assert eta_guess_absent(0.8, 0.2, env.lambda_harmonic) == 0.0
+
+    def test_single_level_balanced_priors(self):
+        # d = 1 has lambda_d = lambda_h = 1, so 1 - lambda = 0: at p0 = p1 the
+        # guess-absent boundary is 0 (no region II), on the scalar and grid paths alike
+        env = EnvironmentState([1.0])
+        assert env.lambda_min == env.lambda_harmonic == 1.0
+        assert eta_guess_absent(0.5, 0.5, 1.0) == 0.0
+        r = report(Scenario(0.5, 0.3, env))
+        assert (r.eta_c, r.eta_q) == (0.0, 0.0)
+        assert solve_grid([0.5], [0.3], env.lambda_min, env.lambda_harmonic).eta_c.tolist() == [0.0]
+        curves = region_boundaries(env, (0.0, 1.0, 3))
+        assert curves.eta_c_raw.tolist() == [-np.inf, 0.0, np.inf]
 
 
 class TestClassify:

@@ -202,12 +202,13 @@ class TestSweep:
         assert run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_oracle_columns(self, capsys, tmp_path):
+    def test_oracle_columns(self, capsys, tmp_path, search_budget):
+        search_budget(6, 600)
         spec = self.write_spec(
             tmp_path,
             p0_range=[0.3, 0.7, 3],
             eta_range=[0.3, 0.9, 3],
-            oracle_cfg={"restarts": 6, "steps_per_restart": 600, "seed": 2},
+            oracle_cfg={"seed": 2},
         )
         out_csv = tmp_path / "oracle.csv"
         code, _, _ = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out_csv), "--oracle")
@@ -257,14 +258,15 @@ class TestSweep:
 
     @pytest.mark.parametrize("in_file", [True, False])
     def test_costly_oracle_sweep_is_input_error(self, capsys, tmp_path, in_file):
-        # 4 cells, but each would run 10^9 restarts per search
+        # 4 cells, but each would run 10^9 restarts per search: the restart
+        # count is a constant, so the field is refused before any search
         spec = self.write_spec(tmp_path, p0_range=[0, 1, 2], eta_range=[0, 1, 2],
                                oracle=in_file, oracle_cfg={"restarts": 10**9})
         out_csv = tmp_path / "x.csv"
         argv = ("sweep", "--spec", str(spec), "--out", str(out_csv))
         code, out, err = run_cli(capsys, *argv, *([] if in_file else ["--oracle"]))
         assert (code, out) == (2, "")
-        assert "oracle sweep grid has 4 cells" in err
+        assert err.splitlines() == ["error: unknown oracle_cfg fields: restarts"]
         assert not out_csv.exists()
 
     def test_oracle_dimension_cap_is_input_error(self, capsys, tmp_path):
@@ -280,7 +282,7 @@ class TestSweep:
 
     def test_oracle_cfg_without_oracle_adds_no_columns(self, capsys, tmp_path):
         spec = self.write_spec(tmp_path, p0_range=[0.4, 0.6, 2], eta_range=[0.5, 0.7, 2],
-                               oracle_cfg={"restarts": 10**9})
+                               oracle_cfg={"seed": 5})
         out_csv = tmp_path / "x.csv"
         assert run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out_csv))[0] == 0
         assert out_csv.read_text().splitlines()[0].split(",")[-1] == "advantage"
@@ -308,10 +310,11 @@ class TestSweep:
 
     @pytest.mark.parametrize("field, value", [
         ("initial_step", 0.5), ("shrink_factor", 0.9), ("tolerance", 1e-6),
+        ("restarts", 32), ("steps_per_restart", 2000),
     ])
     def test_removed_oracle_cfg_field_is_input_error(self, capsys, tmp_path, field, value):
         spec = self.write_spec(tmp_path, p0_range=[0, 1, 2], eta_range=[0, 1, 2], oracle=True,
-                               oracle_cfg={"restarts": 1, "seed": 0, field: value})
+                               oracle_cfg={"seed": 0, field: value})
         code, out, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(tmp_path / "x.csv"))
         assert (code, out) == (2, "")
         assert f"unknown oracle_cfg fields: {field}" in err
@@ -328,8 +331,8 @@ class TestSweep:
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("cfg, message", [
-        ({"steps_per_restart": 0}, "must be an integer >= 1"),
-        ({"restarts": 1.5}, "must be an integer >= 1"),
+        ({"steps_per_restart": 0}, "fields: steps_per_restart"),
+        ({"restarts": 1.5}, "fields: restarts"),
         ({"seed": 1.5}, "must be an integer >= 0"),
         (5, "must be a JSON object"),
         ([1, 2], "must be a JSON object"),
@@ -343,13 +346,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("steps, stops", [(2000, "conventional=0 quantum=0"),
                                               (1, "conventional=6 quantum=6")])
-    def test_oracle_budget_stops_on_stderr(self, capsys, tmp_path, steps, stops):
+    def test_oracle_budget_stops_on_stderr(self, capsys, tmp_path, search_budget, steps, stops):
         # one flat cell (gamma >= 0) is not searched and has no budget stop;
         # at the cap of one iteration, the two restarts of each other cell are
         # budget stops
+        search_budget(2, steps)
         spec = self.write_spec(tmp_path, p0_range=[0.3, 0.5, 2], eta_range=[0.5, 0.7, 2],
-                               spectrum=[0.7, 0.3],
-                               oracle_cfg={"restarts": 2, "steps_per_restart": steps})
+                               spectrum=[0.7, 0.3])
         path = tmp_path / "x.csv"
         code, out, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(path), "--oracle")
         assert (code, out) == (0, "")
@@ -357,9 +360,10 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(path))
         assert err.splitlines()[-1] == f"sweep: wrote 4 records to {path}"
 
-    def test_oracle_reruns_are_byte_identical(self, capsys, tmp_path):
+    def test_oracle_reruns_are_byte_identical(self, capsys, tmp_path, search_budget):
+        search_budget(2)
         spec = self.write_spec(tmp_path, p0_range=[0.4, 0.6, 2], eta_range=[0.5, 0.7, 2],
-                               oracle_cfg={"restarts": 2, "seed": 0})
+                               oracle_cfg={"seed": 0})
         code, _, _ = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(tmp_path / "x.csv"),
                              "--oracle")
         assert code == 0
@@ -601,7 +605,8 @@ def _input_files(draw, kind):
                 st.tuples(_FIELD, st.just(1.0), st.integers(-1, 4)).map(list),
                 st.tuples(st.just(0.0), st.just(1.0), _FIELD).map(list),
             )
-        # an oracle_cfg is validated even when the (slow) oracle is off
+        # an oracle_cfg is validated even when the (slow) oracle is off; its
+        # removed restarts and steps_per_restart fields are drawn, to be refused
         data["oracle_cfg"] = None
         bad["oracle_cfg"] = st.one_of(_FIELD, st.fixed_dictionaries(
             {}, optional={"restarts": _FIELD, "steps_per_restart": _FIELD, "seed": _FIELD}))
@@ -636,7 +641,7 @@ _KEYS = {
     "scenario": {"p0", "eta", "spectrum", "basis"},
     "sweep": {"p0_range", "eta_range", "spectrum", "basis", "oracle", "oracle_cfg"},
 }
-_CFG_KEYS = {"restarts", "steps_per_restart", "seed"}
+_CFG_KEYS = {"seed"}
 
 
 def _mistyped(data, kind) -> bool:

@@ -46,6 +46,7 @@ from illume import (
 )
 from illume import oracle as oracle_mod
 from illume.model import ScenarioStack
+from illume.tolerances import ORACLE_AGREEMENT_TOL
 
 SKEW3 = [0.5, 0.3, 0.2]
 # 2x2 matrices that are not density matrices, with the error each must raise
@@ -54,7 +55,13 @@ NOT_DENSITY = [
     (np.diag([1.5, -0.5]), "negative eigenvalue"),
     (np.diag([0.5, 0.6]), "unit trace"),
 ]
-CHEAP = SearchConfig(restarts=6, steps_per_restart=600, seed=3)
+
+
+@pytest.fixture
+def cheap(search_budget):
+    """Seed 3 on a search of 6 restarts of at most 600 steps, for tests that need no optimum."""
+    search_budget(6, 600)
+    return SearchConfig(seed=3)
 
 
 def _scenario_maps(s: Scenario, mode: str):
@@ -109,7 +116,7 @@ class TestMaximizeTraceNorm:
         (0.6, 1e-200),  # gamma < 0 and p1 eta below the rounding of gamma
     ], ids=["gamma-positive", "eta-star", "no-signal", "faint-signal"])
     @pytest.mark.parametrize("mode", [CONVENTIONAL, QUANTUM])
-    def test_region_one_is_flat(self, monkeypatch, mode, p0, eta):
+    def test_region_one_is_flat(self, monkeypatch, cheap, mode, p0, eta):
         # every probe gives the same trace norm, so the cell is answered
         # without a search: no see-saw step and no secular root
         s = Scenario(p0, eta, EnvironmentState(SKEW3))
@@ -119,8 +126,8 @@ class TestMaximizeTraceNorm:
             raise AssertionError("a flat cell solved a secular root")
 
         monkeypatch.setattr(oracle_mod, "_top_root", no_root)
-        result = maximize_trace_norm(s, mode, CHEAP)
-        assert result.iterations == [0] * CHEAP.restarts
+        result = maximize_trace_norm(s, mode, cheap)
+        assert result.iterations == [0] * oracle_mod.RESTARTS
         assert result.evaluations == result.budget_stops == 0
         assert result.perr == (1.0 - result.best_value) / 2.0
         rng = np.random.default_rng(1)
@@ -143,16 +150,16 @@ class TestMaximizeTraceNorm:
         assert abs(result.perr - target) <= 1e-6
         assert result.perr >= target - 1e-6  # search never beats the claimed optimum
 
-    def test_result_internal_consistency(self):
+    def test_result_internal_consistency(self, cheap):
         s = Scenario(0.5, 0.4, EnvironmentState([0.5, 0.5]))
-        result = maximize_trace_norm(s, CONVENTIONAL, CHEAP)
+        result = maximize_trace_norm(s, CONVENTIONAL, cheap)
         assert result.perr == (1.0 - result.best_value) / 2.0
-        assert result.evaluations >= CHEAP.restarts
+        assert result.evaluations >= oracle_mod.RESTARTS
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_seed(self, cheap):
         s = Scenario(0.5, 0.6, EnvironmentState(SKEW3))
-        a = maximize_trace_norm(s, CONVENTIONAL, CHEAP)
-        b = maximize_trace_norm(s, CONVENTIONAL, CHEAP)
+        a = maximize_trace_norm(s, CONVENTIONAL, cheap)
+        b = maximize_trace_norm(s, CONVENTIONAL, cheap)
         assert a.best_value == b.best_value
         assert a.evaluations == b.evaluations
         np.testing.assert_array_equal(a.best_state, b.best_state)
@@ -167,29 +174,31 @@ class TestMaximizeTraceNorm:
         assert abs(value[0] - (1.0 - 2.0 * perr_quantum(s))) <= 1e-12
         assert abs(abs(np.vdot(targets(frame)[0], probe)) - 1.0) <= 1e-12
 
-    def test_quantum_dimension_cap(self):
+    def test_quantum_dimension_cap(self, cheap):
         s = Scenario(0.5, 0.6, EnvironmentState.completely_mixed(17))
         with pytest.raises(ValueError, match="dimension"):
-            maximize_trace_norm(s, QUANTUM, CHEAP)
+            maximize_trace_norm(s, QUANTUM, cheap)
 
     def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            SearchConfig(restarts=0)
-        with pytest.raises(ValueError):
-            SearchConfig(steps_per_restart=0)
+        # the restart count and the iteration cap are constants, not settings
+        for field in ("restarts", "steps_per_restart"):
+            with pytest.raises(TypeError, match=field):
+                SearchConfig(**{field: 0})
+        with pytest.raises(ValueError, match="seed"):
+            SearchConfig(seed=-1)
 
     def test_tolerance_is_not_a_field(self):
         # the search stops on SEARCH_CONVERGED_GAIN; tolerance is only the
         # oracle suite's fixed pass margin
-        assert [f.name for f in dataclasses.fields(SearchConfig)] == [
-            "restarts", "steps_per_restart", "seed"]
-        assert SearchConfig().tolerance == 1e-6
+        assert [f.name for f in dataclasses.fields(SearchConfig)] == ["seed"]
+        assert SearchConfig().tolerance == ORACLE_AGREEMENT_TOL == 1e-6
         with pytest.raises(TypeError):
             SearchConfig(tolerance=1e-6)
 
-    def test_never_beats_analytic(self):
+    def test_never_beats_analytic(self, search_budget):
         rng = np.random.default_rng(2)
-        small = SearchConfig(restarts=4, steps_per_restart=300, seed=9)
+        search_budget(4, 300)
+        small = SearchConfig(seed=9)
         for _ in range(6):
             s = random_scenario(rng, int(rng.integers(2, 4)))
             for mode, analytic in (
@@ -201,44 +210,48 @@ class TestMaximizeTraceNorm:
 
 
 class TestSeeSawSearch:
-    def test_conventional_d16_region_three_converges(self):
+    def test_conventional_d16_region_three_converges(self, search_budget):
         rng = np.random.default_rng(2024)
         env = EnvironmentState(np.sort(rng.dirichlet(np.ones(16)))[::-1])
         s = Scenario(0.5, 0.6, env)
         assert classify(s)[0] == REGION_III
-        result = maximize_trace_norm(s, CONVENTIONAL, SearchConfig(restarts=8, seed=0))
+        search_budget(8)
+        result = maximize_trace_norm(s, CONVENTIONAL, SearchConfig(seed=0))
         assert abs(result.perr - perr_conventional(s)) <= 1e-9
         assert result.budget_stops == 0
 
-    def test_quantum_d16_region_three_converges(self):
+    def test_quantum_d16_region_three_converges(self, search_budget):
         # a 256-dimensional probe on the conventional d = 16 test's spectrum
         rng = np.random.default_rng(2024)
         env = EnvironmentState(np.sort(rng.dirichlet(np.ones(16)))[::-1])
         s = Scenario(0.5, 0.6, env)
         assert classify(s)[1] == REGION_III
-        result = maximize_trace_norm(s, QUANTUM, SearchConfig(restarts=4, seed=0))
+        search_budget(4)
+        result = maximize_trace_norm(s, QUANTUM, SearchConfig(seed=0))
         assert result.budget_stops == 0
         assert abs(result.perr - perr_quantum(s)) <= 1e-9
 
-    def test_quantum_d8_completely_mixed_converges(self):
+    def test_quantum_d8_completely_mixed_converges(self, search_budget):
         s = Scenario(0.5, 0.6, EnvironmentState.completely_mixed(8))
         assert classify(s)[1] == REGION_III
-        result = maximize_trace_norm(s, QUANTUM, SearchConfig(restarts=8, seed=3))
+        search_budget(8)
+        result = maximize_trace_norm(s, QUANTUM, SearchConfig(seed=3))
         assert abs(result.perr - perr_quantum(s)) <= 1e-9
         assert result.budget_stops == 0
 
-    def test_ill_conditioned_quantum_d5_converges(self):
+    def test_ill_conditioned_quantum_d5_converges(self, search_budget):
         # a near-zero eigenvalue next to a dominant one: the plain see-saw
         # crawls here and stops on its iteration cap
         spectrum = np.array([0.91282, 0.0403, 0.03108, 0.01566, 0.00015])
         s = Scenario(0.2, 0.98, EnvironmentState(spectrum / spectrum.sum()))
         assert classify(s)[1] == REGION_III
-        result = maximize_trace_norm(s, QUANTUM, SearchConfig(restarts=4, seed=1))
+        search_budget(4)
+        result = maximize_trace_norm(s, QUANTUM, SearchConfig(seed=1))
         assert abs(result.perr - perr_quantum(s)) <= 1e-9
         assert result.budget_stops == 0
 
     @pytest.mark.parametrize("mode", [CONVENTIONAL, QUANTUM])
-    def test_restart_without_positive_eigenvalue_moves_on(self, mode):
+    def test_restart_without_positive_eigenvalue_moves_on(self, search_budget, mode):
         # just above the measuring threshold most probes give omega no
         # positive eigenvalue; the search must still climb from there, not
         # count its first flat step as convergence
@@ -248,13 +261,14 @@ class TestSeeSawSearch:
             s, exact = Scenario(0.8, r.eta_c + 0.02, env), perr_conventional
         else:
             s, exact = Scenario(0.8, r.eta_q + 0.02, env), perr_quantum
+        search_budget(1)
         for k in range(10):
-            result = maximize_trace_norm(s, mode, SearchConfig(restarts=1, seed=k))
+            result = maximize_trace_norm(s, mode, SearchConfig(seed=k))
             assert abs(result.perr - exact(s)) <= 1e-9
             assert result.iterations[0] > 1
 
     @pytest.mark.parametrize("mode", [CONVENTIONAL, QUANTUM])
-    def test_single_restart_is_monotone(self, mode):
+    def test_single_restart_is_monotone(self, search_budget, mode):
         rng = np.random.default_rng(12)
         s = random_scenario(rng, 3, gamma_negative=True)
         dim = 3 if mode == CONVENTIONAL else 9
@@ -263,8 +277,8 @@ class TestSeeSawSearch:
             start_value = 1.0 - 2.0 * perr_of_state(s, start, mode)
             previous = -np.inf
             for cap in (1, 2, 3, 5, 8, 40):
-                cfg = SearchConfig(restarts=1, steps_per_restart=cap, seed=seed)
-                value = maximize_trace_norm(s, mode, cfg).best_value
+                search_budget(1, cap)
+                value = maximize_trace_norm(s, mode, SearchConfig(seed=seed)).best_value
                 assert value >= start_value - 1e-14
                 assert value >= previous  # a longer run extends the same trajectory
                 previous = value
@@ -293,18 +307,20 @@ class TestSeeSawSearch:
             move = targets(values(psi[None])[1])[0]
             assert np.vdot(move, q @ move).real >= np.linalg.eigvalsh(q)[-1] - 1e-12
 
-    def test_iterations_and_budget_stops(self):
+    def test_iterations_and_budget_stops(self, search_budget):
         s = Scenario(0.5, 0.6, EnvironmentState(SKEW3))
-        capped = maximize_trace_norm(s, QUANTUM, SearchConfig(restarts=5, steps_per_restart=1))
+        search_budget(5, 1)
+        capped = maximize_trace_norm(s, QUANTUM, SearchConfig())
         assert capped.iterations == [1] * 5
         assert capped.budget_stops == 5
-        full = maximize_trace_norm(s, QUANTUM, SearchConfig(restarts=5, seed=2))
+        search_budget(5)
+        full = maximize_trace_norm(s, QUANTUM, SearchConfig(seed=2))
         assert full.budget_stops == 0
         assert len(full.iterations) == 5 and min(full.iterations) >= 1
         # every iteration scores one or two rounds of three step lengths
         assert 5 + 3 * sum(full.iterations) <= full.evaluations <= 5 + 6 * sum(full.iterations)
 
-    def test_each_probe_is_solved_once(self, monkeypatch):
+    def test_each_probe_is_solved_once(self, monkeypatch, search_budget):
         # a values batch solves the top root of every state it scores, and
         # keeps the frame; a target batch solves only the second, quantum
         # root; evaluations counts the states the values batches scored
@@ -326,7 +342,8 @@ class TestSeeSawSearch:
         monkeypatch.setattr(oracle_mod, "_see_saw_maps", maps)
         s = Scenario(0.5, 0.6, EnvironmentState(SKEW3))
         assert classify(s)[1] == REGION_III
-        result = maximize_trace_norm(s, QUANTUM, SearchConfig(restarts=4, seed=5))
+        search_budget(4)
+        result = maximize_trace_norm(s, QUANTUM, SearchConfig(seed=5))
         assert calls["targets"] == max(result.iterations) > 0
         assert calls["roots"] == calls["values"] + calls["targets"]
         assert rows["values"] == result.evaluations
@@ -335,7 +352,7 @@ class TestSeeSawSearch:
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("mode", [CONVENTIONAL, QUANTUM])
-    def test_batched_cells_equal_their_own_searches(self, monkeypatch, mode, d):
+    def test_batched_cells_equal_their_own_searches(self, monkeypatch, search_budget, mode, d):
         # cells of a batched search, chunked two at a time, against a search
         # of each scenario alone; the flat cells 0 and 3 (gamma >= 0) join no
         # chunk, so the three others make a chunk of two and one of one
@@ -344,14 +361,15 @@ class TestSeeSawSearch:
         cells = [Scenario(a, b, env) for a, b in zip(p0, eta)]
         assert [s.gamma >= 0.0 for s in cells] == [True, False, False, True, False]
         assert classify(cells[1]) == (REGION_III, REGION_III)
-        cfg = SearchConfig(restarts=3, seed=5)
+        search_budget(3)
+        cfg = SearchConfig(seed=5)
         dim = d if mode == CONVENTIONAL else d * d
-        monkeypatch.setattr(oracle_mod, "SEARCH_BLOCK_BYTES", 2 * cfg.restarts * dim * 16)
+        monkeypatch.setattr(oracle_mod, "SEARCH_BLOCK_BYTES", 2 * 3 * dim * 16)
         chunks = collections.Counter()
         search = oracle_mod._search
 
         def spy(env, c, *args):
-            chunks[c.size // cfg.restarts] += 1
+            chunks[c.size // 3] += 1
             return search(env, c, *args)
 
         monkeypatch.setattr(oracle_mod, "_search", spy)
@@ -374,12 +392,39 @@ class TestSeeSawSearch:
         ("seed", -1), ("seed", 1.5), ("seed", "x"),
     ])
     def test_rejects_malformed_budget(self, field, value):
-        with pytest.raises(ValueError, match=field.split("_")[0]):
+        # only the seed is a setting; the restart count and the cap take no value
+        error = ValueError if field == "seed" else TypeError
+        with pytest.raises(error, match=field.split("_")[0]):
             SearchConfig(**{field: value})
 
-    def test_bit_identical_reruns(self):
+    @pytest.mark.parametrize("mode", [CONVENTIONAL, QUANTUM])
+    def test_all_flat_call_draws_one_start(self, monkeypatch, mode):
+        # with no cell to search, only restart 0's start is drawn, by the
+        # same call as when a cell is searched, so the flat answers keep their bits
+        env, cfg = EnvironmentState(SKEW3), SearchConfig(seed=4)
+        dim = 3 if mode == CONVENTIONAL else 9
+        draws, haar = [], oracle_mod.haar_random_state
+
+        def spy(*args):
+            draws.append(args)
+            return haar(*args)
+
+        monkeypatch.setattr(oracle_mod, "haar_random_state", spy)
+        p0, eta = [0.3, 0.6, 0.4], [0.5, 0.0, 1e-200]
+        flat = oracle_mod.search_cells(env, p0, eta, mode, cfg)
+        assert len(draws) == 1
+        mixed = oracle_mod.search_cells(env, p0 + [0.5], eta + [0.6], mode, cfg)
+        assert len(draws) == 1 + oracle_mod.RESTARTS and mixed[3].evaluations > 0
+        start = haar(dim, np.random.default_rng([4, 0]))
+        for a, b in zip(flat, mixed):
+            assert a.best_state.tobytes() == b.best_state.tobytes() == start.tobytes()
+            assert (a.best_value, a.perr, a.evaluations, a.iterations, a.budget_stops) == (
+                b.best_value, b.perr, 0, [0] * oracle_mod.RESTARTS, 0)
+
+    def test_bit_identical_reruns(self, search_budget):
         s = Scenario(0.45, 0.7, EnvironmentState(SKEW3))
-        cfg = SearchConfig(restarts=6, seed=8)
+        search_budget(6)
+        cfg = SearchConfig(seed=8)
         for mode in (CONVENTIONAL, QUANTUM):
             a = maximize_trace_norm(s, mode, cfg)
             b = maximize_trace_norm(s, mode, cfg)
@@ -387,8 +432,9 @@ class TestSeeSawSearch:
                 b.best_value, b.evaluations, b.iterations)
             assert a.best_state.tobytes() == b.best_state.tobytes()
 
-    def test_sweep_rerun_is_bit_identical(self):
-        cfg = SearchConfig(restarts=4, seed=6)
+    def test_sweep_rerun_is_bit_identical(self, search_budget):
+        search_budget(4)
+        cfg = SearchConfig(seed=6)
         spec = SweepSpec((0.3, 0.6, 3), (0.4, 0.9, 3), EnvironmentState(SKEW3), oracle=cfg)
         assert [dataclasses.astuple(r) for r in run_sweep(spec)] == [
             dataclasses.astuple(r) for r in run_sweep(spec)]

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from illume import (
@@ -121,8 +121,9 @@ class TestRunSweep:
             for a, b in zip(inside, inside[1:]):
                 assert b.perr_c < a.perr_c + 1e-15
 
-    @pytest.mark.parametrize("oracle", [None, SearchConfig(restarts=2, steps_per_restart=50)])
-    def test_rows_equal_columns_bit_for_bit(self, oracle):
+    @pytest.mark.parametrize("oracle", [None, SearchConfig()])
+    def test_rows_equal_columns_bit_for_bit(self, search_budget, oracle):
+        search_budget(2, 50)
         spec = SweepSpec((0.0, 1.0, 3), (0.0, 1.0, 4), EnvironmentState(SKEW3), oracle=oracle)
         table = run_sweep(spec)
         g = table.grid
@@ -152,8 +153,9 @@ class TestRunSweep:
             tracemalloc.stop()
         assert peak < 3 * 2**20
 
-    def test_oracle_columns_match_analytic(self):
-        cfg = SearchConfig(restarts=6, steps_per_restart=600, seed=2)
+    def test_oracle_columns_match_analytic(self, search_budget):
+        search_budget(6, 600)
+        cfg = SearchConfig(seed=2)
         spec = SweepSpec(
             (0.3, 0.7, 3), (0.2, 1.0, 3), EnvironmentState([0.5, 0.5]), oracle=cfg,
         )
@@ -161,8 +163,9 @@ class TestRunSweep:
             assert abs(r.oracle_perr_c - r.perr_c) <= 1e-5
             assert abs(r.oracle_perr_q - r.perr_q) <= 1e-5
 
-    def test_oracle_columns_equal_per_cell_searches(self):
-        cfg = SearchConfig(restarts=4, steps_per_restart=300, seed=4)
+    def test_oracle_columns_equal_per_cell_searches(self, search_budget):
+        search_budget(4, 300)
+        cfg = SearchConfig(seed=4)
         env = EnvironmentState(SKEW3)
         spec = SweepSpec((0.4, 0.6, 2), (0.3, 0.9, 3), env, oracle=cfg)
         records = run_sweep(spec)
@@ -173,8 +176,9 @@ class TestRunSweep:
             assert r.oracle_perr_c == maximize_trace_norm(s, CONVENTIONAL, cfg).perr
             assert r.oracle_perr_q == maximize_trace_norm(s, QUANTUM, cfg).perr
 
-    def test_budget_stops_sum_the_cells_searches(self):
-        cfg = SearchConfig(restarts=3, steps_per_restart=2, seed=1)
+    def test_budget_stops_sum_the_cells_searches(self, search_budget):
+        search_budget(3, 2)
+        cfg = SearchConfig(seed=1)
         env = EnvironmentState(SKEW3)
         table = run_sweep(SweepSpec((0.3, 0.6, 2), (0.2, 0.9, 3), env, oracle=cfg))
         stops = {mode: sum(maximize_trace_norm(Scenario(p0, eta, env), mode, cfg).budget_stops
@@ -254,22 +258,27 @@ class TestRunSweep:
             with pytest.raises(ValueError, match=f"oracle sweep grid has {n_p0 * n_eta} cells"):
                 SweepSpec((0.0, 1.0, n_p0), (0.0, 1.0, n_eta), env, oracle=SearchConfig())
 
-    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("d", range(1, 17))
     @pytest.mark.parametrize("restarts", [1, 16, 32, 33, 10**9])
-    def test_oracle_cap_bounds_cells_times_search_cost(self, d, restarts):
-        # admitted iff cells <= MAX_ORACLE_CELLS and cells * restarts * d^4 <= the
-        # budget of the default 32 restarts on a MAX_ORACLE_CELLS grid at d = 2
+    def test_oracle_cap_bounds_cells_times_search_cost(self, search_budget, d, restarts):
+        # admitted iff cells <= MAX_ORACLE_CELLS and cells * 32 * d^4 <= the
+        # budget of 32 restarts on a MAX_ORACLE_CELLS grid at d = 2: the rule
+        # of the default search, which no restart count set in a test moves
         env = EnvironmentState.completely_mixed(d)
-        cfg = SearchConfig(restarts=restarts)
+        search_budget(restarts)
         budget = MAX_ORACLE_CELLS * 32 * 2**4
+        limits = {1: 4096, 2: 4096, 3: 809, 4: 256, 6: 50, 8: 16, 16: 1}
+        if d in limits:
+            assert min(MAX_ORACLE_CELLS, budget // (32 * d**4)) == limits[d]
         for n_p0, n_eta in [(2, 2), (2, 8), (2, 9), (3, 6), (4, 4), (4, 8), (3, 11), (2, 25),
-                            (2, 26), (16, 16), (16, 17), (2, 128), (2, 129), (64, 64), (64, 65)]:
+                            (2, 26), (16, 16), (16, 17), (2, 128), (2, 129), (64, 64), (64, 65),
+                            (29, 27), (30, 27), (5, 10), (3, 17)]:
             cells = n_p0 * n_eta
-            admitted = cells <= MAX_ORACLE_CELLS and cells * restarts * d**4 <= budget
+            admitted = cells <= MAX_ORACLE_CELLS and cells * 32 * d**4 <= budget
             try:
-                SweepSpec((0.0, 1.0, n_p0), (0.0, 1.0, n_eta), env, oracle=cfg)
+                SweepSpec((0.0, 1.0, n_p0), (0.0, 1.0, n_eta), env, oracle=SearchConfig())
             except ValueError as exc:
-                assert not admitted and f"oracle sweep grid has {cells} cells" in str(exc)
+                assert not admitted and str(exc).startswith(f"oracle sweep grid has {cells} cells")
             else:
                 assert admitted
 
@@ -286,6 +295,7 @@ class TestRunSweep:
 
     @settings(max_examples=300, deadline=None)
     @given(spec=sweep_specs())
+    @example(spec=SweepSpec((0.0, 1.0, 3), (0.0, 1.0, 3), EnvironmentState([1.0])))  # d = 1, p0 = p1
     def test_rows_equal_scalar_path(self, spec):
         records = run_sweep(spec)
         p0s = np.linspace(*spec.p0_range)
@@ -334,16 +344,18 @@ class TestCsv:
         text = records_to_csv(run_sweep(spec))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
-    def test_oracle_header(self):
-        cfg = SearchConfig(restarts=2, steps_per_restart=50, seed=1)
+    def test_oracle_header(self, search_budget):
+        search_budget(2, 50)
+        cfg = SearchConfig(seed=1)
         spec = SweepSpec((0.5, 0.5, 2), (0.5, 0.5, 2), EnvironmentState([0.5, 0.5]), oracle=cfg)
         text = records_to_csv(run_sweep(spec))
         header = text.splitlines()[0]
         assert header == "p0,eta,region_c,region_q,perr_c,perr_q,advantage,oracle_perr_c,oracle_perr_q"
         assert all(len(line.split(",")) == 9 for line in text.splitlines()[1:])
 
-    @pytest.mark.parametrize("oracle", [None, SearchConfig(restarts=2, steps_per_restart=50)])
-    def test_streamed_file_equals_rendered_text(self, tmp_path, oracle):
+    @pytest.mark.parametrize("oracle", [None, SearchConfig()])
+    def test_streamed_file_equals_rendered_text(self, tmp_path, search_budget, oracle):
+        search_budget(2, 50)
         spec = SweepSpec((0.2, 0.8, 2), (0.0, 1.0, 3), EnvironmentState(SKEW3), oracle=oracle)
         table = run_sweep(spec)
         write_csv(table, tmp_path / "grid.csv")
@@ -389,6 +401,7 @@ class TestRegionBoundaries:
 
     @settings(max_examples=200, deadline=None)
     @given(spec=sweep_specs())
+    @example(spec=SweepSpec((0.0, 1.0, 3), (0.0, 1.0, 3), EnvironmentState([1.0])))  # d = 1, p0 = p1
     def test_equal_scalar_formulas(self, spec):
         env = spec.env
         curves = region_boundaries(env, spec.p0_range)
