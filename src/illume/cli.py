@@ -159,6 +159,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.suite == "oracle" and args.trials is not None:
+        raise ValueError("--trials does not apply to --suite oracle: it has no trial count")
     _require_at_least("--trials", args.trials, 1)
     _require_at_least("--seed", args.seed, 0)
     trials = {} if args.trials is None else {"trials": args.trials}

@@ -178,6 +178,11 @@ def require_mode(mode: str) -> str:
     return mode
 
 
+def probe_dim(d: int, mode: str) -> int:
+    """Probe dimension at environment dimension ``d``: ``d``, or ``d**2`` (signal tensor idler)."""
+    return d if require_mode(mode) == CONVENTIONAL else d * d
+
+
 def absent_state(env: EnvironmentState | np.ndarray, rho, mode: str) -> np.ndarray:
     """Target-absent state of a probe ``rho``: one density matrix or a stack ``(..., n, n)``.
 
@@ -190,7 +195,7 @@ def absent_state(env: EnvironmentState | np.ndarray, rho, mode: str) -> np.ndarr
     """
     rho_e = env.density() if isinstance(env, EnvironmentState) else np.asarray(env, np.complex128)
     d = rho_e.shape[-1]
-    n = d if require_mode(mode) == CONVENTIONAL else d * d
+    n = probe_dim(d, mode)
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape[-2:] != (n, n):
         what = "probe" if mode == CONVENTIONAL else "bipartite probe"

@@ -46,6 +46,7 @@ from .model import (
     ScenarioStack,
     absent_state,
     omega,
+    probe_dim,
     require_integer,
     require_mode,
 )
@@ -67,12 +68,12 @@ MAX_QUANTUM_SEARCH_DIM = 16
 SECULAR_MAX_STEPS = 30
 FLOAT_EPS = float(np.finfo(float).eps)
 
-# Trials of a lemma check drawn and checked together, as one stack per
-# instance group; a multiple of 12, so every cycle of dimensions, branches
-# and modes splits evenly. Memory sets it: the largest stack of a block,
-# four quantum d = 4 convexity trials of 17 matrices 16 x 16 each, holds
-# 0.3 MB. Larger blocks run faster but raise the process's peak memory.
-LEMMA_BLOCK = 24
+# Matrix bytes of one instance group's stack in a lemma-suite block; each
+# check's block, in trials, follows from it (see run_lemma_suite). Memory
+# sets it: it holds four quantum d = 4 convexity trials of 17 complex
+# matrices 16 x 16 each, the largest stack, and larger stacks raise the
+# process's peak memory.
+LEMMA_STACK_BYTES = 4 * 17 * 16**2 * 16
 
 # Step lengths tried along each see-saw move, a round per trace-norm call; a
 # row takes the next round only while each step improved on the one before.
@@ -322,7 +323,7 @@ def search_cells(env: EnvironmentState, p0, eta, mode: str, cfg: SearchConfig) -
     cells = ScenarioStack(np.asarray(p0, float), np.asarray(eta, float), None)  # p1, gamma: no env
     c, gamma = cells.p1 * cells.eta, cells.gamma
     flat = (gamma >= 0.0) | (c <= FLOAT_EPS * -gamma)  # omega >= 0, or c u u^dagger rounds away
-    dim = env.dim if mode == CONVENTIONAL else env.dim ** 2
+    dim = probe_dim(env.dim, mode)
     starts = np.array([haar_random_state(dim, np.random.default_rng([cfg.seed, r]))
                        for r in range(1 if flat.all() else RESTARTS)])
     rows = np.repeat(np.flatnonzero(~flat), len(starts))
@@ -467,7 +468,12 @@ def _convexity_margins(s: Scenario | ScenarioStack, rho: np.ndarray, mode: str) 
 
 def check_convexity_reduction(s: Scenario, rho, mode: str) -> bool:
     """A mixed probe never out-performs the best eigenstate in its mixture."""
-    return bool(_convexity_margins(s, require_density_matrix(rho), mode) >= 0.0)
+    rho = require_density_matrix(rho)
+    n = probe_dim(s.env.dim, mode)
+    if rho.shape != (n, n):
+        raise ValueError(f"probe has shape {rho.shape}, expected ({n}, {n}) "
+                         f"for {mode} mode at environment dimension {s.env.dim}")
+    return bool(_convexity_margins(s, rho, mode) >= 0.0)
 
 
 def simulate_measurement(
@@ -617,9 +623,13 @@ def run_lemma_suite(seed: int = 0, trials: int = 10000) -> dict:
     the worst one; the tolerance is folded in, so a pass means margin >= 0.
     Trial ``t`` of a check is an instance of group ``t % len(groups)`` (a
     dimension, and a branch or a mode), so the groups share the trials
-    evenly. The trials run in blocks of ``LEMMA_BLOCK``; in each block a
-    group is drawn with one rng call per array and checked as one stack,
-    and only the running worst margin and violation count outlive it.
+    evenly. The trials run in blocks; in each block a group is drawn with
+    one rng call per array and checked as one stack, and only the running
+    worst margin and violation count outlive it. A check's block is its
+    group count times the trials of its largest group whose complex
+    matrices fit ``LEMMA_STACK_BYTES`` (1, 1, 2 and n + 1 matrices n x n a
+    trial): 1,932 single-negative, 856 ground-level, 964 linearity and 24
+    convexity trials.
     """
     require_integer("seed", seed, 0)
     require_integer("trials", trials, 1)
@@ -648,24 +658,28 @@ def run_lemma_suite(seed: int = 0, trials: int = 10000) -> dict:
     def convexity(group: tuple, n: int) -> np.ndarray:
         d, mode = group
         s = random_scenario(rng, d, shape=(n,))
-        probe_dim = d if mode == CONVENTIONAL else d * d
-        return _convexity_margins(s, random_density(rng, probe_dim, (n,)), mode)
+        return _convexity_margins(s, random_density(rng, probe_dim(d, mode), (n,)), mode)
 
     dims = (2, 3, 4, 6)
     n_small = max(trials // 10, 1)
     checks = []
-    for name, n, groups, margins_of in (
-        ("single_negative_eigenvalue", trials, dims, single_negative),
+    # per group, the complex matrices of one trial: (count, side)
+    for name, n, groups, margins_of, trial_matrices in (
+        ("single_negative_eigenvalue", trials, dims, single_negative, lambda d: (1, d)),
         ("bipartite_ground_level_bound", n_small,
-         [(d, below) for below in (True, False) for d in (2, 3)], ground_level),
-        ("perr_linear_in_ground_level", n_small, dims, linearity),
+         [(d, below) for below in (True, False) for d in (2, 3)], ground_level,
+         lambda group: (1, group[0] ** 2)),
+        ("perr_linear_in_ground_level", n_small, dims, linearity, lambda d: (2, d)),
         ("convexity_reduction", n_small, [(d, mode) for d in (2, 3, 4) for mode in MODES],
-         convexity),
+         convexity, lambda group: (probe_dim(*group) + 1, probe_dim(*group))),
     ):
+        trial_bytes = max(k * side * side * 16 for k, side in map(trial_matrices, groups))
+        # a multiple of the group count, so trial t stays in group t % len(groups)
+        block_len = len(groups) * max(1, LEMMA_STACK_BYTES // trial_bytes)
         violations = 0
         worst = np.inf
-        for start in range(0, n, LEMMA_BLOCK):
-            block = np.arange(start, min(start + LEMMA_BLOCK, n)) % len(groups)
+        for start in range(0, n, block_len):
+            block = np.arange(start, min(start + block_len, n)) % len(groups)
             for i, group in enumerate(groups):
                 count = int(np.count_nonzero(block == i))
                 if count:

@@ -431,6 +431,37 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.splitlines() == ["error: --seed must be >= 0, got -1"]
 
+    @pytest.mark.parametrize("trials", ["5", "0"])
+    def test_trials_with_oracle_suite_is_input_error(self, capsys, monkeypatch, trials):
+        # the oracle suite has no trial count: --trials would change nothing
+        import illume.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("no suite may run")
+
+        for name in ("run_lemma_suite", "run_oracle_suite", "run_montecarlo_suite"):
+            monkeypatch.setattr(cli_mod, name, never)
+        code, out, err = run_cli(capsys, "verify", "--suite", "oracle", "--trials", trials)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: --trials ")
+
+    def test_all_suites_pass_trials_to_lemmas_and_montecarlo(self, capsys, monkeypatch):
+        import illume.cli as cli_mod
+
+        seen = []
+
+        def fake(suite):
+            def run(seed, trials="suite default"):
+                seen.append((suite, trials))
+                return {"suite": suite, "seed": seed, "checks": [], "violations": 0}
+            return run
+
+        for suite in ("lemma", "oracle", "montecarlo"):
+            monkeypatch.setattr(cli_mod, f"run_{suite}_suite", fake(suite))
+        assert run_cli(capsys, "verify", "--trials", "5")[0] == 0
+        assert seen == [("lemma", 5), ("oracle", "suite default"), ("montecarlo", 5)]
+
     def test_trials_default_only_when_absent(self, capsys, monkeypatch):
         import illume.cli as cli_mod
 

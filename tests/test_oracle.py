@@ -726,6 +726,17 @@ class TestConvexityReduction:
         with pytest.raises(ValueError, match=message):
             check_convexity_reduction(s, rho, CONVENTIONAL)
 
+    @pytest.mark.parametrize("mode, rho, message", [
+        (QUANTUM, np.eye(2) / 2, r"probe has shape \(2, 2\), expected \(4, 4\) for quantum"),
+        (CONVENTIONAL, np.eye(4) / 4,
+         r"probe has shape \(4, 4\), expected \(2, 2\) for conventional"),
+    ])
+    def test_rejects_probe_of_wrong_size(self, mode, rho, message):
+        # the message gives the caller's shape, not the stack the margin builds
+        s = Scenario(0.5, 0.6, EnvironmentState([0.5, 0.5]))
+        with pytest.raises(ValueError, match=message):
+            check_convexity_reduction(s, rho, mode)
+
 
 def _scenario_rows(rng, d, n, gamma_negative=False):
     """``n`` scenarios with their own spectra and bases, and the same rows as one stack."""
@@ -965,6 +976,41 @@ class TestSuites:
         run_lemma_suite(0, 2000)
         assert seen == {(2, True): 50, (3, True): 50, (2, False): 50, (3, False): 50}
 
+    def test_lemma_stacks_fit_the_byte_budget(self, monkeypatch):
+        # each stack's complex matrices: 1 per single-negative and ground-level
+        # trial, 2 per linearity trial, and a mixture plus its n eigenprojectors
+        # (n x n each) per convexity trial
+        stacks = collections.defaultdict(list)  # check -> (trials, matrix bytes) per stack
+
+        def spy(name, margins, matrix_bytes):
+            def run(*args):
+                stacks[name].append(matrix_bytes(*args))
+                return margins(*args)
+            monkeypatch.setattr(oracle_mod, name, run)
+
+        item = np.dtype(complex).itemsize
+        spy("_single_negative_margins", oracle_mod._single_negative_margins,
+            lambda rho, alpha, psi: (len(rho), rho.nbytes))
+        spy("_ground_level_margins", oracle_mod._ground_level_margins,
+            lambda env, lam_h, alpha, psi: (len(psi), len(psi) * psi.shape[-1] ** 2 * item))
+        spy("_linearity_margins", oracle_mod._linearity_margins,
+            lambda s, psi: (len(psi), 2 * len(psi) * psi.shape[-1] ** 2 * item))
+        spy("_convexity_margins", oracle_mod._convexity_margins,
+            lambda s, rho, mode: (len(rho), (rho.shape[-1] + 1) * rho.nbytes))
+        run_lemma_suite(0, 10_000)
+
+        budget = oracle_mod.LEMMA_STACK_BYTES
+        assert all(b <= budget for runs in stacks.values() for _, b in runs)
+        # blocks of whole 6 x 6 stacks: 4 groups, as many d = 6 trials as fit
+        block = 4 * (budget // (6 * 6 * item))
+        assert len(stacks["_single_negative_margins"]) <= 4 * -(-10_000 // block)
+        assert sum(t for t, _ in stacks["_single_negative_margins"]) == 10_000
+        # convexity keeps 4 trials of each of its 6 groups a block, the last
+        # block (16 of 1,000 trials) aside
+        trials = [t for t, _ in stacks["_convexity_margins"]]
+        assert len(trials) == 6 * -(-1000 // 24)
+        assert trials[:-6] == [4] * (len(trials) - 6) and sum(trials) == 1000
+
     def test_oracle_suite_default_config_hits_1e6(self, oracle_suite_7):
         # the default 32x2000 search pins every bundled scenario to 1e-6.
         # Last regenerated when flat cells stopped being searched: the five
@@ -985,25 +1031,27 @@ class TestSuites:
     # the digests hold for one LAPACK build (computed with numpy 2.4.6 /
     # OpenBLAS on x86-64). Earlier, the conventional hypothesis difference
     # became p1 eta rho + gamma rho_E (model.omega), which moved two
-    # worst_margin fields by at most 1.2e-16. The suite now draws each
-    # check's instances in blocks of LEMMA_BLOCK trials, one rng call per
-    # array for each group (dimension and branch or mode) of a block, and
-    # checks each group as one stack; the ground-level check also pairs
-    # each dimension with both sides of the harmonic level. The instances
-    # are new, so all three digests were regenerated, once every check
-    # reported 0 violations and a worst margin >= 0 and criterion 4 still
-    # saw trials [10000, 1000, 1000, 1000]. They were, in order,
-    # 19ada9e0..., 6c8598ca... and 7aa2b61d...
+    # worst_margin fields by at most 1.2e-16. The suite draws each check's
+    # instances in blocks, one rng call per array for each group (dimension
+    # and branch or mode) of a block, and checks each group as one stack.
+    # A block used to be 24 trials for every check; it is now sized by the
+    # matrix bytes of its largest group's stack (LEMMA_STACK_BYTES), so the
+    # single-negative, ground-level and linearity checks draw 1,932, 856 and
+    # 964 trials a block (convexity keeps 24). The draws moved, so all three
+    # digests were regenerated, once every check reported 0 violations and
+    # a worst margin >= 0 and criterion 4 still saw trials
+    # [10000, 1000, 1000, 1000]. With 24-trial blocks they were, in order,
+    # bdde4f9c..., 69a08b6e... and 2c082c59...
     @pytest.mark.parametrize("seed, trials, digest", [
-        (0, 400, "bdde4f9c7a3f12192501ae0ad449a63962d5385556c6fc0d13a52df6275d8ab6"),
-        (7, 2000, "69a08b6ef8c88c89bc08bb14e129a782f062d2512db5ea4e9153de29f42c64fe"),
+        (0, 400, "f4eb15140eb7d9295a8b48ba91b66f14b3e39920aafbb6b6959a42776ed32bc9"),
+        (7, 2000, "8795cb3c2baad043582ab79960ca9d2541309009832a1f1b5082cce3ad4755b0"),
     ])
     def test_lemma_suite_golden_payload(self, seed, trials, digest):
         assert _digest(run_lemma_suite(seed=seed, trials=trials)) == digest
 
     def test_lemma_suite_golden_payload_full_size(self, lemma_suite_2026):
         assert _digest(lemma_suite_2026) == (
-            "2c082c59a8a71f7bf3c770c221003f52f341b0308b26768a815b738614a35d69")
+            "bcd5a55f552b2bf662fd1637def8807d0e5e82a300cd736d3f9bad8af40b9c46")
 
     def test_montecarlo_suite_golden_payload(self):
         assert _digest(run_montecarlo_suite(seed=0, trials=2000)) == (
