@@ -3,10 +3,10 @@
 
 Nothing here uses the analytic formulas internally: the oracle builds the
 hypothesis-difference operator explicitly, maximizes its trace norm over
-pure probe states by a seeded multi-start see-saw, and spot-checks the
-eigenvalue structure the derivations rest on. The search can never beat a
-true optimum, so agreement from below is the strongest evidence a desk
-check can give.
+pure probe states by a seeded multi-start quasi-Newton search, and
+spot-checks the eigenvalue structure the derivations rest on. The search
+can never beat a true optimum, so agreement from below is the strongest
+evidence a desk check can give.
 """
 
 import numpy as np
@@ -28,7 +28,7 @@ from illume import (
 env = EnvironmentState([0.5, 0.3, 0.2])
 cfg = SearchConfig(seed=7)
 
-print("see-saw search vs closed forms")
+print("oracle search vs closed forms")
 for p0, eta in ((0.5, 0.6), (0.3, 0.5), (0.6, 0.08)):
     s = Scenario(p0, eta, env)
     conv = maximize_trace_norm(s, CONVENTIONAL, cfg)

@@ -230,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="evaluate a (p0, eta) grid and write CSV")
     p.add_argument("--spec", required=True, help="path to a sweep spec JSON file")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--oracle", action="store_true", help="also fill see-saw oracle columns")
+    p.add_argument("--oracle", action="store_true", help="also fill the search oracle columns")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run randomized verification suites")

@@ -1,7 +1,7 @@
 """First-principles verification, independent of the closed-form solver.
 
 Everything here goes through explicit operators and eigendecompositions:
-the error of an arbitrary probe state, a seeded multi-start see-saw
+the error of an arbitrary probe state, a seeded multi-start quasi-Newton
 maximization of the trace norm over pure probes (an independent upper bound
 on the minimal error), spot checks of the eigenvalue structure the closed
 forms rely on, and a Monte-Carlo simulation of the optimal binary
@@ -10,14 +10,19 @@ measurement.
 The search never forms the dense hypothesis difference. For a pure probe,
 ``omega = p1 eta psi psi^dagger + gamma B`` is a diagonal matrix plus a
 rank-one term in the eigenframe of the absent state ``B`` (the environment
-basis, times the idler marginal's eigenbasis in quantum mode), so its trace
-norm follows from the top root of a secular equation (the rank-one
-eigenvalue update of Bunch, Nielsen and Sorensen). Each probe is solved
-once: the solve that scores it also gives the top eigenvector, kept with
-the probe, from which its see-saw target follows directly (conventional)
+basis, times the idler marginal's eigenbasis in quantum mode), so its top
+eigenvalue ``mu``, and with it the trace norm, follows from the top root of
+a secular equation (the rank-one eigenvalue update of Bunch, Nielsen and
+Sorensen). Each probe is solved once: the solve that scores it also gives
+the top eigenvector, kept with the probe, from which the gradient of ``mu``
+follows by Hellmann-Feynman, and the see-saw target directly (conventional)
 or by a second root after a d x d eigendecomposition (quantum). That is
 O(d^3) per probe where a dense ``eigvalsh`` of the d^2 x d^2 quantum
-``omega`` costs O(d^6). The dense ``perr_of_state`` rechecks every result.
+``omega`` costs O(d^6). The search climbs ``mu`` by Riemannian L-BFGS on the
+unit sphere (Absil, Mahony and Sepulchre, *Optimization Algorithms on Matrix
+Manifolds*, ch. 7-8; Nocedal and Wright, *Numerical Optimization*, ch. 7),
+and a plain see-saw move certifies where it stops. The dense
+``perr_of_state`` rechecks every result.
 """
 
 from __future__ import annotations
@@ -75,21 +80,26 @@ FLOAT_EPS = float(np.finfo(float).eps)
 # process's peak memory.
 LEMMA_STACK_BYTES = 4 * 17 * 16**2 * 16
 
-# Step lengths tried along each see-saw move, a round per trace-norm call; a
-# row takes the next round only while each step improved on the one before.
-EXTRAPOLATION_ROUNDS = ((1.0, 4.0, 16.0), (64.0, 256.0, 1024.0))
+# Secant pairs (s, y) each restart of the quasi-Newton ascent keeps, and the
+# share of the first-order gain an accepted step must reach (Armijo). With 8
+# pairs the ill-conditioned quantum d = 5 test case takes 187 iterations, with
+# 10 it takes 136, and 12 or 16 ran no faster on the benchmark searches.
+LBFGS_MEMORY = 10
+ARMIJO_FRACTION = 1e-4
 
-# Probe-vector bytes of one chunk of (cell, restart) rows in a batched search;
-# it peaks at about 45 times that (d = 2, 4, 8), and larger ran no faster.
-SEARCH_BLOCK_BYTES = 1 << 18
+# Probe-vector bytes of one chunk of (cell, restart) rows in a batched search.
+# Each row also keeps 2 LBFGS_MEMORY secant vectors, which count against it:
+# a chunk peaks at 100-120 times that (13-15 MiB at d = 2, 4, 8), and twice
+# as many rows ran at most 10% faster.
+SEARCH_BLOCK_BYTES = 1 << 17
 
 RESTARTS = 32  # Haar-random starts of every search: the budget the oracle suite validates
-STEPS_PER_RESTART = 2000  # see-saw iterations of a start before it is a budget stop
+STEPS_PER_RESTART = 2000  # iterations of a start before it is a budget stop
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Seeding of the see-saw trace-norm maximization."""
+    """Seeding of the trace-norm maximization."""
 
     seed: int = 0
     tolerance: ClassVar[float] = ORACLE_AGREEMENT_TOL  # not a field: the oracle suite's pass margin
@@ -106,8 +116,13 @@ class OracleResult:
     best_state: np.ndarray
     perr: float
     evaluations: int
-    iterations: list[int]  # see-saw iterations run by each restart
-    budget_stops: int  # restarts stopped by the iteration cap instead of converging
+    iterations: list[int]  # iterations run by each restart
+    stops: list[str]  # why each restart stopped: "converged", or "budget" on the iteration cap
+
+    @property
+    def budget_stops(self) -> int:
+        """Restarts stopped by the iteration cap instead of converging."""
+        return self.stops.count("budget")
 
 
 @dataclass
@@ -184,48 +199,66 @@ def _top_root(poles: np.ndarray, u: np.ndarray, c: np.ndarray):
 
 
 def _see_saw_maps(env: EnvironmentState, c: np.ndarray, gamma: np.ndarray, mode: str):
-    """Batched trace norms ``||omega(psi)||_1`` and see-saw targets.
+    """Batched top eigenvalues of ``omega(psi)``, their gradients and see-saw targets.
 
     Row ``i`` of the stack is a searched cell of :func:`search_cells`, with
-    ``c[i] = p1 eta`` and ``gamma[i] < 0``; ``values`` and ``targets`` take
-    each state's row. Both work in the eigenframe of the absent state ``B``
-    (``omega = c psi psi^dagger + gamma B``), where ``omega`` is ``A + c u
-    u^dagger`` with ``A <= 0`` diagonal and ``u`` the probe's coordinates:
-    the environment basis in conventional mode, the products ``theta_i (x)
-    v_k`` of the environment basis and the eigenvectors of the idler
-    marginal ``rho_B`` in quantum mode. So ``omega`` has at most its top
-    eigenvalue ``mu`` (:func:`_top_root`) above zero, and ``||omega||_1 = 2
-    max(mu, 0) - tr omega``.
+    ``c[i] = p1 eta`` and ``gamma[i] < 0``; every map takes each state's row.
+    All three work in the eigenframe of the absent state ``B`` (``omega = c
+    psi psi^dagger + gamma B``), where ``omega`` is ``A + c u u^dagger`` with
+    ``A <= 0`` diagonal and ``u`` the probe's coordinates: the environment
+    basis in conventional mode, the products ``theta_i (x) v_k`` of the
+    environment basis and the eigenvectors of the idler marginal ``rho_B`` in
+    quantum mode. So ``omega`` has at most its top eigenvalue ``mu``
+    (:func:`_top_root`) above zero, and ``||omega||_1 = 2 max(mu, 0) - tr
+    omega`` (:func:`_trace_norms`). ``values`` returns ``mu`` and the frame:
+    the unit top eigenvector ``z ~ (mu - A)^-1 u`` (and ``v``).
+
+    ``ascent`` is the gradient of ``mu`` on the unit sphere, from the frame
+    by Hellmann-Feynman (``d mu = z^dagger d omega z``): ``2 c (z^dagger
+    psi) z``, plus ``2 gamma X N`` in quantum mode, with ``X`` the d x d
+    reshape of ``psi`` and ``N = Z^dagger rho_E Z`` built from the reshape
+    ``Z`` of ``z``; its component along ``psi`` (and ``i psi``) is removed.
 
     The target is a top eigenvector of the form ``phi -> tr(S omega(phi))``
-    with ``S = 2 z z^dagger - I``, ``z ~ (mu - A)^-1 u`` the unit top
-    eigenvector of ``omega``. As ``-I <= S <= I``, the form never exceeds
-    ``||omega(phi)||_1``, and it equals it at ``psi`` when ``mu >= 0``. In
-    conventional mode the form is ``c z z^dagger`` plus a constant, so the
-    target is ``z``. In quantum mode it is ``c z z^dagger + gamma (I (x)
-    M)`` plus a constant, with ``M = Z^T diag(lambda) Z*`` built from the
-    d x d reshape ``Z`` of ``z``: in the eigenbasis of ``M`` a diagonal plus
-    a rank-one term again, whose top eigenvector is a second secular root.
-    ``values`` returns, beside each norm, the frame ``z`` (and ``v``).
+    with ``S = 2 z z^dagger - I``. As ``-I <= S <= I``, the form never
+    exceeds ``||omega(phi)||_1``, and it equals it at ``psi`` when ``mu >=
+    0``. In conventional mode the form is ``c z z^dagger`` plus a constant,
+    so the target is ``z``. In quantum mode it is ``c z z^dagger + gamma (I
+    (x) M)`` plus a constant, with ``M = Z^T diag(lambda) Z*`` in the frame:
+    in the eigenbasis of ``M`` a diagonal plus a rank-one term again, whose
+    top eigenvector is a second secular root.
     """
     d = env.dim
     lam = env.spectrum
     basis = env.basis
 
     def values(states: np.ndarray, rows: np.ndarray):
-        """Trace norms, and the frames their targets are built from (one row per state)."""
+        """Top eigenvalues, and the frames their gradients and targets are built from."""
         n = len(states)
-        cr, gr = c[rows], gamma[rows]
         if mode == CONVENTIONAL:
-            mu, frames = _top_root(gr[:, None] * lam, states @ basis.conj().T, cr)
+            return _top_root(gamma[rows, None] * lam, states @ basis.conj().T, c[rows])
+        x = states.reshape(n, d, d)
+        m, v = np.linalg.eigh(np.swapaxes(x, 1, 2) @ x.conj())  # rho_B = X^T X*
+        u = basis.conj() @ x @ v.conj()
+        poles = gamma[rows, None, None] * lam[:, None] * np.maximum(m, 0.0)[:, None, :]
+        mu, z = _top_root(poles.reshape(n, -1), u.reshape(n, -1), c[rows])
+        return mu, np.stack([z.reshape(n, d, d), v], axis=1)
+
+    def ascent(states: np.ndarray, frames: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        n = len(states)
+        if mode == CONVENTIONAL:
+            z = frames @ basis
         else:
-            x = states.reshape(n, d, d)
-            m, v = np.linalg.eigh(np.swapaxes(x, 1, 2) @ x.conj())  # rho_B = X^T X*
-            u = basis.conj() @ x @ v.conj()
-            poles = gr[:, None, None] * lam[:, None] * np.maximum(m, 0.0)[:, None, :]
-            mu, z = _top_root(poles.reshape(n, -1), u.reshape(n, -1), cr)
-            frames = np.stack([z.reshape(n, d, d), v], axis=1)
-        return 2.0 * np.maximum(mu, 0.0) - (cr + gr), frames
+            # N = Z^dagger rho_E Z = v* (z^dagger diag(lambda) z) v^T, z the frame
+            frame, v = frames[:, 0], frames[:, 1]
+            z = (basis.T @ frame @ np.swapaxes(v, 1, 2)).reshape(n, -1)
+            inner = np.swapaxes(frame.conj(), 1, 2) @ (lam[:, None] * frame)
+            mixed = states.reshape(n, d, d) @ v.conj() @ inner @ np.swapaxes(v, 1, 2)
+        overlap = np.einsum("ni,ni->n", z.conj(), states)
+        grad = (2.0 * c[rows] * overlap)[:, None] * z
+        if mode == QUANTUM:
+            grad += 2.0 * gamma[rows, None] * mixed.reshape(n, -1)
+        return grad - states * np.einsum("ni,ni->n", states.conj(), grad)[:, None]
 
     def targets(frames: np.ndarray, rows: np.ndarray) -> np.ndarray:
         if mode == CONVENTIONAL:
@@ -240,71 +273,131 @@ def _see_saw_maps(env: EnvironmentState, c: np.ndarray, gamma: np.ndarray, mode:
                       c[rows])[1].reshape(n, d, d)
         return (basis.T @ y @ np.swapaxes(v @ w, 1, 2)).reshape(n, -1)
 
-    return values, targets
+    return values, ascent, targets
+
+
+def _trace_norms(mu: np.ndarray, c: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """``||omega||_1 = 2 max(mu, 0) - (c + gamma)`` from the top eigenvalues ``mu``."""
+    return 2.0 * np.maximum(mu, 0.0) - (c + gamma)
+
+
+def _lbfgs_direction(grad: np.ndarray, pairs: np.ndarray, rho: np.ndarray,
+                     scale: np.ndarray) -> np.ndarray:
+    """The two-loop recursion: ``H grad`` for the inverse-Hessian model of each row's pairs.
+
+    ``pairs[:, j]`` holds ``(s_j, y_j)``, oldest first, and ``rho[:, j] = 1
+    / <s_j, y_j>``; an empty slot has ``rho = 0`` and adds nothing. The
+    initial model is ``scale`` times the identity. The metric is ``Re <a,
+    b>``, the dot product of the real views.
+    """
+    s, y = pairs[:, :, 0].view(float), pairs[:, :, 1].view(float)
+    q = grad.view(float).copy()
+    alpha = np.zeros(rho.shape)
+    held = np.flatnonzero(rho.any(axis=0)).tolist()  # slots empty in every row add nothing
+    for j in reversed(held):
+        alpha[:, j] = rho[:, j] * np.einsum("ni,ni->n", s[:, j], q)
+        q -= alpha[:, j, None] * y[:, j]
+    q *= scale[:, None]
+    for j in held:
+        q += (alpha[:, j] - rho[:, j] * np.einsum("ni,ni->n", y[:, j], q))[:, None] * s[:, j]
+    return q.view(complex)
 
 
 def _search(env, c, gamma, mode: str, starts) -> Iterator[OracleResult]:
-    """The see-saw of :func:`maximize_trace_norm` on rows ``(c[i], gamma[i])``, one per start."""
-    values_of, targets = _see_saw_maps(env, c, gamma, mode)
+    """The ascent of :func:`maximize_trace_norm` on rows ``(c[i], gamma[i])``, one per start."""
+    values_of, ascent, targets = _see_saw_maps(env, c, gamma, mode)
     states = np.tile(starts, (len(c) // len(starts), 1))
-    values, frames = values_of(states, np.arange(len(states)))
-    evaluations = np.ones(len(states), dtype=int)
-    iterations = np.zeros(len(states), dtype=int)
-    active = np.ones(len(states), dtype=bool)
-    residuals = np.zeros_like(states)  # last see-saw step psi' - psi; zero restarts the momentum
-    moves = np.zeros_like(states)
+    n, dim = states.shape
+    mu, frames = values_of(states, np.arange(n))
+    grads = ascent(states, frames, np.arange(n))
+    evaluations = np.ones(n, dtype=int)
+    iterations = np.zeros(n, dtype=int)
+    active = np.ones(n, dtype=bool)
+    plain = np.ones(n, dtype=bool)  # the row's next move is a plain see-saw move
+    retry = np.zeros(n, dtype=bool)  # the row retries its quasi-Newton direction, shorter
+    directions = np.zeros_like(states)
+    slopes = np.zeros(n)  # first-order gain of mu along each direction
+    lengths = np.ones(n)
+    pairs = np.zeros((n, LBFGS_MEMORY, 2, dim), dtype=complex)  # secant pairs, oldest first
+    rho = np.zeros((n, LBFGS_MEMORY))
+    scale = np.ones(n)  # the initial inverse-Hessian model, a multiple of the identity
 
     for _ in range(STEPS_PER_RESTART):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         iterations[idx] += 1
+        fresh = idx[~retry[idx]]
+        quasi = fresh[~plain[fresh]]
+        if quasi.size:
+            grad = grads[quasi]
+            direction = _lbfgs_direction(grad, pairs[quasi], rho[quasi], scale[quasi])
+            slope = np.einsum("ni,ni->n", grad.view(float), direction.view(float))
+            flat = quasi[~(slope > 0.0)]  # a model that does not ascend is forgotten
+            rho[flat], plain[flat] = 0.0, True
+            directions[quasi], slopes[quasi] = direction, slope
+        see = fresh[plain[fresh]]
+        if see.size:
+            # the see-saw move: the target, phase-aligned to psi, at step length 1
+            psi = states[see]
+            target = targets(frames[see], see)
+            overlap = np.einsum("ni,ni->n", target.conj(), psi)
+            directions[see] = target * np.exp(1j * np.angle(overlap))[:, None] - psi
+        lengths[fresh] = 1.0
+
         psi = states[idx]
-        target = targets(frames[idx], idx)
-        overlap = np.einsum("ni,ni->n", target.conj(), psi)
-        residual = target * np.exp(1j * np.angle(overlap))[:, None] - psi
-        previous = residuals[idx]
-        beta = np.einsum("ni,ni->n", residual.conj(), residual - previous).real
-        scale = np.einsum("ni,ni->n", previous.conj(), previous).real
-        beta = np.divide(np.maximum(beta, 0.0), scale, out=np.zeros_like(beta), where=scale > 0.0)
-        move = residual + beta[:, None] * moves[idx]
+        trial = psi + lengths[idx, None] * directions[idx]
+        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+        trial_mu, trial_frames = values_of(trial, idx)
+        evaluations[idx] += 1
+        gain = trial_mu - mu[idx]
+        see, linear = plain[idx], lengths[idx] * slopes[idx]
+        # a quasi-Newton step is taken once it gains ARMIJO_FRACTION of its
+        # first-order gain; otherwise the next iteration retries it shorter,
+        # at the peak of the quadratic through mu, the slope and this trial
+        # (kept within [0.1, 0.5] of this length), unless its first-order
+        # gain would fall to SEARCH_CONVERGED_GAIN
+        won = np.where(see, gain > 0.0, gain >= ARMIJO_FRACTION * linear)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lengths[idx] *= np.where(won, 1.0, np.clip(0.5 * linear / (linear - gain), 0.1, 0.5))
+        retry[idx] = again = ~won & ~see & (lengths[idx] * slopes[idx] > SEARCH_CONVERGED_GAIN)
+        # a restart has converged once a plain see-saw move gains no more
+        # trace norm; a quasi-Newton step that stalls is followed by a plain move
+        norm_gain = 2.0 * (np.maximum(trial_mu, 0.0) - np.maximum(mu[idx], 0.0))
+        active[idx[see & (norm_gain <= SEARCH_CONVERGED_GAIN)]] = False
+        plain[idx] = ~see & ~again & (~won | (gain <= SEARCH_CONVERGED_GAIN))
 
-        best_states = psi.copy()
-        best_values = values[idx]
-        best_frames = frames[idx]
-        live = np.arange(idx.size)
-        for steps in EXTRAPOLATION_ROUNDS:
-            trial = (psi[live] + np.array(steps)[:, None, None] * move[live]).reshape(-1, psi.shape[1])
-            trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-            trial_values, trial_frames = values_of(trial, np.tile(idx[live], len(steps)))
-            evaluations[idx[live]] += len(steps)
-            # a row takes the last step of its leading run of strict improvements
-            chain = np.vstack([best_values[live], trial_values.reshape(len(steps), -1)])
-            taken = np.logical_and.accumulate(chain[1:] > chain[:-1]).sum(axis=0)
-            won = np.flatnonzero(taken)
-            pick = (taken[won] - 1) * live.size + won
-            best_states[live[won]] = trial[pick]
-            best_values[live[won]] = trial_values[pick]
-            best_frames[live[won]] = trial_frames[pick]
-            live = live[taken == len(steps)]
-            if live.size == 0:
-                break
+        go, new = idx[won], trial[won]
+        if go.size == 0:
+            continue
+        mu[go], frames[go], states[go] = trial_mu[won], trial_frames[won], new
+        new_grads = ascent(new, trial_frames[won], go)
+        # the new pair s = -P(psi) (P(psi') = 0, so either move's step) and
+        # y = P(grad) - grad', and the kept pairs, transported by the
+        # projection P onto the tangent space at the new state
+        pair = np.stack([-psi[won], grads[go] - new_grads], axis=1)
+        kept = np.concatenate([pairs[go], pair[:, None]], axis=1)
+        kept -= new[:, None, None, :] * np.einsum("ni,nkli->nkl", new.conj(), kept)[..., None]
+        s, y = kept[:, -1, 0].view(float), kept[:, -1, 1].view(float)
+        sy, yy = np.einsum("ni,ni->n", s, y), np.einsum("ni,ni->n", y, y)
+        # a pair enters the memory, and rescales the initial model, only with
+        # curvature; without, mu is convex along the step and the initial
+        # model grows 4-fold, so that the steps lengthen until mu bends
+        curved = sy > 0.0
+        kept[~curved, 1:] = kept[~curved, :-1]
+        pairs[go] = kept[:, 1:]
+        rho[go[curved]] = np.column_stack([rho[go[curved], 1:], 1.0 / sy[curved]])
+        scale[go] = np.where(curved, sy / np.where(curved, yy, 1.0), 4.0 * scale[go])
+        grads[go] = new_grads
 
-        stalled = best_values - values[idx] <= SEARCH_CONVERGED_GAIN
-        active[idx[stalled & (beta == 0.0)]] = False
-        residuals[idx] = np.where(stalled[:, None], 0.0, residual)
-        moves[idx] = move
-        states[idx] = best_states
-        values[idx] = best_values
-        frames[idx] = best_frames
-
-    for first in range(0, len(states), len(starts)):
+    values = _trace_norms(mu, c, gamma)
+    for first in range(0, n, len(starts)):
         rows = slice(first, first + len(starts))
         best = first + int(np.argmax(values[rows]))  # ties: the lowest restart
         value = float(values[best])
         yield OracleResult(value, states[best].copy(), (1.0 - value) / 2.0,
                            int(evaluations[rows].sum()), iterations[rows].tolist(),
-                           int(np.count_nonzero(active[rows])))
+                           ["budget" if a else "converged" for a in active[rows].tolist()])
 
 
 def search_cells(env: EnvironmentState, p0, eta, mode: str, cfg: SearchConfig) -> list[OracleResult]:
@@ -313,9 +406,10 @@ def search_cells(env: EnvironmentState, p0, eta, mode: str, cfg: SearchConfig) -
     A flat cell (``gamma >= 0``, or ``p1 eta`` below ``gamma``'s rounding) is
     not searched: every probe gives ``|p1 eta + gamma|``, and its result holds
     restart 0's start (the only one drawn when no cell is searched), no
-    evaluation and no iteration. One see-saw runs over the other cells'
-    (cell, restart) rows from Haar starts drawn once, in chunks of whole
-    cells whose probe vectors fit ``SEARCH_BLOCK_BYTES``.
+    evaluation and no iteration, and each restart counts as converged. One
+    search runs over the other cells' (cell, restart) rows from Haar starts
+    drawn once, in chunks of whole cells whose probe vectors fit
+    ``SEARCH_BLOCK_BYTES``.
     """
     if require_mode(mode) == QUANTUM and env.dim > MAX_QUANTUM_SEARCH_DIM:
         raise ValueError(f"quantum search supports environment dimension <= "
@@ -330,35 +424,47 @@ def search_cells(env: EnvironmentState, p0, eta, mode: str, cfg: SearchConfig) -
     block = max(1, SEARCH_BLOCK_BYTES // starts.nbytes) * len(starts)  # rows of whole cells
     found = (result for i in range(0, rows.size, block) for result in
              _search(env, c[rows[i:i + block]], gamma[rows[i:i + block]], mode, starts))
-    return [OracleResult(v, starts[0].copy(), (1.0 - v) / 2.0, 0, [0] * RESTARTS, 0)
+    return [OracleResult(v, starts[0].copy(), (1.0 - v) / 2.0, 0, [0] * RESTARTS,
+                         ["converged"] * RESTARTS)
             if f else next(found) for f, v in zip(flat, np.abs(c + gamma).tolist())]
 
 
 def maximize_trace_norm(s: Scenario, mode: str, cfg: SearchConfig) -> OracleResult:
     """Maximize the hypothesis-difference trace norm over pure probe states.
 
-    A batched see-saw over the restarts, resting on ``||w||_1 = max tr(S w)``
-    over ``-I <= S <= I``: each iteration of a restart at ``psi`` takes
-    ``psi'``, the top eigenvector of ``phi -> tr(S omega(phi))`` with
-    ``S = 2 z z^dagger - I``, ``z`` the top eigenvector of ``omega(psi)``,
-    and aligns its phase to ``psi``. Trace norms and targets come from the
-    structured maps of :func:`_see_saw_maps`, which use ``omega``'s
+    A batched Riemannian L-BFGS ascent over the restarts. Each restart climbs
+    ``mu``, the top eigenvalue of ``omega(psi)``: the trace norm ``2 max(mu,
+    0) - (p1 - p0)`` never falls when ``mu`` rises, and where ``mu < 0``
+    only ``mu`` still moves. Values, gradients and see-saw targets come from
+    the structured maps of :func:`_see_saw_maps`, which use ``omega``'s
     definition and exact linear algebra only: top roots of secular
-    equations and d x d eigendecompositions, never the dense n x n
-    ``omega`` and never a closed-form quantity. Each state keeps the frame
-    its value came with, so its target needs no second solve. The move
-    ``m = (psi' - psi) + beta m_prev`` adds the previous move with a
-    Polak-Ribiere weight (``beta >= 0``, a nonlinear conjugate-gradient
-    acceleration of the see-saw, which alone crawls on ill-conditioned
-    spectra). The search scores ``normalize(psi + t m)`` for the lengths
-    ``t`` of ``EXTRAPOLATION_ROUNDS``, a round per trace-norm call, and moves
-    to the last of the leading strict improvements, so every restart is
-    monotone. A restart has converged once a plain see-saw move (``beta =
-    0``; a stalled momentum move is retried as one) gains at most
-    ``SEARCH_CONVERGED_GAIN``; otherwise it stops after ``STEPS_PER_RESTART``
-    iterations (a budget stop). ``evaluations`` counts every trace norm
-    computed; a flat scenario (:func:`search_cells`) is not searched and
-    computes none.
+    equations and d x d eigendecompositions, never the dense n x n ``omega``
+    and never a closed-form quantity. The gradient is projected onto the
+    tangent space of the unit sphere (and off the phase direction ``i
+    psi``), a step ``t p`` is retracted by normalizing ``psi + t p``, and the
+    last ``LBFGS_MEMORY`` secant pairs ``(s, y)`` are transported to each new
+    state by that projection. A step is taken once it gains
+    ``ARMIJO_FRACTION`` of its first-order gain (Armijo); a failed step is
+    retried shorter in the next iteration, so every accepted step raises
+    ``mu`` and every restart is monotone. A pair without curvature does not
+    enter the memory; the initial model grows instead, so the steps lengthen
+    where ``mu`` is convex along them.
+
+    The plain see-saw move, which rests on ``||w||_1 = max tr(S w)`` over
+    ``-I <= S <= I``, takes ``psi'``, the top eigenvector of ``phi -> tr(S
+    omega(phi))`` with ``S = 2 z z^dagger - I``, ``z`` the top eigenvector
+    of ``omega(psi)``, phase-aligned to ``psi``. It is the first move of
+    every restart, the move where the quasi-Newton direction does not
+    ascend (its memory is then dropped), and the certificate: after a
+    quasi-Newton step that gains at most ``SEARCH_CONVERGED_GAIN`` (or one
+    that cannot be shortened further, as where ``mu`` is degenerate and the
+    Armijo test keeps failing), a restart has converged once a plain move
+    gains at most ``SEARCH_CONVERGED_GAIN`` of trace norm; otherwise it stops
+    after ``STEPS_PER_RESTART`` iterations (a budget stop). Each iteration
+    scores one trial state per restart, and ``evaluations`` counts every
+    trace norm computed, the starts included; a flat scenario
+    (:func:`search_cells`) is not searched and computes none. ``stops``
+    records why each restart stopped, ``"converged"`` or ``"budget"``.
 
     Every search runs ``RESTARTS`` restarts, the budget the oracle suite
     validates; ``cfg`` sets only the seed. Restart ``r`` draws its start from
@@ -692,11 +798,11 @@ def run_lemma_suite(seed: int = 0, trials: int = 10000) -> dict:
 
 
 def run_oracle_suite(seed: int = 0) -> dict:
-    """See-saw search versus the closed forms on the bundled scenarios.
+    """The oracle search versus the closed forms on the bundled scenarios.
 
     Each case runs the default search seeded with ``seed``. It passes when
     the search error agrees with the analytic error to
-    ``SearchConfig.tolerance``, 1e-6 (two-sided: the search must neither
+    ``SearchConfig.tolerance``, 1e-9 (two-sided: the search must neither
     beat the claimed optimum nor fall short of reaching it). Each check also
     reports ``budget_stops``, the restarts that ended on the iteration cap.
     """
