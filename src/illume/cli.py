@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -151,7 +152,10 @@ def _cmd_sweep(args) -> int:
         file=sys.stderr,
     )
     table = run_sweep(spec)
+    t0 = time.perf_counter()
     write_csv(table, args.out)
+    stages = {**table.stage_s, "csv": time.perf_counter() - t0}
+    print("sweep: seconds " + " ".join(f"{k}={t:.4f}" for k, t in stages.items()), file=sys.stderr)
     stops = table.oracle_budget_stops
     tally = "" if stops is None else ", budget_stops " + " ".join(f"{m}={n}" for m, n in stops.items())
     print(f"sweep: wrote {len(table)} records to {args.out}{tally}", file=sys.stderr)

@@ -7,7 +7,8 @@ outer loop. Plotting is out of scope; the CSV is the deliverable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +27,10 @@ MAX_GRID_CELLS = 4_000_000
 # of a 64 x 64 grid at d = 2 admits 4,096 cells at d = 2, 256 at d = 4 and 16 at d = 8.
 MAX_ORACLE_CELLS = 4096
 _ORACLE_BUDGET = MAX_ORACLE_CELLS * 2**4
+# Most cells the CSV renders at once: a row of up to 2,048 eta steps is one
+# chunk and a wider row is split, so the write holds one chunk, not a row,
+# beside the eta strings it formats once (about 73 bytes an eta step).
+CSV_BLOCK_CELLS = 2048
 
 
 def _check_range(name: str, rng: tuple) -> tuple[float, float, int]:
@@ -94,6 +99,8 @@ class SweepTable:
 
     ``grid`` holds the analytic columns; the oracle ones have its shape, or are None.
     ``oracle_budget_stops`` counts each mode's restarts that ended on the iteration cap.
+    ``stage_s`` is the wall time in seconds of each stage that built the table:
+    ``grid`` (the closed forms) and, with the oracle on, ``oracle`` (both searches).
     ``len`` is the cell count; iterating yields a :class:`SweepRecord` per cell, by p0 row.
     """
 
@@ -103,23 +110,19 @@ class SweepTable:
     oracle_perr_c: np.ndarray | None = None
     oracle_perr_q: np.ndarray | None = None
     oracle_budget_stops: dict[str, int] | None = None
+    stage_s: dict[str, float] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.p0.size * self.eta.size
 
-    def _rows(self):
-        # Per p0 row: p0 and, as lists, the row's columns that follow eta in the CSV.
-        g, labels = self.grid, np.array(REGIONS, dtype=object)
+    def __iter__(self):
+        g, labels, etas = self.grid, np.array(REGIONS, dtype=object), self.eta.tolist()
         oracle = () if self.oracle_perr_c is None else (self.oracle_perr_c, self.oracle_perr_q)
         for i, p0 in enumerate(map(float, self.p0)):
             pc, pq = g.perr_c[i], g.perr_q[i]
             columns = (labels[g.region_c[i]], labels[g.region_q[i]], pc, pq, pc - pq)
-            yield p0, [x.tolist() for x in columns + tuple(o[i] for o in oracle)]
-
-    def __iter__(self):
-        etas = self.eta.tolist()
-        for p0, columns in self._rows():
-            yield from map(SweepRecord, [p0] * len(etas), etas, *columns)
+            columns += tuple(o[i] for o in oracle)
+            yield from map(SweepRecord, [p0] * len(etas), etas, *(x.tolist() for x in columns))
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
@@ -128,26 +131,41 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     The oracle runs one batched search per mode over all cells with one
     search config, and hence one seed, so reruns are bit-identical.
     """
+    t0 = time.perf_counter()
     p0s = np.linspace(*spec.p0_range)
     etas = np.linspace(*spec.eta_range)
     grid = solve_grid(p0s, etas, spec.env.lambda_min, spec.env.lambda_harmonic)
+    t1 = time.perf_counter()
     if spec.oracle is None:
-        return SweepTable(p0s, etas, grid)
+        return SweepTable(p0s, etas, grid, stage_s={"grid": t1 - t0})
     p0, eta = (a.ravel() for a in np.meshgrid(p0s, etas, indexing="ij"))
     results = [search_cells(spec.env, p0, eta, mode, spec.oracle) for mode in MODES]
     perr = [np.array([r.perr for r in rs]).reshape(p0s.size, etas.size) for rs in results]
     stops = {mode: sum(r.budget_stops for r in rs) for mode, rs in zip(MODES, results)}
-    return SweepTable(p0s, etas, grid, *perr, stops)
+    return SweepTable(p0s, etas, grid, *perr, stops,
+                      stage_s={"grid": t1 - t0, "oracle": time.perf_counter() - t1})
 
 
 def _csv_chunks(table: SweepTable):
-    # The header, then one chunk per p0 row; each p0 and eta string is formatted once.
+    # The header, then each p0 row in chunks of at most CSV_BLOCK_CELLS cells,
+    # each chunk one % call. A cell's template is its eta string (formatted
+    # once per table) plus the tail of its (region_c, region_q) pair: the two
+    # labels and a %.12g slot per number. Joined on the row's p0 string, the
+    # templates take the chunk's numbers cell by cell.
     fields = CSV_FIELDS if table.oracle_perr_c is None else CSV_ORACLE_FIELDS
-    cell = ",%s,%s,%s" + ",%.12g" * (len(fields) - 4) + "\n"
-    etas = ["%.12g" % eta for eta in table.eta.tolist()]
+    slots = ",%.12g" * (len(fields) - 4) + "\n"
+    tails = np.array([f"{c},{q}{slots}" for c in REGIONS for q in REGIONS], dtype=object)
+    etas = np.fromiter(map("%.12g,".__mod__, table.eta), dtype=object, count=table.eta.size)
+    g = table.grid
+    oracle = () if table.oracle_perr_c is None else (table.oracle_perr_c, table.oracle_perr_q)
     yield ",".join(fields) + "\n"
-    for p0, columns in table._rows():
-        yield "".join(map((("%.12g" % p0) + cell).__mod__, zip(etas, *columns)))
+    for i, sep in enumerate(map("%.12g,".__mod__, table.p0)):
+        pairs = g.region_c[i] * len(REGIONS) + g.region_q[i]
+        for j in range(0, etas.size, CSV_BLOCK_CELLS):
+            s = slice(j, j + CSV_BLOCK_CELLS)
+            pc, pq = g.perr_c[i, s], g.perr_q[i, s]
+            numbers = np.stack([pc, pq, pc - pq, *(o[i, s] for o in oracle)], axis=1).ravel()
+            yield (sep + sep.join((etas[s] + tails[pairs[s]]).tolist())) % tuple(numbers.tolist())
 
 
 def records_to_csv(table: SweepTable) -> str:
@@ -156,7 +174,7 @@ def records_to_csv(table: SweepTable) -> str:
 
 
 def write_csv(table: SweepTable, path) -> None:
-    """Stream the CSV one p0 row at a time; identical specs yield byte-identical files."""
+    """Stream the CSV one chunk at a time; identical specs yield byte-identical files."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(_csv_chunks(table))
 

@@ -2,13 +2,22 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from illume import EnvironmentState, Scenario, perr_conventional
+from illume import (
+    EnvironmentState,
+    Scenario,
+    SearchConfig,
+    SweepSpec,
+    perr_conventional,
+    records_to_csv,
+    run_sweep,
+)
 from illume.cli import main
 
 
@@ -359,6 +368,26 @@ class TestSweep:
         assert err.splitlines()[-1] == f"sweep: wrote 4 records to {path}, budget_stops {stops}"
         code, _, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(path))
         assert err.splitlines()[-1] == f"sweep: wrote 4 records to {path}"
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_stage_seconds_on_stderr(self, capsys, tmp_path, search_budget, oracle):
+        # one line of stage wall times just before the last line; stdout and
+        # the CSV bytes are those of the library's own rendering
+        search_budget(2, 50)
+        spec = self.write_spec(tmp_path, p0_range=[0.3, 0.5, 2], eta_range=[0.5, 0.7, 3],
+                               spectrum=[0.7, 0.3])
+        path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(path),
+                                 *(["--oracle"] if oracle else []))
+        assert (code, out) == (0, "")
+        stages = ["grid", "oracle", "csv"] if oracle else ["grid", "csv"]
+        first, timing, last = err.splitlines()
+        assert first.startswith("sweep: 2x3 grid") and last.startswith("sweep: wrote 6 records")
+        assert re.fullmatch("sweep: seconds " + " ".join(rf"{s}=\d+\.\d{{4}}" for s in stages),
+                            timing)
+        table = run_sweep(SweepSpec((0.3, 0.5, 2), (0.5, 0.7, 3), EnvironmentState([0.7, 0.3]),
+                                    oracle=SearchConfig() if oracle else None))
+        assert path.read_bytes() == records_to_csv(table).encode("utf-8")
 
     def test_oracle_reruns_are_byte_identical(self, capsys, tmp_path, search_budget):
         search_budget(2)

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,14 @@ from illume import (
     run_sweep,
     write_csv,
 )
-from illume.sweep import MAX_GRID_CELLS, MAX_ORACLE_CELLS
+import illume.sweep as sweep_module
+from illume.sweep import (
+    CSV_BLOCK_CELLS,
+    CSV_FIELDS,
+    CSV_ORACLE_FIELDS,
+    MAX_GRID_CELLS,
+    MAX_ORACLE_CELLS,
+)
 from illume.tolerances import BOUNDARY_TOL
 
 SKEW3 = [0.5, 0.3, 0.2]
@@ -62,6 +70,18 @@ def sweep_specs(draw):
         p0_range = (p0, p0, 2)
         eta_range = (b + lo * BOUNDARY_TOL, b + hi * BOUNDARY_TOL, draw(st.sampled_from([2, 3])))
     return SweepSpec(p0_range, eta_range, env)
+
+
+def per_cell_csv(table) -> str:
+    """The CSV built cell by cell from the table's records, apart from the renderer."""
+    oracle = table.oracle_perr_c is not None
+    lines = [",".join(CSV_ORACLE_FIELDS if oracle else CSV_FIELDS)]
+    for r in table:
+        numbers = [r.perr_c, r.perr_q, r.advantage]
+        numbers += [r.oracle_perr_c, r.oracle_perr_q] if oracle else []
+        lines.append(",".join(["%.12g" % r.p0, "%.12g" % r.eta, r.region_c, r.region_q]
+                              + ["%.12g" % x for x in numbers]))
+    return "\n".join(lines) + "\n"
 
 
 class TestRunSweep:
@@ -339,10 +359,44 @@ class TestCsv:
          "afdcbe026fd653d72a6a00a9e54568a2cd14728c7e812285c6eeeaa5e41e8dca"),
         (SweepSpec((0.35, 1.0, 131), (0.0, 0.3, 61), EnvironmentState.completely_mixed(10)),
          "077ec527b24cc0cf13ece1b44223646c9cff30a478edef9601c0fe9628f39651"),
+        # rows of CSV_BLOCK_CELLS + 1 cells, rendered in two chunks; the digest
+        # is that of the renderer before chunking, which formatted cell by cell
+        (SweepSpec((0.2, 0.8, 3), (0.0, 1.0, 2049), EnvironmentState([0.6, 0.3, 0.1])),
+         "895e3022d586c7466b15baa9955e0839775aacbd80f0164c3bc0f11524122fa3"),
     ])
     def test_golden_bytes(self, spec, digest):
         text = records_to_csv(run_sweep(spec))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    def test_block_size(self):
+        # 201- and 1001-wide rows are one chunk; the 2049-wide golden rows are split
+        assert 1001 <= CSV_BLOCK_CELLS < 2049
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=sweep_specs(), block=st.sampled_from([1, 2, 3, CSV_BLOCK_CELLS]))
+    @example(spec=SweepSpec((0.0, 1.0, 3), (0.0, 1.0, 3), EnvironmentState([1.0])),  # d = 1
+             block=CSV_BLOCK_CELLS)
+    def test_equals_per_cell_rendering(self, spec, block):
+        # blocks of 1-3 cells split the 2-7 wide rows, as CSV_BLOCK_CELLS splits wider ones
+        table = run_sweep(spec)
+        with mock.patch.object(sweep_module, "CSV_BLOCK_CELLS", block):
+            assert records_to_csv(table) == per_cell_csv(table)
+
+    @pytest.mark.parametrize("p0_range, eta_range, spectrum", [
+        ((0.2, 0.8, 2), (0.0, 1.0, 3), SKEW3),
+        ((0.1, 0.9, 3), (0.1, 0.7, 2), [0.7, 0.3]),
+        ((0.0, 1.0, 2), (0.0, 1.0, 2), [1.0]),
+    ])
+    def test_oracle_csv_equals_per_cell_rendering(self, search_budget, p0_range, eta_range,
+                                                  spectrum):
+        search_budget(2, 50)
+        spec = SweepSpec(p0_range, eta_range, EnvironmentState(spectrum), oracle=SearchConfig(seed=1))
+        table = run_sweep(spec)
+        for block in (1, 2, CSV_BLOCK_CELLS):
+            with mock.patch.object(sweep_module, "CSV_BLOCK_CELLS", block):
+                text = records_to_csv(table)
+            assert text == per_cell_csv(table)
+            assert all(len(line.split(",")) == 9 for line in text.splitlines())
 
     def test_oracle_header(self, search_budget):
         search_budget(2, 50)
@@ -374,6 +428,24 @@ class TestCsv:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_streamed_peak_memory_is_bounded_at_wide_rows(self, tmp_path):
+        # eta-width twin of the test above: a row is rendered CSV_BLOCK_CELLS
+        # cells at a time, so a wide row adds only its eta strings, formatted
+        # once (about 73 bytes an eta step). tracemalloc peaks of the write at
+        # 2 x 2,000 and 2 x 200,000: 0.56 and 15.0 MB; the renderer before
+        # chunking, with a list per column per row, read 0.65 and 64.5 MB.
+        peaks = []
+        for steps in (2_000, 200_000):
+            table = run_sweep(SweepSpec((0.0, 1.0, 2), (0.0, 1.0, steps), EnvironmentState(SKEW3)))
+            tracemalloc.start()
+            try:
+                write_csv(table, tmp_path / "grid.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 0.4 * 64.5e6
+        assert (peaks[1] - peaks[0]) / 198_000 <= 100
 
 
 class TestRegionBoundaries:
