@@ -45,7 +45,7 @@ from .oracle import (
 from .sweep import SweepSpec, run_sweep, write_csv
 from .tolerances import SPECTRUM_SUM_TOL
 
-SPEC_KEYS = ENVIRONMENT_KEYS | {"p0_range", "eta_range", "oracle", "oracle_cfg"}
+SPEC_KEYS = ENVIRONMENT_KEYS | {"p0_range", "eta_range", "oracle_cfg"}
 SEARCH_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(SearchConfig))
 
 
@@ -98,21 +98,18 @@ def _scenario_from_args(args) -> Scenario:
     return Scenario(p0=args.p0, eta=args.eta, env=env)
 
 
-def _sweep_spec_from_dict(data: dict, force_oracle: bool) -> SweepSpec:
+def _sweep_spec_from_dict(data: dict, oracle: bool) -> SweepSpec:
     json_object(data, SPEC_KEYS, "sweep spec")
     try:
         p0_range, eta_range = data["p0_range"], data["eta_range"]
     except KeyError as exc:
         raise ValueError(f"sweep spec missing range: {exc}") from exc
     env = environment_from_dict(data)
-    oracle = data.get("oracle", False)
-    if not isinstance(oracle, bool):
-        raise ValueError(f"oracle must be true or false, got {oracle!r}")
     cfg = data.get("oracle_cfg")
     if cfg is not None:  # checked even with the oracle off
         cfg = SearchConfig(**json_object(cfg, SEARCH_CONFIG_KEYS, "oracle_cfg"))
     return SweepSpec(p0_range, eta_range, env,
-                     oracle=(cfg or SearchConfig()) if oracle or force_oracle else None)
+                     oracle=(cfg or SearchConfig()) if oracle else None)
 
 
 def _require_at_least(flag: str, value: int | None, least: int) -> None:
@@ -144,7 +141,7 @@ def _cmd_optimal_state(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = _sweep_spec_from_dict(_read_json(args.spec), force_oracle=args.oracle)
+    spec = _sweep_spec_from_dict(_read_json(args.spec), args.oracle)
     n_p0, n_eta = spec.p0_range[2], spec.eta_range[2]
     print(
         f"sweep: {n_p0}x{n_eta} grid, environment dimension {spec.env.dim}, "

@@ -35,7 +35,7 @@ import numpy as np
 
 from .analytic import optimal_probe_conventional, optimal_probe_quantum, report
 from .linalg import (
-    eig,
+    _hermitian_solve,
     haar_random_state,
     projector,
     require_density_matrix,
@@ -310,7 +310,6 @@ def _search(env, c, gamma, mode: str, starts) -> Iterator[OracleResult]:
     n, dim = states.shape
     mu, frames = values_of(states, np.arange(n))
     grads = ascent(states, frames, np.arange(n))
-    evaluations = np.ones(n, dtype=int)
     iterations = np.zeros(n, dtype=int)
     active = np.ones(n, dtype=bool)
     plain = np.ones(n, dtype=bool)  # the row's next move is a plain see-saw move
@@ -349,7 +348,6 @@ def _search(env, c, gamma, mode: str, starts) -> Iterator[OracleResult]:
         trial = psi + lengths[idx, None] * directions[idx]
         trial /= np.linalg.norm(trial, axis=1, keepdims=True)
         trial_mu, trial_frames = values_of(trial, idx)
-        evaluations[idx] += 1
         gain = trial_mu - mu[idx]
         see, linear = plain[idx], lengths[idx] * slopes[idx]
         # a quasi-Newton step is taken once it gains ARMIJO_FRACTION of its
@@ -396,7 +394,7 @@ def _search(env, c, gamma, mode: str, starts) -> Iterator[OracleResult]:
         best = first + int(np.argmax(values[rows]))  # ties: the lowest restart
         value = float(values[best])
         yield OracleResult(value, states[best].copy(), (1.0 - value) / 2.0,
-                           int(evaluations[rows].sum()), iterations[rows].tolist(),
+                           len(starts) + int(iterations[rows].sum()), iterations[rows].tolist(),
                            ["budget" if a else "converged" for a in active[rows].tolist()])
 
 
@@ -605,8 +603,8 @@ def simulate_measurement(
     rho0 = absent_state(s.env, rho, mode)
     rho1 = s.eta * rho + (1.0 - s.eta) * rho0  # the target-present state in either mode
 
-    decomp = eig(omega(s, rho, mode))
-    plus = decomp.eigenvectors[:, decomp.eigenvalues > POSITIVE_PART_TOL]
+    values, vectors = _hermitian_solve(np.linalg.eigh, omega(s, rho, mode))
+    plus = vectors[:, values > POSITIVE_PART_TOL]
     proj_plus = plus @ plus.conj().T
     q_absent = float(np.clip(np.trace(proj_plus @ rho0).real, 0.0, 1.0))
     q_present = float(np.clip(np.trace(proj_plus @ rho1).real, 0.0, 1.0))
@@ -785,9 +783,8 @@ def run_lemma_suite(seed: int = 0, trials: int = 10000) -> dict:
         violations = 0
         worst = np.inf
         for start in range(0, n, block_len):
-            block = np.arange(start, min(start + block_len, n)) % len(groups)
             for i, group in enumerate(groups):
-                count = int(np.count_nonzero(block == i))
+                count = len(range(start + i, min(start + block_len, n), len(groups)))
                 if count:
                     margins = margins_of(group, count)
                     worst = min(worst, float(margins.min()))

@@ -80,7 +80,7 @@ class SweepSpec:
 
 @dataclass(slots=True)
 class SweepRecord:
-    """One grid cell of a sweep."""
+    """One grid cell of a sweep: the analytic fields of a CSV row."""
 
     p0: float
     eta: float
@@ -89,8 +89,6 @@ class SweepRecord:
     perr_c: float
     perr_q: float
     advantage: float
-    oracle_perr_c: float | None = None
-    oracle_perr_q: float | None = None
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,7 @@ class SweepTable:
     ``oracle_budget_stops`` counts each mode's restarts that ended on the iteration cap.
     ``stage_s`` is the wall time in seconds of each stage that built the table:
     ``grid`` (the closed forms) and, with the oracle on, ``oracle`` (both searches).
-    ``len`` is the cell count; iterating yields a :class:`SweepRecord` per cell, by p0 row.
+    ``len`` is the cell count; iterating yields each cell's analytic :class:`SweepRecord`, by p0 row.
     """
 
     p0: np.ndarray
@@ -117,11 +115,9 @@ class SweepTable:
 
     def __iter__(self):
         g, labels, etas = self.grid, np.array(REGIONS, dtype=object), self.eta.tolist()
-        oracle = () if self.oracle_perr_c is None else (self.oracle_perr_c, self.oracle_perr_q)
         for i, p0 in enumerate(map(float, self.p0)):
             pc, pq = g.perr_c[i], g.perr_q[i]
             columns = (labels[g.region_c[i]], labels[g.region_q[i]], pc, pq, pc - pq)
-            columns += tuple(o[i] for o in oracle)
             yield from map(SweepRecord, [p0] * len(etas), etas, *(x.tolist() for x in columns))
 
 

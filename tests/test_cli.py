@@ -253,29 +253,35 @@ class TestSweep:
 
     @pytest.mark.parametrize("in_file", [True, False])
     def test_oversized_oracle_grid_is_input_error(self, capsys, tmp_path, in_file):
+        # --oracle is the only switch: a spec's "oracle" key is refused first
         spec = self.write_spec(tmp_path, p0_range=[0, 1, 65], eta_range=[0, 1, 64],
-                               oracle=in_file)
+                               **({"oracle": True} if in_file else {}))
         out_csv = tmp_path / "x.csv"
         argv = ("sweep", "--spec", str(spec), "--out", str(out_csv))
-        code, out, err = run_cli(capsys, *argv, *([] if in_file else ["--oracle"]))
+        code, out, err = run_cli(capsys, *argv, "--oracle")
         assert (code, out) == (2, "")
-        assert "oracle sweep grid has 4160 cells" in err
         assert not out_csv.exists()
-        if not in_file:  # the same spec without --oracle runs
-            assert run_cli(capsys, *argv)[0] == 0
+        if in_file:
+            assert err.splitlines() == ["error: unknown sweep spec fields: oracle"]
+        else:
+            assert "oracle sweep grid has 4160 cells" in err
+            assert run_cli(capsys, *argv)[0] == 0  # the same spec without --oracle runs
             assert len(out_csv.read_text().splitlines()) == 4161
 
     @pytest.mark.parametrize("in_file", [True, False])
     def test_costly_oracle_sweep_is_input_error(self, capsys, tmp_path, in_file):
         # 4 cells, but each would run 10^9 restarts per search: the restart
-        # count is a constant, so the field is refused before any search
+        # count is a constant, so the field is refused before any search, as
+        # is a spec's "oracle" key, which is checked first
         spec = self.write_spec(tmp_path, p0_range=[0, 1, 2], eta_range=[0, 1, 2],
-                               oracle=in_file, oracle_cfg={"restarts": 10**9})
+                               oracle_cfg={"restarts": 10**9},
+                               **({"oracle": True} if in_file else {}))
         out_csv = tmp_path / "x.csv"
         argv = ("sweep", "--spec", str(spec), "--out", str(out_csv))
-        code, out, err = run_cli(capsys, *argv, *([] if in_file else ["--oracle"]))
+        code, out, err = run_cli(capsys, *argv, "--oracle")
         assert (code, out) == (2, "")
-        assert err.splitlines() == ["error: unknown oracle_cfg fields: restarts"]
+        field = "sweep spec fields: oracle" if in_file else "oracle_cfg fields: restarts"
+        assert err.splitlines() == [f"error: unknown {field}"]
         assert not out_csv.exists()
 
     def test_oracle_dimension_cap_is_input_error(self, capsys, tmp_path):
@@ -306,15 +312,16 @@ class TestSweep:
         assert "steps must be an integer" in err
         assert not out_csv.exists()
 
-    @pytest.mark.parametrize("flag", ["false", 1, None])
+    @pytest.mark.parametrize("flag", [True, False, "false", 1, None])
     def test_non_bool_oracle_flag_is_input_error(self, capsys, tmp_path, flag):
-        # a truthy cast would start an oracle search on every grid cell
+        # --oracle is the only switch: a spec's "oracle" key is refused
+        # whatever its value, so no cast of it can start a search
         spec = self.write_spec(tmp_path, p0_range=[0.4, 0.6, 2], eta_range=[0.5, 0.7, 2],
                                oracle=flag)
         out_csv = tmp_path / "x.csv"
         code, out, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(out_csv))
         assert (code, out) == (2, "")
-        assert "oracle must be true or false" in err
+        assert err.splitlines() == ["error: unknown sweep spec fields: oracle"]
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("field, value", [
@@ -322,7 +329,7 @@ class TestSweep:
         ("restarts", 32), ("steps_per_restart", 2000),
     ])
     def test_removed_oracle_cfg_field_is_input_error(self, capsys, tmp_path, field, value):
-        spec = self.write_spec(tmp_path, p0_range=[0, 1, 2], eta_range=[0, 1, 2], oracle=True,
+        spec = self.write_spec(tmp_path, p0_range=[0, 1, 2], eta_range=[0, 1, 2],
                                oracle_cfg={"seed": 0, field: value})
         code, out, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(tmp_path / "x.csv"))
         assert (code, out) == (2, "")
@@ -347,7 +354,7 @@ class TestSweep:
         ([1, 2], "must be a JSON object"),
     ])
     def test_invalid_oracle_cfg_is_input_error(self, capsys, tmp_path, cfg, message):
-        spec = self.write_spec(tmp_path, p0_range=[0, 1, 2], eta_range=[0, 1, 2], oracle=True,
+        spec = self.write_spec(tmp_path, p0_range=[0, 1, 2], eta_range=[0, 1, 2],
                                oracle_cfg=cfg)
         code, out, err = run_cli(capsys, "sweep", "--spec", str(spec), "--out", str(tmp_path / "x.csv"))
         assert (code, out) == (2, "")
@@ -699,7 +706,7 @@ def _leaves(value):
 
 _KEYS = {
     "scenario": {"p0", "eta", "spectrum", "basis"},
-    "sweep": {"p0_range", "eta_range", "spectrum", "basis", "oracle", "oracle_cfg"},
+    "sweep": {"p0_range", "eta_range", "spectrum", "basis", "oracle_cfg"},
 }
 _CFG_KEYS = {"seed"}
 

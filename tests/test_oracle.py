@@ -513,8 +513,10 @@ class TestSeeSawSearch:
         search_budget(4)
         cfg = SearchConfig(seed=6)
         spec = SweepSpec((0.3, 0.6, 3), (0.4, 0.9, 3), EnvironmentState(SKEW3), oracle=cfg)
-        assert [dataclasses.astuple(r) for r in run_sweep(spec)] == [
-            dataclasses.astuple(r) for r in run_sweep(spec)]
+        a, b = run_sweep(spec), run_sweep(spec)
+        assert [dataclasses.astuple(r) for r in a] == [dataclasses.astuple(r) for r in b]
+        assert a.oracle_perr_c.tobytes() == b.oracle_perr_c.tobytes()
+        assert a.oracle_perr_q.tobytes() == b.oracle_perr_q.tobytes()
 
 
 def _see_saw_sign(s: Scenario, psi: np.ndarray, mode: str):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 from unittest import mock
@@ -14,6 +15,7 @@ from illume import (
     EnvironmentState,
     Scenario,
     SearchConfig,
+    SweepRecord,
     SweepSpec,
     classify,
     eta_guess_absent,
@@ -73,12 +75,12 @@ def sweep_specs(draw):
 
 
 def per_cell_csv(table) -> str:
-    """The CSV built cell by cell from the table's records, apart from the renderer."""
-    oracle = table.oracle_perr_c is not None
+    """The CSV built cell by cell from the records and oracle columns, apart from the renderer."""
+    oracle = [] if table.oracle_perr_c is None else [
+        table.oracle_perr_c.ravel().tolist(), table.oracle_perr_q.ravel().tolist()]
     lines = [",".join(CSV_ORACLE_FIELDS if oracle else CSV_FIELDS)]
-    for r in table:
-        numbers = [r.perr_c, r.perr_q, r.advantage]
-        numbers += [r.oracle_perr_c, r.oracle_perr_q] if oracle else []
+    for r, *oracle_perr in zip(table, *oracle):
+        numbers = [r.perr_c, r.perr_q, r.advantage, *oracle_perr]
         lines.append(",".join(["%.12g" % r.p0, "%.12g" % r.eta, r.region_c, r.region_q]
                               + ["%.12g" % x for x in numbers]))
     return "\n".join(lines) + "\n"
@@ -149,8 +151,6 @@ class TestRunSweep:
         g = table.grid
         columns = {"p0": np.repeat(table.p0, 4), "eta": np.tile(table.eta, 3),
                    "perr_c": g.perr_c, "perr_q": g.perr_q, "advantage": g.perr_c - g.perr_q}
-        if oracle is not None:
-            columns.update(oracle_perr_c=table.oracle_perr_c, oracle_perr_q=table.oracle_perr_q)
         records = list(table)
         for name, column in columns.items():
             values = [getattr(r, name) for r in records]
@@ -159,8 +159,16 @@ class TestRunSweep:
         for name in ("region_c", "region_q"):
             assert [getattr(r, name) for r in records] == [
                 REGIONS[k] for k in getattr(g, name).ravel()]
+        # a record is the seven analytic fields; the oracle values are the table's columns
+        fields = dataclasses.fields(SweepRecord)
+        assert tuple(f.name for f in fields) == CSV_FIELDS
+        assert all(f.default is dataclasses.MISSING for f in fields)
+        assert all(len(dataclasses.astuple(r)) == len(CSV_FIELDS) for r in records)
         if oracle is None:
-            assert all(r.oracle_perr_c is None and r.oracle_perr_q is None for r in records)
+            assert table.oracle_perr_c is None and table.oracle_perr_q is None
+        else:
+            for column in (table.oracle_perr_c, table.oracle_perr_q):
+                assert column.dtype == np.float64 and column.shape == g.perr_c.shape
 
     def test_peak_memory_of_a_201_squared_sweep(self):
         # columns only: about 40 bytes a cell, where a record per cell took about 260
@@ -179,22 +187,25 @@ class TestRunSweep:
         spec = SweepSpec(
             (0.3, 0.7, 3), (0.2, 1.0, 3), EnvironmentState([0.5, 0.5]), oracle=cfg,
         )
-        for r in run_sweep(spec):
-            assert abs(r.oracle_perr_c - r.perr_c) <= 1e-5
-            assert abs(r.oracle_perr_q - r.perr_q) <= 1e-5
+        table = run_sweep(spec)
+        for r, oracle_c, oracle_q in zip(table, table.oracle_perr_c.ravel(),
+                                         table.oracle_perr_q.ravel()):
+            assert abs(oracle_c - r.perr_c) <= 1e-5
+            assert abs(oracle_q - r.perr_q) <= 1e-5
 
     def test_oracle_columns_equal_per_cell_searches(self, search_budget):
         search_budget(4, 300)
         cfg = SearchConfig(seed=4)
         env = EnvironmentState(SKEW3)
         spec = SweepSpec((0.4, 0.6, 2), (0.3, 0.9, 3), env, oracle=cfg)
-        records = run_sweep(spec)
-        assert [(r.p0, r.eta) for r in records] == [
+        table = run_sweep(spec)
+        assert [(r.p0, r.eta) for r in table] == [
             (p0, eta) for p0 in np.linspace(0.4, 0.6, 2) for eta in np.linspace(0.3, 0.9, 3)]
-        for r in records:
+        for r, oracle_c, oracle_q in zip(table, table.oracle_perr_c.ravel(),
+                                         table.oracle_perr_q.ravel()):
             s = Scenario(r.p0, r.eta, env)
-            assert r.oracle_perr_c == maximize_trace_norm(s, CONVENTIONAL, cfg).perr
-            assert r.oracle_perr_q == maximize_trace_norm(s, QUANTUM, cfg).perr
+            assert oracle_c == maximize_trace_norm(s, CONVENTIONAL, cfg).perr
+            assert oracle_q == maximize_trace_norm(s, QUANTUM, cfg).perr
 
     def test_budget_stops_sum_the_cells_searches(self, search_budget):
         search_budget(3, 2)
