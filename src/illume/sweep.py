@@ -28,8 +28,8 @@ MAX_GRID_CELLS = 4_000_000
 MAX_ORACLE_CELLS = 4096
 _ORACLE_BUDGET = MAX_ORACLE_CELLS * 2**4
 # Most cells the CSV renders at once: a row of up to 2,048 eta steps is one
-# chunk and a wider row is split, so the write holds one chunk, not a row,
-# beside the eta strings it formats once (about 73 bytes an eta step).
+# chunk (one string per run of one region pair) and a wider row is split, so the
+# write holds one chunk, not a row, beside its eta strings (73 bytes an eta step).
 CSV_BLOCK_CELLS = 2048
 
 
@@ -144,24 +144,36 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
 def _csv_chunks(table: SweepTable):
     # The header, then each p0 row in chunks of at most CSV_BLOCK_CELLS cells,
-    # each chunk one % call. A cell's template is its eta string (formatted
-    # once per table) plus the tail of its (region_c, region_q) pair: the two
-    # labels and a %.12g slot per number. Joined on the row's p0 string, the
-    # templates take the chunk's numbers cell by cell.
+    # each chunk one % call. Each row builds the tail of every (region_c,
+    # region_q) pair: the two labels and a %.12g slot per number, except that
+    # the always-guess (I, I) and (II, II) tails carry the row's p0 (or p1)
+    # text twice and a 0 advantage. A run of one pair is its eta strings
+    # (formatted once per table) joined on the tail and the row's p0 string;
+    # the % call takes only the numbers that still have a slot, cell by cell.
     fields = CSV_FIELDS if table.oracle_perr_c is None else CSV_ORACLE_FIELDS
-    slots = ",%.12g" * (len(fields) - 4) + "\n"
-    tails = np.array([f"{c},{q}{slots}" for c in REGIONS for q in REGIONS], dtype=object)
-    etas = np.fromiter(map("%.12g,".__mod__, table.eta), dtype=object, count=table.eta.size)
+    slots = ",%.12g" * (len(fields) - 7) + "\n"
+    guess = np.array([a == b != 2 for a in range(3) for b in range(3)])  # (I, I), (II, II)
+    etas = list(map("%.12g,".__mod__, table.eta))
     g = table.grid
     oracle = () if table.oracle_perr_c is None else (table.oracle_perr_c, table.oracle_perr_q)
     yield ",".join(fields) + "\n"
-    for i, sep in enumerate(map("%.12g,".__mod__, table.p0)):
+    for i, p0 in enumerate(map(float, table.p0)):
+        sep, priors = "%.12g," % p0, ("%.12g" % p0, "%.12g" % (1.0 - p0))
+        errors = [f"{x},{x},0" for x in priors] + ["%.12g,%.12g,%.12g"]
+        tails = [f"{c},{q},{errors[a if a == b else 2]}{slots}"
+                 for a, c in enumerate(REGIONS) for b, q in enumerate(REGIONS)]
         pairs = g.region_c[i] * len(REGIONS) + g.region_q[i]
-        for j in range(0, etas.size, CSV_BLOCK_CELLS):
+        for j in range(0, len(etas), CSV_BLOCK_CELLS):
             s = slice(j, j + CSV_BLOCK_CELLS)
+            chunk = pairs[s]
+            cuts = [0, *(np.flatnonzero(chunk[1:] != chunk[:-1]) + 1).tolist(), chunk.size]
+            keep = np.ones((chunk.size, 3 + len(oracle)), dtype=bool)
+            keep[guess[chunk], :3] = False
             pc, pq = g.perr_c[i, s], g.perr_q[i, s]
-            numbers = np.stack([pc, pq, pc - pq, *(o[i, s] for o in oracle)], axis=1).ravel()
-            yield (sep + sep.join((etas[s] + tails[pairs[s]]).tolist())) % tuple(numbers.tolist())
+            numbers = np.stack([pc, pq, pc - pq, *(o[i, s] for o in oracle)], axis=1)[keep]
+            yield "".join(sep + (tails[p] + sep).join(etas[j + a:j + b]) + tails[p]
+                          for p, a, b in zip(chunk[cuts[:-1]].tolist(), cuts, cuts[1:])
+                          ) % tuple(numbers.tolist())
 
 
 def records_to_csv(table: SweepTable) -> str:

@@ -39,6 +39,9 @@ from illume.sweep import (
 from illume.tolerances import BOUNDARY_TOL
 
 SKEW3 = [0.5, 0.3, 0.2]
+# completely mixed d = 2 on a 7 x 7 grid: every row has one or more runs of
+# (I, I), (II, II), (II, III) or (III, III) cells
+MIXED2_7X7 = SweepSpec((0.0, 1.0, 7), (0.0, 1.0, 7), EnvironmentState([0.5, 0.5]))
 
 _weights = st.lists(st.floats(0.01, 1.0), min_size=2, max_size=8)
 SPECTRA = st.one_of(
@@ -374,6 +377,15 @@ class TestCsv:
         # is that of the renderer before chunking, which formatted cell by cell
         (SweepSpec((0.2, 0.8, 3), (0.0, 1.0, 2049), EnvironmentState([0.6, 0.3, 0.1])),
          "895e3022d586c7466b15baa9955e0839775aacbd80f0164c3bc0f11524122fa3"),
+        # region-II-heavy: 31% (I, I), 31% (II, II) and 10% (II, III) cells, whose
+        # errors are written as row constants; the digests are the renderer's
+        # before it did so, which formatted every number
+        (SweepSpec((0.0, 1.0, 201), (0.0, 1.0, 201), EnvironmentState([0.5, 0.5])),
+         "915d30326760f743dac0cdfa67f61fc8898fa58dabad51ee75a6d175adb70367"),
+        # the same regions on 2049-wide rows, whose runs of one region pair
+        # cross the CSV_BLOCK_CELLS chunk edge
+        (SweepSpec((0.0, 1.0, 41), (0.0, 1.0, 2049), EnvironmentState([0.5, 0.5])),
+         "24d9c6217c7f933d921cfc3a34209056087cb143664b3a69541971419fabedac"),
     ])
     def test_golden_bytes(self, spec, digest):
         text = records_to_csv(run_sweep(spec))
@@ -387,6 +399,9 @@ class TestCsv:
     @given(spec=sweep_specs(), block=st.sampled_from([1, 2, 3, CSV_BLOCK_CELLS]))
     @example(spec=SweepSpec((0.0, 1.0, 3), (0.0, 1.0, 3), EnvironmentState([1.0])),  # d = 1
              block=CSV_BLOCK_CELLS)
+    @example(spec=MIXED2_7X7, block=1)
+    @example(spec=MIXED2_7X7, block=2)
+    @example(spec=MIXED2_7X7, block=3)
     def test_equals_per_cell_rendering(self, spec, block):
         # blocks of 1-3 cells split the 2-7 wide rows, as CSV_BLOCK_CELLS splits wider ones
         table = run_sweep(spec)
@@ -397,13 +412,16 @@ class TestCsv:
         ((0.2, 0.8, 2), (0.0, 1.0, 3), SKEW3),
         ((0.1, 0.9, 3), (0.1, 0.7, 2), [0.7, 0.3]),
         ((0.0, 1.0, 2), (0.0, 1.0, 2), [1.0]),
+        # completely mixed d = 2: (I, I), (II, II), (II, III) and (III, III) cells,
+        # so oracle slots follow the baked guess-cell text
+        ((0.0, 1.0, 4), (0.0, 1.0, 4), [0.5, 0.5]),
     ])
     def test_oracle_csv_equals_per_cell_rendering(self, search_budget, p0_range, eta_range,
                                                   spectrum):
         search_budget(2, 50)
         spec = SweepSpec(p0_range, eta_range, EnvironmentState(spectrum), oracle=SearchConfig(seed=1))
         table = run_sweep(spec)
-        for block in (1, 2, CSV_BLOCK_CELLS):
+        for block in (1, 2, 3, CSV_BLOCK_CELLS):
             with mock.patch.object(sweep_module, "CSV_BLOCK_CELLS", block):
                 text = records_to_csv(table)
             assert text == per_cell_csv(table)
@@ -444,8 +462,9 @@ class TestCsv:
         # eta-width twin of the test above: a row is rendered CSV_BLOCK_CELLS
         # cells at a time, so a wide row adds only its eta strings, formatted
         # once (about 73 bytes an eta step). tracemalloc peaks of the write at
-        # 2 x 2,000 and 2 x 200,000: 0.56 and 15.0 MB; the renderer before
+        # 2 x 2,000 and 2 x 200,000: 0.28 and 15.0 MB; the renderer before
         # chunking, with a list per column per row, read 0.65 and 64.5 MB.
+        # Both rows are all (I, I) or all (II, II), so each chunk is one run.
         peaks = []
         for steps in (2_000, 200_000):
             table = run_sweep(SweepSpec((0.0, 1.0, 2), (0.0, 1.0, steps), EnvironmentState(SKEW3)))
