@@ -35,6 +35,7 @@ from .model import (
     scenario_from_dict,
 )
 from .oracle import (
+    MAX_TRIALS,
     BundledCase,
     SearchConfig,
     run_lemma_suite,
@@ -112,10 +113,12 @@ def _sweep_spec_from_dict(data: dict, oracle: bool) -> SweepSpec:
                      oracle=(cfg or SearchConfig()) if oracle else None)
 
 
-def _require_at_least(flag: str, value: int | None, least: int) -> None:
+def _require_between(flag: str, value: int | None, least: int, most: int | None = None) -> None:
     # checked before any work starts, so a bad flag leaves stdout empty
     if value is not None and value < least:
         raise ValueError(f"{flag} must be >= {least}, got {value}")
+    if value is not None and most is not None and value > most:
+        raise ValueError(f"{flag} must be <= {most}, got {value}")
 
 
 def _cmd_solve(args) -> int:
@@ -162,8 +165,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     if args.suite == "oracle" and args.trials is not None:
         raise ValueError("--trials does not apply to --suite oracle: it has no trial count")
-    _require_at_least("--trials", args.trials, 1)
-    _require_at_least("--seed", args.seed, 0)
+    _require_between("--trials", args.trials, 1, MAX_TRIALS)
+    _require_between("--seed", args.seed, 0)
     trials = {} if args.trials is None else {"trials": args.trials}
     runners = {
         "lemmas": lambda: run_lemma_suite(seed=args.seed, **trials),
@@ -181,8 +184,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    _require_at_least("--trials", args.trials, 1)
-    _require_at_least("--seed", args.seed, 0)
+    _require_between("--trials", args.trials, 1, MAX_TRIALS)
+    _require_between("--seed", args.seed, 0)
     s = _scenario_from_args(args)
     case = BundledCase("simulate", s, args.mode)
     if args.probe_file is None:

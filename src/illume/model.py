@@ -227,10 +227,12 @@ def omega(s: Scenario | ScenarioStack, rho, mode: str) -> np.ndarray:
     return w
 
 
-def require_integer(name: str, value, least: int) -> None:
-    """Reject ``value`` unless it is an integer of at least ``least``; a bool is not one."""
+def require_integer(name: str, value, least: int, most: int | None = None) -> None:
+    """Reject ``value`` unless it is an integer in ``[least, most]``; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be an integer <= {most}, got {value!r}")
 
 
 def json_object(data, keys: frozenset, what: str) -> dict:

@@ -93,6 +93,8 @@ ARMIJO_FRACTION = 1e-4
 # as many rows ran at most 10% faster.
 SEARCH_BLOCK_BYTES = 1 << 17
 
+MAX_TRIALS = 2**63 - 1  # most trials of a simulation: numpy's binomial takes an int64 count
+
 RESTARTS = 32  # Haar-random starts of every search: the budget the oracle suite validates
 STEPS_PER_RESTART = 2000  # iterations of a start before it is a budget stop
 
@@ -592,12 +594,12 @@ def simulate_measurement(
     The "present" projector collects the eigenvectors of
     ``p1 rho_1 - p0 rho_0`` with eigenvalue above ``POSITIVE_PART_TOL``
     (knife-edge eigenvalues go to the "absent" side; at such degeneracies
-    either assignment yields the same error). Each trial draws the
-    hypothesis from (p0, p1) and the outcome from the Born probabilities;
-    the expected error rate is :func:`perr_of_state`. Fixed seeds reproduce
-    identical statistics.
+    either assignment yields the same error). Its Born probabilities give one
+    shot's error, ``p1 (1 - q_present) + p0 q_absent`` (:func:`perr_of_state`),
+    so the error count of the independent trials is drawn from its exact law,
+    a binomial, at a cost flat in ``trials``. Fixed seeds give identical statistics.
     """
-    require_integer("trials", trials, 1)
+    require_integer("trials", trials, 1, MAX_TRIALS)
     require_integer("seed", seed, 0)
     rho = projector(require_state_vector(probe))
     rho0 = absent_state(s.env, rho, mode)
@@ -609,11 +611,8 @@ def simulate_measurement(
     q_absent = float(np.clip(np.trace(proj_plus @ rho0).real, 0.0, 1.0))
     q_present = float(np.clip(np.trace(proj_plus @ rho1).real, 0.0, 1.0))
 
-    rng = np.random.default_rng(seed)
-    present = rng.random(trials) < s.p1
-    u = rng.random(trials)
-    says_present = np.where(present, u < q_present, u < q_absent)
-    errors = int(np.count_nonzero(says_present != present))
+    p_err = float(np.clip(s.p1 * (1.0 - q_present) + s.p0 * q_absent, 0.0, 1.0))
+    errors = int(np.random.default_rng(seed).binomial(trials, p_err))
 
     empirical = errors / trials
     return MeasurementStats(
@@ -823,7 +822,7 @@ def run_montecarlo_suite(seed: int = 0, trials: int = 100000) -> dict:
     Each case must land within four standard errors of the analytic value.
     """
     require_integer("seed", seed, 0)
-    require_integer("trials", trials, 1)
+    require_integer("trials", trials, 1, MAX_TRIALS)
     checks = []
     for i, case in enumerate(bundled_scenarios()):
         stats = simulate_measurement(

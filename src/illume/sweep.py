@@ -144,23 +144,23 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
 def _csv_chunks(table: SweepTable):
     # The header, then each p0 row in chunks of at most CSV_BLOCK_CELLS cells,
-    # each chunk one % call. Each row builds the tail of every (region_c,
-    # region_q) pair: the two labels and a %.12g slot per number, except that
-    # the always-guess (I, I) and (II, II) tails carry the row's p0 (or p1)
-    # text twice and a 0 advantage. A run of one pair is its eta strings
-    # (formatted once per table) joined on the tail and the row's p0 string;
-    # the % call takes only the numbers that still have a slot, cell by cell.
+    # each chunk one % call. In regions I and II the minimal error is the prior
+    # whatever eta is, so a row bakes each mode's error text by region code: its
+    # p0 text, its p1 text, or a %.12g slot. The tail of a (region_c, region_q)
+    # pair is the labels, the two texts, the advantage (0 in (I, I) and (II, II),
+    # else a slot) and any oracle slots; `formats` says which of perr_c, perr_q
+    # and the advantage a pair formats. A run of one pair is its eta strings
+    # (formatted once per table) joined on the tail and the row's p0 string.
     fields = CSV_FIELDS if table.oracle_perr_c is None else CSV_ORACLE_FIELDS
     slots = ",%.12g" * (len(fields) - 7) + "\n"
-    guess = np.array([a == b != 2 for a in range(3) for b in range(3)])  # (I, I), (II, II)
+    formats = np.array([[a == 2, b == 2, not a == b < 2] for a in range(3) for b in range(3)])
     etas = list(map("%.12g,".__mod__, table.eta))
     g = table.grid
     oracle = () if table.oracle_perr_c is None else (table.oracle_perr_c, table.oracle_perr_q)
     yield ",".join(fields) + "\n"
     for i, p0 in enumerate(map(float, table.p0)):
-        sep, priors = "%.12g," % p0, ("%.12g" % p0, "%.12g" % (1.0 - p0))
-        errors = [f"{x},{x},0" for x in priors] + ["%.12g,%.12g,%.12g"]
-        tails = [f"{c},{q},{errors[a if a == b else 2]}{slots}"
+        sep, texts = "%.12g," % p0, ("%.12g" % p0, "%.12g" % (1.0 - p0), "%.12g")
+        tails = [f"{c},{q},{texts[a]},{texts[b]},{0 if a == b < 2 else '%.12g'}{slots}"
                  for a, c in enumerate(REGIONS) for b, q in enumerate(REGIONS)]
         pairs = g.region_c[i] * len(REGIONS) + g.region_q[i]
         for j in range(0, len(etas), CSV_BLOCK_CELLS):
@@ -168,7 +168,7 @@ def _csv_chunks(table: SweepTable):
             chunk = pairs[s]
             cuts = [0, *(np.flatnonzero(chunk[1:] != chunk[:-1]) + 1).tolist(), chunk.size]
             keep = np.ones((chunk.size, 3 + len(oracle)), dtype=bool)
-            keep[guess[chunk], :3] = False
+            keep[:, :3] = formats[chunk]
             pc, pq = g.perr_c[i, s], g.perr_q[i, s]
             numbers = np.stack([pc, pq, pc - pq, *(o[i, s] for o in oracle)], axis=1)[keep]
             yield "".join(sep + (tails[p] + sep).join(etas[j + a:j + b]) + tails[p]

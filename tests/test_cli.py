@@ -454,6 +454,21 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "--trials" in err
 
+    @pytest.mark.parametrize("suite", ["lemmas", "montecarlo", "all"])
+    def test_trials_above_the_binomial_ceiling_is_input_error(self, capsys, monkeypatch, suite):
+        import illume.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("no suite may run")
+
+        for name in ("run_lemma_suite", "run_oracle_suite", "run_montecarlo_suite"):
+            monkeypatch.setattr(cli_mod, name, never)
+        code, out, err = run_cli(capsys, "verify", "--suite", suite,
+                                 "--trials", "9223372036854775808")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: --trials must be <= 9223372036854775807, got 9223372036854775808"]
+
     @pytest.mark.parametrize("suite", ["lemmas", "oracle", "montecarlo", "all"])
     def test_negative_seed_is_input_error(self, capsys, monkeypatch, suite):
         import illume.cli as cli_mod
@@ -573,6 +588,24 @@ class TestSimulate:
                                  "--trials", "0", "--probe-file", "/nonexistent")
         assert (code, out) == (2, "")
         assert err.splitlines() == ["error: --trials must be >= 1, got 0"]
+
+    def test_trials_above_the_binomial_ceiling_is_input_error_before_any_read(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--p0", "0.5", "--eta", "0.6",
+                                 "--spectrum", "0.5,0.5", "--mode", "conventional",
+                                 "--trials", "9223372036854775808", "--probe-file", "/nonexistent")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: --trials must be <= 9223372036854775807, got 9223372036854775808"]
+
+    def test_trillion_trials_finish_with_strict_json(self, capsys):
+        # the error count is one binomial draw: no array grows with --trials
+        code, out, _ = run_cli(capsys, "simulate", "--p0", "0.5", "--eta", "0.6",
+                               "--spectrum", "0.5,0.3,0.2", "--mode", "quantum",
+                               "--trials", "1000000000000")
+        assert code == 0
+        data = json.loads(out, parse_constant=lambda token: pytest.fail(token))
+        assert data["trials"] == 10**12
+        assert abs(data["empirical_perr"] - data["analytic_perr"]) <= 4 * data["std_error"]
 
     def test_probe_file(self, capsys, tmp_path):
         probe = tmp_path / "probe.json"

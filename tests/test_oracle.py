@@ -960,6 +960,41 @@ class TestSimulateMeasurement:
         with pytest.raises(ValueError, match=f"{field} must be an integer >= "):
             simulate_measurement(s, [0.0, 0.0], CONVENTIONAL, **counts)
 
+    def test_memory_does_not_grow_with_trials(self):
+        # the error count is one binomial draw, so no array has the trial count's size
+        s = Scenario(0.5, 0.6, EnvironmentState(SKEW3))
+        probe = optimal_probe_quantum(s)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                simulate_measurement(s, probe, QUANTUM, trials, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        simulate_measurement(s, probe, QUANTUM, 10, seed=0)  # one-time allocations, untraced
+        assert peak(10**7) <= 2 * peak(10**3)
+
+    @pytest.mark.parametrize("p0, spectrum, probe", [
+        (0.5, [1.0, 0.0], [0.0, 1.0]),  # eta = 1 makes the hypotheses orthogonal
+        (1.0, [0.5, 0.5], [1.0, 0.0]),  # the target is never present
+    ])
+    def test_zero_error_law_never_errs(self, p0, spectrum, probe):
+        s = Scenario(p0, 1.0, EnvironmentState(spectrum))
+        assert perr_of_state(s, probe, CONVENTIONAL) == 0.0
+        stats = simulate_measurement(s, probe, CONVENTIONAL, 10**12, seed=3)
+        assert (stats.trials, stats.errors, stats.std_error) == (10**12, 0, 0.0)
+
+    def test_trials_ceiling(self):
+        # numpy draws a binomial count of at most 2**63 - 1 trials; one more is an input error
+        s = Scenario(0.5, 0.6, EnvironmentState([0.5, 0.5]))
+        probe = optimal_probe_conventional(s)
+        stats = simulate_measurement(s, probe, CONVENTIONAL, 2**63 - 1, seed=0)
+        assert abs(stats.empirical_perr - 0.35) <= 4.0 * stats.std_error
+        with pytest.raises(ValueError, match=r"^trials must be an integer <= 9223372036854775807"):
+            simulate_measurement(s, probe, CONVENTIONAL, 2**63, seed=0)
+
     def test_empirical_monotonicity_in_reflectivity(self):
         env = EnvironmentState([0.5, 0.5])
         stats = []
@@ -1027,6 +1062,14 @@ class TestSuites:
         monkeypatch.setattr(oracle_mod, "simulate_measurement", never)
         with pytest.raises(ValueError, match="trials must be an integer >= 1"):
             run_montecarlo_suite(0, trials)
+
+    def test_montecarlo_suite_rejects_trials_above_the_ceiling_before_any_case(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("no simulation may run")
+
+        monkeypatch.setattr(oracle_mod, "simulate_measurement", never)
+        with pytest.raises(ValueError, match=r"^trials must be an integer <= 9223372036854775807"):
+            run_montecarlo_suite(0, 2**63)
 
     def test_lemma_suite_memory_does_not_grow_with_trials(self):
         # the suite keeps one block of stacks, a running worst margin and a
@@ -1138,9 +1181,17 @@ class TestSuites:
         assert _digest(lemma_suite_2026) == (
             "bcd5a55f552b2bf662fd1637def8807d0e5e82a300cd736d3f9bad8af40b9c46")
 
+    # Regenerated when simulate_measurement began drawing each case's error
+    # count from its exact law, Binomial(trials, one shot's error), in place
+    # of one hypothesis and one outcome per trial: the draws moved, so every
+    # worst_margin did. All 20 checks have 0 violations and a margin >= 0.
+    # With per-trial draws the digest was 34d5d56d...
     def test_montecarlo_suite_golden_payload(self):
-        assert _digest(run_montecarlo_suite(seed=0, trials=2000)) == (
-            "34d5d56db040a6f9ee570d989bedc6e2fe4b1b3d73994eb24fc4de8f551787b1")
+        result = run_montecarlo_suite(seed=0, trials=2000)
+        assert result["violations"] == 0
+        assert min(c["worst_margin"] for c in result["checks"]) >= 0.0
+        assert _digest(result) == (
+            "d21c6f6bdb644d2d30dac38dd0019f70996dd40f9e517f992f697d90806b0f15")
 
     def test_oracle_suite_reports_budget_stops(self, oracle_suite_7, monkeypatch):
         assert [c["budget_stops"] for c in oracle_suite_7["checks"]] == [0] * 20
