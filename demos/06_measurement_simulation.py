@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Walkthrough: Monte-Carlo simulation of the optimal binary measurement.
 
-The optimal two-outcome measurement projects onto the positive eigenspace
-of p1 rho_1 - p0 rho_0. Its Born probabilities give the error of one shot,
-and the trials are independent shots, so the simulation draws their error
-count from its exact law, a binomial, in one step whatever the trial count.
+The optimal two-outcome measurement (Helstrom's) projects onto the positive
+eigenspace of omega = p1 rho_1 - p0 rho_0, so one shot errs with the probe's
+Helstrom error (1 - ||omega||_1) / 2. The trials are independent shots, so
+the simulation draws their error count at that probability from its exact
+law, a binomial, in one step whatever the trial count.
 The empirical error rate converges to the analytic minimum at the usual
 1/sqrt(N) pace.
 """

@@ -22,7 +22,8 @@ O(d^3) per probe where a dense ``eigvalsh`` of the d^2 x d^2 quantum
 unit sphere (Absil, Mahony and Sepulchre, *Optimization Algorithms on Matrix
 Manifolds*, ch. 7-8; Nocedal and Wright, *Numerical Optimization*, ch. 7),
 and a plain see-saw move certifies where it stops. The dense
-``perr_of_state`` rechecks every result.
+``perr_of_state``, which also scores every simulated measurement, is the
+independent recheck that the tests and the benchmark run on search results.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 
 from .analytic import optimal_probe_conventional, optimal_probe_quantum, report
 from .linalg import (
-    _hermitian_solve,
     haar_random_state,
     projector,
     require_density_matrix,
@@ -60,7 +60,6 @@ from .tolerances import (
     LEMMA_MARGIN_TOL,
     MIXTURE_WEIGHT_TOL,
     ORACLE_AGREEMENT_TOL,
-    POSITIVE_PART_TOL,
     SEARCH_CONVERGED_GAIN,
 )
 
@@ -140,6 +139,10 @@ class MeasurementStats:
 def perr_of_state(s: Scenario, probe, mode: str) -> float:
     """Detection error of a specific pure probe, straight from the trace norm."""
     probe = require_state_vector(probe)
+    n = probe_dim(s.env.dim, mode)
+    if probe.size != n:
+        raise ValueError(f"probe has dimension {probe.size}, expected {n} "
+                         f"for {mode} mode at environment dimension {s.env.dim}")
     return (1.0 - trace_norm(omega(s, projector(probe), mode))) / 2.0
 
 
@@ -591,27 +594,16 @@ def simulate_measurement(
 ) -> MeasurementStats:
     """Monte-Carlo run of the optimal binary measurement for a given probe.
 
-    The "present" projector collects the eigenvectors of
-    ``p1 rho_1 - p0 rho_0`` with eigenvalue above ``POSITIVE_PART_TOL``
-    (knife-edge eigenvalues go to the "absent" side; at such degeneracies
-    either assignment yields the same error). Its Born probabilities give one
-    shot's error, ``p1 (1 - q_present) + p0 q_absent`` (:func:`perr_of_state`),
-    so the error count of the independent trials is drawn from its exact law,
-    a binomial, at a cost flat in ``trials``. Fixed seeds give identical statistics.
+    The optimal measurement is Helstrom's: it projects onto the positive part
+    of ``omega = p1 rho_1 - p0 rho_0``, and one shot of it errs with the
+    probe's Helstrom error ``(1 - ||omega||_1) / 2``, :func:`perr_of_state`.
+    The error count of the independent trials is drawn at that probability
+    from its exact law, a binomial, at a cost flat in ``trials``. Fixed
+    seeds give identical statistics.
     """
     require_integer("trials", trials, 1, MAX_TRIALS)
     require_integer("seed", seed, 0)
-    rho = projector(require_state_vector(probe))
-    rho0 = absent_state(s.env, rho, mode)
-    rho1 = s.eta * rho + (1.0 - s.eta) * rho0  # the target-present state in either mode
-
-    values, vectors = _hermitian_solve(np.linalg.eigh, omega(s, rho, mode))
-    plus = vectors[:, values > POSITIVE_PART_TOL]
-    proj_plus = plus @ plus.conj().T
-    q_absent = float(np.clip(np.trace(proj_plus @ rho0).real, 0.0, 1.0))
-    q_present = float(np.clip(np.trace(proj_plus @ rho1).real, 0.0, 1.0))
-
-    p_err = float(np.clip(s.p1 * (1.0 - q_present) + s.p0 * q_absent, 0.0, 1.0))
+    p_err = float(np.clip(perr_of_state(s, probe, mode), 0.0, 1.0))  # binomial rejects p < 0
     errors = int(np.random.default_rng(seed).binomial(trials, p_err))
 
     empirical = errors / trials

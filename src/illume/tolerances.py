@@ -19,9 +19,6 @@ ORTHONORMALITY_TOL = 1e-8  # |<v_j|v_k> - delta_jk| for eigenvector sets and bas
 ZERO_EIGENVALUE_TOL = 1e-12  # environment eigenvalues at or below this are exact zeros
 BOUNDARY_TOL = 1e-12         # reflectivities this close to a region boundary label as III
 
-# Measurement construction.
-POSITIVE_PART_TOL = 1e-12  # eigenvalues within this band of zero go to the "absent" projector
-
 # Lemma checks.
 LEMMA_MARGIN_TOL = 1e-10    # slack of the linearity and convexity margins
 MIXTURE_WEIGHT_TOL = 1e-12  # mixture weights at or below this drop out of the convexity check

@@ -619,6 +619,17 @@ class TestSimulate:
         # any pure probe of I/2 achieves the optimum here
         assert abs(data["empirical_perr"] - 0.35) <= 4 * data["std_error"]
 
+    @pytest.mark.parametrize("mode, expected", [("conventional", 2), ("quantum", 4)])
+    def test_wrong_length_probe_file_is_input_error(self, capsys, tmp_path, mode, expected):
+        probe = tmp_path / "probe.json"
+        probe.write_text(json.dumps([[0.6, 0.0], [0.8, 0.0], [0.0, 0.0]]))
+        code, out, err = run_cli(capsys, "simulate", "--p0", "0.5", "--eta", "0.6",
+                                 "--spectrum", "0.5,0.5", "--mode", mode,
+                                 "--probe-file", str(probe))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: probe has dimension 3, expected {expected} "
+                                    f"for {mode} mode at environment dimension 2"]
+
     @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
     def test_non_finite_probe_file_is_input_error(self, capsys, tmp_path, entry):
         probe = tmp_path / "probe.json"

@@ -114,6 +114,19 @@ class TestPerrOfState:
             perr_of_state(s, haar_random_state(9, seed=0), CONVENTIONAL)
         with pytest.raises(ValueError, match="mode"):
             perr_of_state(s, haar_random_state(3, seed=0), "classical")
+        with pytest.raises(ValueError, match="^mode must be one of"):  # before the length
+            perr_of_state(s, haar_random_state(2, seed=0), "classical")
+
+    @pytest.mark.parametrize("mode, expected", [(CONVENTIONAL, 2), (QUANTUM, 4)])
+    def test_wrong_length_probe_names_its_dimension(self, mode, expected):
+        # the length is checked before any matrix is built, so no message names a shape
+        s = Scenario(0.5, 0.6, EnvironmentState([0.5, 0.5]))
+        message = (f"^probe has dimension 3, expected {expected} "
+                   f"for {mode} mode at environment dimension 2$")
+        with pytest.raises(ValueError, match=message):
+            perr_of_state(s, haar_random_state(3, seed=0), mode)
+        with pytest.raises(ValueError, match=message):
+            simulate_measurement(s, haar_random_state(3, seed=0), mode, 10, seed=0)
 
 
 class TestMaximizeTraceNorm:
@@ -985,6 +998,26 @@ class TestSimulateMeasurement:
         assert perr_of_state(s, probe, CONVENTIONAL) == 0.0
         stats = simulate_measurement(s, probe, CONVENTIONAL, 10**12, seed=3)
         assert (stats.trials, stats.errors, stats.std_error) == (10**12, 0, 0.0)
+
+    def test_draws_at_the_helstrom_error(self, monkeypatch):
+        # region I (gamma > 0): every probe errs with exactly p0. An environment eigenvalue
+        # of 1e-11 leaves omega eigenvalues near zero, where a cut of its positive part
+        # reads up to 5.2e-13 above p0
+        drawn = []
+
+        class Recorder:
+            def binomial(self, trials, p):
+                drawn.append(p)
+                return 0
+
+        s = Scenario(0.1, 0.1, EnvironmentState([0.6, 0.4 - 1e-11, 1e-11]))
+        probes = [haar_random_state(9, seed=seed) for seed in range(5)]
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Recorder())
+        for probe in probes:
+            simulate_measurement(s, probe, QUANTUM, 1000, seed=0)
+            assert drawn[-1] == perr_of_state(s, probe, QUANTUM)
+            assert abs(drawn[-1] - s.p0) <= 1e-15
+        assert len(drawn) == 5
 
     def test_trials_ceiling(self):
         # numpy draws a binomial count of at most 2**63 - 1 trials; one more is an input error
