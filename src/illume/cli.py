@@ -32,6 +32,7 @@ from .model import (
     environment_from_dict,
     json_complex,
     json_object,
+    require_integer,
     scenario_from_dict,
 )
 from .oracle import (
@@ -113,14 +114,6 @@ def _sweep_spec_from_dict(data: dict, oracle: bool) -> SweepSpec:
                      oracle=(cfg or SearchConfig()) if oracle else None)
 
 
-def _require_between(flag: str, value: int | None, least: int, most: int | None = None) -> None:
-    # checked before any work starts, so a bad flag leaves stdout empty
-    if value is not None and value < least:
-        raise ValueError(f"{flag} must be >= {least}, got {value}")
-    if value is not None and most is not None and value > most:
-        raise ValueError(f"{flag} must be <= {most}, got {value}")
-
-
 def _cmd_solve(args) -> int:
     s = _scenario_from_args(args)
     _emit(report(s).to_dict())
@@ -165,8 +158,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     if args.suite == "oracle" and args.trials is not None:
         raise ValueError("--trials does not apply to --suite oracle: it has no trial count")
-    _require_between("--trials", args.trials, 1, MAX_TRIALS)
-    _require_between("--seed", args.seed, 0)
+    if args.trials is not None:  # flags are checked before any suite runs
+        require_integer("--trials", args.trials, 1, MAX_TRIALS)
+    require_integer("--seed", args.seed, 0)
     trials = {} if args.trials is None else {"trials": args.trials}
     runners = {
         "lemmas": lambda: run_lemma_suite(seed=args.seed, **trials),
@@ -184,8 +178,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    _require_between("--trials", args.trials, 1, MAX_TRIALS)
-    _require_between("--seed", args.seed, 0)
+    require_integer("--trials", args.trials, 1, MAX_TRIALS)  # before any file is read
+    require_integer("--seed", args.seed, 0)
     s = _scenario_from_args(args)
     case = BundledCase("simulate", s, args.mode)
     if args.probe_file is None:

@@ -136,13 +136,18 @@ class MeasurementStats:
     std_error: float
 
 
+def _require_probe_size(size: int, d: int, mode: str) -> None:
+    """One size rule for every probe: ``d`` entries (conventional) or ``d**2`` (quantum)."""
+    n = probe_dim(d, mode)
+    if size != n:
+        raise ValueError(f"probe has dimension {size}, expected {n} "
+                         f"for {mode} mode at environment dimension {d}")
+
+
 def perr_of_state(s: Scenario, probe, mode: str) -> float:
     """Detection error of a specific pure probe, straight from the trace norm."""
     probe = require_state_vector(probe)
-    n = probe_dim(s.env.dim, mode)
-    if probe.size != n:
-        raise ValueError(f"probe has dimension {probe.size}, expected {n} "
-                         f"for {mode} mode at environment dimension {s.env.dim}")
+    _require_probe_size(probe.size, s.env.dim, mode)
     return (1.0 - trace_norm(omega(s, projector(probe), mode))) / 2.0
 
 
@@ -529,6 +534,7 @@ def check_eigenvalue_lower_bound(env: EnvironmentState, alpha: float, psi) -> bo
     """
     _require_finite_alpha(alpha)
     psi = require_state_vector(psi)
+    _require_probe_size(psi.size, env.dim, QUANTUM)
     return bool(_ground_level_margins(env, env.lambda_harmonic, alpha, psi) >= 0.0)
 
 
@@ -559,8 +565,7 @@ def check_perr_linear_in_min_eigenvalue(s: Scenario, psi) -> bool:
     if s.alpha is None:
         raise ValueError("check requires gamma < 0")
     psi = require_state_vector(psi)
-    if psi.size != s.env.dim:
-        raise ValueError(f"probe has dimension {psi.size}, expected {s.env.dim}")
+    _require_probe_size(psi.size, s.env.dim, CONVENTIONAL)
     return bool(_linearity_margins(s, psi) >= 0.0)
 
 
@@ -578,10 +583,7 @@ def _convexity_margins(s: Scenario | ScenarioStack, rho: np.ndarray, mode: str) 
 def check_convexity_reduction(s: Scenario, rho, mode: str) -> bool:
     """A mixed probe never out-performs the best eigenstate in its mixture."""
     rho = require_density_matrix(rho)
-    n = probe_dim(s.env.dim, mode)
-    if rho.shape != (n, n):
-        raise ValueError(f"probe has shape {rho.shape}, expected ({n}, {n}) "
-                         f"for {mode} mode at environment dimension {s.env.dim}")
+    _require_probe_size(rho.shape[0], s.env.dim, mode)
     return bool(_convexity_margins(s, rho, mode) >= 0.0)
 
 

@@ -467,7 +467,7 @@ class TestVerify:
                                  "--trials", "9223372036854775808")
         assert (code, out) == (2, "")
         assert err.splitlines() == [
-            "error: --trials must be <= 9223372036854775807, got 9223372036854775808"]
+            "error: --trials must be an integer <= 9223372036854775807, got 9223372036854775808"]
 
     @pytest.mark.parametrize("suite", ["lemmas", "oracle", "montecarlo", "all"])
     def test_negative_seed_is_input_error(self, capsys, monkeypatch, suite):
@@ -480,7 +480,7 @@ class TestVerify:
             monkeypatch.setattr(cli_mod, name, never)
         code, out, err = run_cli(capsys, "verify", "--suite", suite, "--seed", "-1")
         assert (code, out) == (2, "")
-        assert err.splitlines() == ["error: --seed must be >= 0, got -1"]
+        assert err.splitlines() == ["error: --seed must be an integer >= 0, got -1"]
 
     @pytest.mark.parametrize("trials", ["5", "0"])
     def test_trials_with_oracle_suite_is_input_error(self, capsys, monkeypatch, trials):
@@ -580,14 +580,14 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", "--p0", "0.5", "--eta", "0.6",
                                  "--spectrum", "0.5,0.5", "--mode", "quantum", "--seed", "-3")
         assert (code, out) == (2, "")
-        assert err.splitlines() == ["error: --seed must be >= 0, got -3"]
+        assert err.splitlines() == ["error: --seed must be an integer >= 0, got -3"]
 
     def test_zero_trials_is_input_error_before_any_read(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--p0", "0.5", "--eta", "0.6",
                                  "--spectrum", "0.5,0.5", "--mode", "conventional",
                                  "--trials", "0", "--probe-file", "/nonexistent")
         assert (code, out) == (2, "")
-        assert err.splitlines() == ["error: --trials must be >= 1, got 0"]
+        assert err.splitlines() == ["error: --trials must be an integer >= 1, got 0"]
 
     def test_trials_above_the_binomial_ceiling_is_input_error_before_any_read(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--p0", "0.5", "--eta", "0.6",
@@ -595,7 +595,7 @@ class TestSimulate:
                                  "--trials", "9223372036854775808", "--probe-file", "/nonexistent")
         assert (code, out) == (2, "")
         assert err.splitlines() == [
-            "error: --trials must be <= 9223372036854775807, got 9223372036854775808"]
+            "error: --trials must be an integer <= 9223372036854775807, got 9223372036854775808"]
 
     def test_trillion_trials_finish_with_strict_json(self, capsys):
         # the error count is one binomial draw: no array grows with --trials
@@ -664,6 +664,20 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "--trials", "abc"], "--trials"),
+        (["solve", "--p0", "abc"], "--p0"),
+    ])
+    def test_unparseable_flag_value_exits_2_with_usage(self, capsys, argv, flag):
+        # the parser's own errors: a usage line and "illume <command>: error:", not "error:"
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        lines = err.splitlines()
+        assert lines[0].startswith(f"usage: illume {argv[0]} ")
+        assert lines[-1].startswith(f"illume {argv[0]}: error: argument {flag}: invalid ")
 
 
 # ---------------------------------------------------------------------------

@@ -119,14 +119,22 @@ class TestPerrOfState:
 
     @pytest.mark.parametrize("mode, expected", [(CONVENTIONAL, 2), (QUANTUM, 4)])
     def test_wrong_length_probe_names_its_dimension(self, mode, expected):
-        # the length is checked before any matrix is built, so no message names a shape
+        # the length is checked before any matrix is built, so no message names a shape;
+        # every entry point that takes a probe of this mode gives the same message
         s = Scenario(0.5, 0.6, EnvironmentState([0.5, 0.5]))
+        psi = haar_random_state(3, seed=0)
+        calls = [
+            lambda: perr_of_state(s, psi, mode),
+            lambda: simulate_measurement(s, psi, mode, 10, seed=0),
+            lambda: check_convexity_reduction(s, np.eye(3) / 3, mode),
+            {CONVENTIONAL: lambda: check_perr_linear_in_min_eigenvalue(s, psi),
+             QUANTUM: lambda: check_eigenvalue_lower_bound(s.env, 0.1, psi)}[mode],
+        ]
         message = (f"^probe has dimension 3, expected {expected} "
                    f"for {mode} mode at environment dimension 2$")
-        with pytest.raises(ValueError, match=message):
-            perr_of_state(s, haar_random_state(3, seed=0), mode)
-        with pytest.raises(ValueError, match=message):
-            simulate_measurement(s, haar_random_state(3, seed=0), mode, 10, seed=0)
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestMaximizeTraceNorm:
@@ -747,7 +755,8 @@ class TestEigenvalueLowerBound:
 
     def test_rejects_probe_of_wrong_size(self):
         env = EnvironmentState(SKEW3)
-        with pytest.raises(ValueError, match=r"bipartite probe has shape \(3, 3\)"):
+        with pytest.raises(ValueError, match="^probe has dimension 3, expected 9 "
+                                             "for quantum mode at environment dimension 3$"):
             check_eigenvalue_lower_bound(env, 0.1, haar_random_state(3, seed=0))
 
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
@@ -783,7 +792,8 @@ class TestPerrLinearInMinEigenvalue:
 
     def test_rejects_probe_of_wrong_size(self):
         s = Scenario(0.5, 0.6, EnvironmentState(SKEW3))
-        with pytest.raises(ValueError, match="probe has dimension 2, expected 3"):
+        with pytest.raises(ValueError, match="^probe has dimension 2, expected 3 "
+                                             "for conventional mode at environment dimension 3$"):
             check_perr_linear_in_min_eigenvalue(s, haar_random_state(2, seed=0))
 
     def test_requires_negative_gamma(self):
@@ -818,16 +828,14 @@ class TestConvexityReduction:
         with pytest.raises(ValueError, match=message):
             check_convexity_reduction(s, rho, CONVENTIONAL)
 
-    @pytest.mark.parametrize("mode, rho, message", [
-        (QUANTUM, np.eye(2) / 2, r"probe has shape \(2, 2\), expected \(4, 4\) for quantum"),
-        (CONVENTIONAL, np.eye(4) / 4,
-         r"probe has shape \(4, 4\), expected \(2, 2\) for conventional"),
-    ])
-    def test_rejects_probe_of_wrong_size(self, mode, rho, message):
-        # the message gives the caller's shape, not the stack the margin builds
+    @pytest.mark.parametrize("mode, side, expected", [(QUANTUM, 2, 4), (CONVENTIONAL, 4, 2)])
+    def test_rejects_probe_of_wrong_size(self, mode, side, expected):
+        # the message gives the caller's size, not the stack the margin builds
         s = Scenario(0.5, 0.6, EnvironmentState([0.5, 0.5]))
+        message = (f"^probe has dimension {side}, expected {expected} "
+                   f"for {mode} mode at environment dimension 2$")
         with pytest.raises(ValueError, match=message):
-            check_convexity_reduction(s, rho, mode)
+            check_convexity_reduction(s, np.eye(side) / side, mode)
 
 
 def _scenario_rows(rng, d, n, gamma_negative=False):
