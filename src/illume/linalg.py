@@ -65,7 +65,8 @@ def require_state_vector(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     if v.size < 1:
         raise ValueError("state vector must have dimension >= 1")
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):  # a norm overflowed to inf fails the check below
+        norm = float(np.linalg.norm(v))
     if not abs(norm - 1.0) <= STATE_NORM_TOL:  # also rejects NaN entries
         raise ValueError(f"state vector is not normalized: ||psi|| = {norm!r}")
     return v

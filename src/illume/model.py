@@ -85,8 +85,10 @@ class EnvironmentState:
                 raise ValueError(f"basis shape {basis.shape} does not match dimension {d}")
             if not np.isfinite(basis).all():
                 raise ValueError("basis entries must be finite")
-            gram = basis @ basis.conj().T
-            if np.max(np.abs(gram - np.eye(d))) > ORTHONORMALITY_TOL:
+            with np.errstate(over="ignore", invalid="ignore"):  # huge rows fail the check below
+                gram = basis @ basis.conj().T
+                residual = np.max(np.abs(gram - np.eye(d)))
+            if not residual <= ORTHONORMALITY_TOL:  # also rejects a Gram overflowed to NaN
                 raise ValueError("basis rows are not orthonormal")
             self.basis = basis[order]
 

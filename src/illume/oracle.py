@@ -10,13 +10,14 @@ measurement.
 The search never forms the dense hypothesis difference. For a pure probe,
 ``omega = p1 eta psi psi^dagger + gamma B`` is a diagonal matrix plus a
 rank-one term in the eigenframe of the absent state ``B`` (the environment
-basis, times the idler marginal's eigenbasis in quantum mode), so its top
+basis, times the idler marginal's eigenbasis; conventional mode is a probe
+with a one-dimensional idler, so both modes share the frame), so its top
 eigenvalue ``mu``, and with it the trace norm, follows from the top root of
 a secular equation (the rank-one eigenvalue update of Bunch, Nielsen and
 Sorensen). Each probe is solved once: the solve that scores it also gives
 the top eigenvector, kept with the probe, from which the gradient of ``mu``
-follows by Hellmann-Feynman, and the see-saw target directly (conventional)
-or by a second root after a d x d eigendecomposition (quantum). That is
+follows by Hellmann-Feynman, and the see-saw target by a second root after
+an eigendecomposition of the idler's dimension. That is
 O(d^3) per probe where a dense ``eigvalsh`` of the d^2 x d^2 quantum
 ``omega`` costs O(d^6). The search climbs ``mu`` by Riemannian L-BFGS on the
 unit sphere (Absil, Mahony and Sepulchre, *Optimization Algorithms on Matrix
@@ -213,74 +214,69 @@ def _see_saw_maps(env: EnvironmentState, c: np.ndarray, gamma: np.ndarray, mode:
 
     Row ``i`` of the stack is a searched cell of :func:`search_cells`, with
     ``c[i] = p1 eta`` and ``gamma[i] < 0``; every map takes each state's row.
-    All three work in the eigenframe of the absent state ``B`` (``omega = c
-    psi psi^dagger + gamma B``), where ``omega`` is ``A + c u u^dagger`` with
-    ``A <= 0`` diagonal and ``u`` the probe's coordinates: the environment
-    basis in conventional mode, the products ``theta_i (x) v_k`` of the
-    environment basis and the eigenvectors of the idler marginal ``rho_B`` in
-    quantum mode. So ``omega`` has at most its top eigenvalue ``mu``
+    A probe is a d x k matrix ``X`` (signal rows, idler columns), ``k = d``
+    in quantum mode and ``k = 1`` in conventional mode: a probe with a
+    one-dimensional idler, whose marginal is 1. All three maps work in the
+    eigenframe of the absent state ``B`` (``omega = c psi psi^dagger + gamma
+    B``), where ``omega`` is ``A + c u u^dagger`` with ``A <= 0`` diagonal
+    and ``u`` the probe's coordinates on the products ``theta_i (x) v_k`` of
+    the environment basis and the eigenvectors of the idler marginal
+    ``rho_B = X^T X*``. So ``omega`` has at most its top eigenvalue ``mu``
     (:func:`_top_root`) above zero, and ``||omega||_1 = 2 max(mu, 0) - tr
     omega`` (:func:`_trace_norms`). ``values`` returns ``mu`` and the frame:
-    the unit top eigenvector ``z ~ (mu - A)^-1 u`` (and ``v``).
+    the unit top eigenvector ``z ~ (mu - A)^-1 u``, reshaped d x k, stacked
+    over ``v``, a ``(d + k) x k`` array per state.
 
     ``ascent`` is the gradient of ``mu`` on the unit sphere, from the frame
     by Hellmann-Feynman (``d mu = z^dagger d omega z``): ``2 c (z^dagger
-    psi) z``, plus ``2 gamma X N`` in quantum mode, with ``X`` the d x d
-    reshape of ``psi`` and ``N = Z^dagger rho_E Z`` built from the reshape
-    ``Z`` of ``z``; its component along ``psi`` (and ``i psi``) is removed.
+    psi) z + 2 gamma X N``, with ``N = Z^dagger rho_E Z`` built from the
+    reshape ``Z`` of ``z``; its component along ``psi`` (and ``i psi``) is
+    removed, and with it the whole second term when ``k = 1``.
 
     The target is a top eigenvector of the form ``phi -> tr(S omega(phi))``
     with ``S = 2 z z^dagger - I``. As ``-I <= S <= I``, the form never
     exceeds ``||omega(phi)||_1``, and it equals it at ``psi`` when ``mu >=
-    0``. In conventional mode the form is ``c z z^dagger`` plus a constant,
-    so the target is ``z``. In quantum mode it is ``c z z^dagger + gamma (I
-    (x) M)`` plus a constant, with ``M = Z^T diag(lambda) Z*`` in the frame:
-    in the eigenbasis of ``M`` a diagonal plus a rank-one term again, whose
-    top eigenvector is a second secular root.
+    0``. It is ``c z z^dagger + gamma (I (x) M)`` plus a constant, with ``M
+    = Z^T diag(lambda) Z*`` in the frame: in the eigenbasis of ``M`` a
+    diagonal plus a rank-one term again, whose top eigenvector is a second
+    secular root (``z`` itself when ``k = 1``, where the poles are equal).
     """
     d = env.dim
+    k = probe_dim(d, mode) // d  # the idler's dimension: 1 without one
     lam = env.spectrum
     basis = env.basis
 
     def values(states: np.ndarray, rows: np.ndarray):
         """Top eigenvalues, and the frames their gradients and targets are built from."""
         n = len(states)
-        if mode == CONVENTIONAL:
-            return _top_root(gamma[rows, None] * lam, states @ basis.conj().T, c[rows])
-        x = states.reshape(n, d, d)
+        x = states.reshape(n, d, k)
         m, v = np.linalg.eigh(np.swapaxes(x, 1, 2) @ x.conj())  # rho_B = X^T X*
         u = basis.conj() @ x @ v.conj()
         poles = gamma[rows, None, None] * lam[:, None] * np.maximum(m, 0.0)[:, None, :]
         mu, z = _top_root(poles.reshape(n, -1), u.reshape(n, -1), c[rows])
-        return mu, np.stack([z.reshape(n, d, d), v], axis=1)
+        return mu, np.concatenate([z.reshape(n, d, k), v], axis=1)
 
     def ascent(states: np.ndarray, frames: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # N = Z^dagger rho_E Z = v* (z^dagger diag(lambda) z) v^T, z the frame
         n = len(states)
-        if mode == CONVENTIONAL:
-            z = frames @ basis
-        else:
-            # N = Z^dagger rho_E Z = v* (z^dagger diag(lambda) z) v^T, z the frame
-            frame, v = frames[:, 0], frames[:, 1]
-            z = (basis.T @ frame @ np.swapaxes(v, 1, 2)).reshape(n, -1)
-            inner = np.swapaxes(frame.conj(), 1, 2) @ (lam[:, None] * frame)
-            mixed = states.reshape(n, d, d) @ v.conj() @ inner @ np.swapaxes(v, 1, 2)
+        frame, v = frames[:, :d], frames[:, d:]
+        z = (basis.T @ frame @ np.swapaxes(v, 1, 2)).reshape(n, -1)
+        inner = np.swapaxes(frame.conj(), 1, 2) @ (lam[:, None] * frame)
+        mixed = states.reshape(n, d, k) @ v.conj() @ inner @ np.swapaxes(v, 1, 2)
         overlap = np.einsum("ni,ni->n", z.conj(), states)
         grad = (2.0 * c[rows] * overlap)[:, None] * z
-        if mode == QUANTUM:
-            grad += 2.0 * gamma[rows, None] * mixed.reshape(n, -1)
+        grad += 2.0 * gamma[rows, None] * mixed.reshape(n, -1)
         return grad - states * np.einsum("ni,ni->n", states.conj(), grad)[:, None]
 
     def targets(frames: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        if mode == CONVENTIONAL:
-            return frames @ basis
         # the form c z z^dagger + gamma (I (x) M), M = Z^T diag(lambda) Z*: in
         # the eigenbasis W of M, poles gamma nu_k on every environment row
         # plus c z' z'^dagger
         n = len(frames)
-        z, v = frames[:, 0], frames[:, 1]
+        z, v = frames[:, :d], frames[:, d:]
         nu, w = np.linalg.eigh(np.swapaxes(z, 1, 2) @ (lam[:, None] * z.conj()))
         y = _top_root(np.tile(gamma[rows, None] * nu, (1, d)), (z @ w.conj()).reshape(n, -1),
-                      c[rows])[1].reshape(n, d, d)
+                      c[rows])[1].reshape(n, d, k)
         return (basis.T @ y @ np.swapaxes(v @ w, 1, 2)).reshape(n, -1)
 
     return values, ascent, targets
@@ -411,13 +407,13 @@ def _search(env, c, gamma, mode: str, starts) -> Iterator[OracleResult]:
 def search_cells(env: EnvironmentState, p0, eta, mode: str, cfg: SearchConfig) -> list[OracleResult]:
     """:func:`maximize_trace_norm` on each scenario ``(p0[i], eta[i], env)``, bit for bit.
 
-    A flat cell (``gamma >= 0``, or ``p1 eta`` below ``gamma``'s rounding) is
-    not searched: every probe gives ``|p1 eta + gamma|``, and its result holds
-    restart 0's start (the only one drawn when no cell is searched), no
+    The ``RESTARTS`` Haar starts are one draw from ``default_rng(cfg.seed)``,
+    made whether or not a cell is searched. A flat cell (``gamma >= 0``, or
+    ``p1 eta`` below ``gamma``'s rounding) is not searched: every probe gives
+    ``|p1 eta + gamma|``, and its result holds restart 0's start, no
     evaluation and no iteration, and each restart counts as converged. One
-    search runs over the other cells' (cell, restart) rows from Haar starts
-    drawn once, in chunks of whole cells whose probe vectors fit
-    ``SEARCH_BLOCK_BYTES``.
+    search runs over the other cells' (cell, restart) rows, in chunks of
+    whole cells whose probe vectors fit ``SEARCH_BLOCK_BYTES``.
     """
     if require_mode(mode) == QUANTUM and env.dim > MAX_QUANTUM_SEARCH_DIM:
         raise ValueError(f"quantum search supports environment dimension <= "
@@ -425,9 +421,8 @@ def search_cells(env: EnvironmentState, p0, eta, mode: str, cfg: SearchConfig) -
     cells = ScenarioStack(np.asarray(p0, float), np.asarray(eta, float), None)  # p1, gamma: no env
     c, gamma = cells.p1 * cells.eta, cells.gamma
     flat = (gamma >= 0.0) | (c <= FLOAT_EPS * -gamma)  # omega >= 0, or c u u^dagger rounds away
-    dim = probe_dim(env.dim, mode)
-    starts = np.array([haar_random_state(dim, np.random.default_rng([cfg.seed, r]))
-                       for r in range(1 if flat.all() else RESTARTS)])
+    rng = np.random.default_rng(cfg.seed)
+    starts = haar_random_state(probe_dim(env.dim, mode), rng, (RESTARTS,))
     rows = np.repeat(np.flatnonzero(~flat), len(starts))
     block = max(1, SEARCH_BLOCK_BYTES // starts.nbytes) * len(starts)  # rows of whole cells
     found = (result for i in range(0, rows.size, block) for result in
@@ -475,8 +470,9 @@ def maximize_trace_norm(s: Scenario, mode: str, cfg: SearchConfig) -> OracleResu
     records why each restart stopped, ``"converged"`` or ``"budget"``.
 
     Every search runs ``RESTARTS`` restarts, the budget the oracle suite
-    validates; ``cfg`` sets only the seed. Restart ``r`` draws its start from
-    ``default_rng([cfg.seed, r])``, so results are reproducible bit for bit.
+    validates; ``cfg`` sets only the seed. Restart ``r`` starts from row
+    ``r`` of one draw, ``haar_random_state(dim, default_rng(cfg.seed),
+    (RESTARTS,))``, so results are reproducible bit for bit.
     The returned ``perr`` is an upper bound on the true minimal error; ties
     between restarts resolve to the lowest restart index.
     """

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -678,6 +679,35 @@ class TestParser:
         lines = err.splitlines()
         assert lines[0].startswith(f"usage: illume {argv[0]} ")
         assert lines[-1].startswith(f"illume {argv[0]}: error: argument {flag}: invalid ")
+
+
+class TestOverflowingInput:
+    # entries so large that the basis's Gram matrix or the probe's norm
+    # overflows: rejected as input errors, with no RuntimeWarning before the
+    # one "error:" line
+    BASIS = [[[1, 0], [0, 0]], [[0, 0], [1e308, 1e308]]]  # its Gram matrix holds a NaN
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "simulate"])
+    def test_exits_2_with_one_line(self, capsys, tmp_path, command):
+        path = tmp_path / "input.json"
+        if command == "solve":
+            _write_json(path, {"p0": 0.5, "eta": 0.6, "spectrum": [0.5, 0.5], "basis": self.BASIS})
+            argv, message = ["solve", "--scenario", str(path)], "basis rows are not orthonormal"
+        elif command == "sweep":
+            _write_json(path, {"p0_range": [0.1, 0.9, 3], "eta_range": [0.1, 0.9, 3],
+                               "spectrum": [0.5, 0.5], "basis": self.BASIS})
+            argv = ["sweep", "--spec", str(path), "--out", str(tmp_path / "out.csv"), "--oracle"]
+            message = "basis rows are not orthonormal"
+        else:
+            _write_json(path, [[1e200, 0.0], [0.0, 0.0]])
+            argv = ["simulate", "--p0", "0.5", "--eta", "0.6", "--spectrum", "0.5,0.5",
+                    "--mode", "conventional", "--probe-file", str(path)]
+            message = "state vector is not normalized: ||psi|| = inf"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, out, caught) == (2, "", [])
+        assert err.splitlines() == [f"error: {message}"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,15 @@ class TestValidation:
             require_state_vector([bad, 0.0])
         with pytest.raises(ValueError, match="normalized"):
             require_state_vector([1.0, bad])
+
+    @pytest.mark.parametrize("entry", [1e200, 1e308 + 1e308j])
+    def test_state_vector_rejects_overflowing_norm_without_warning(self, entry):
+        # a norm that overflows to inf fails the check and warns of nothing
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="normalized"):
+                require_state_vector([entry, 0.0])
+        assert caught == []
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

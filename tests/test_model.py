@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,17 @@ class TestEnvironmentState:
     def test_rejects_non_finite_spectrum(self, value):
         with pytest.raises(ValueError, match="finite"):
             EnvironmentState([value, 0.5, 0.5])
+
+    @pytest.mark.parametrize("entry", [1e308 + 1e308j, 1e200])
+    def test_rejects_overflowing_basis_without_warning(self, entry):
+        # a Gram matrix that overflows, to NaN (1e308 + 1e308j) or to inf,
+        # fails the orthonormality check and raises no RuntimeWarning first
+        bad = np.diag([1.0, entry])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="orthonormal"):
+                EnvironmentState([0.5, 0.5], basis=bad)
+        assert caught == []
 
     def test_rejects_non_finite_basis(self):
         bad = np.eye(2, dtype=complex)
