@@ -53,7 +53,8 @@ def require_hermitian(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    residual = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN residual fails below
+        residual = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     if not residual <= HERMITICITY_TOL:  # also rejects NaN entries
         raise ValueError(
             f"matrix is not Hermitian: max |A - A^dagger| = {residual:.3e} > {HERMITICITY_TOL:.1e}")

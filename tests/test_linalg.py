@@ -51,13 +51,22 @@ class TestValidation:
 
     # NaN compares False with everything, so each validator must reject it
     # explicitly rather than by a failed "> tol" test.
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_hermitian_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="Hermitian"):
             require_hermitian([[bad, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="Hermitian"):
             require_hermitian([[0.5, bad], [bad, 0.5]])
+
+    @pytest.mark.parametrize("entry", [1e308, 1e308 + 1e308j])
+    def test_hermitian_rejects_overflowing_residual_without_warning(self, entry):
+        # A - A^dagger overflows to inf on a huge finite antisymmetric entry:
+        # the check rejects it and warns of nothing
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="Hermitian"):
+                require_hermitian([[0.0, entry], [-entry, 0.0]])
+        assert caught == []
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_state_vector_rejects_non_finite(self, bad):
@@ -75,7 +84,6 @@ class TestValidation:
                 require_state_vector([entry, 0.0])
         assert caught == []
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_density_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="Hermitian"):
