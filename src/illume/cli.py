@@ -195,6 +195,7 @@ def _cmd_simulate(args) -> int:
             "errors": stats.errors,
             "empirical_perr": stats.empirical_perr,
             "std_error": stats.std_error,
+            "p_err": stats.p_err,
             "analytic_perr": case.analytic_perr(),
         }
     )

@@ -26,3 +26,6 @@ MIXTURE_WEIGHT_TOL = 1e-12  # mixture weights at or below this drop out of the c
 # Oracle search.
 SEARCH_CONVERGED_GAIN = 1e-13  # a restart stops once a plain see-saw move gains no more
 ORACLE_AGREEMENT_TOL = 1e-9    # |search perr - closed-form perr| the oracle suite accepts
+
+# Monte-Carlo suite.
+ACHIEVED_ERROR_TOL = 1e-12  # |error the closed-form probe achieves - closed-form perr|

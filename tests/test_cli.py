@@ -554,6 +554,7 @@ class TestSimulate:
         assert out_a == out_b
         data = json.loads(out_a)
         assert abs(data["empirical_perr"] - data["analytic_perr"]) <= 4 * data["std_error"]
+        assert abs(data["p_err"] - data["analytic_perr"]) <= 1e-12  # the error the count is drawn at
 
     def test_spectrum_value_with_a_leading_minus(self, capsys):
         args = ["--p0", "0.5", "--eta", "0.6", "--mode", "conventional", "--trials", "1000"]

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import tracemalloc
 
@@ -721,19 +722,36 @@ def _dense_top(poles, u, c):
     return np.linalg.eigvalsh(a)[:, -1]
 
 
+def _assert_matches_dense(poles, u, c):
+    """``_top_root`` within 1e-13 of ``max|pole| + c`` of the dense root, and its eigenvector too.
+
+    Returns ``mu`` minus the dense root, over that scale.
+    """
+    mu, z = oracle_mod._top_root(poles, u, c)
+    scale = np.abs(poles).max(axis=1) + c
+    error = (mu - _dense_top(poles, u, c)) / scale
+    assert np.max(np.abs(error)) <= 1e-13
+    residual = poles * z + (c * np.einsum("ni,ni->n", u.conj(), z))[:, None] * u - mu[:, None] * z
+    assert np.max(np.linalg.norm(residual, axis=1) / scale) <= 1e-13
+    np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-14)
+    return error
+
+
 class TestTopRoot:
     """The secular root and its eigenvector against a dense ``eigvalsh`` on hard rows."""
 
     @pytest.mark.parametrize("family", SECULAR_FAMILIES)
     def test_matches_dense(self, family):
         for seed in range(20):
-            poles, u, c = _secular_rows(seed, family)
-            mu, z = oracle_mod._top_root(poles, u, c)
-            scale = np.abs(poles).max(axis=1) + c
-            assert np.max(np.abs(mu - _dense_top(poles, u, c)) / scale) <= 1e-13
-            residual = poles * z + (c * np.einsum("ni,ni->n", u.conj(), z))[:, None] * u - mu[:, None] * z
-            assert np.max(np.linalg.norm(residual, axis=1) / scale) <= 1e-13
-            np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-14)
+            _assert_matches_dense(*_secular_rows(seed, family))
+
+    @pytest.mark.parametrize("faint", [1e-150, 1e-155, 1e-160, 1e-161])
+    def test_faint_top_weight_without_warning(self, faint):
+        # a top weight of faint**2, from 1e-300 down to a subnormal: the
+        # slope sum overflows (1e-155, 1e-160), c w_top underflows (1e-161),
+        # and the eigenvector's squares would overflow; a warning fails here
+        error = _assert_matches_dense(np.array([[0.0, -1.0]]), np.array([[faint, 1.0]]), np.array([1e-3]))
+        assert np.max(error) <= 1e-14  # no overshoot beyond rounding
 
     @pytest.mark.parametrize("steps", [1, 2, 3])
     @pytest.mark.parametrize("family", SECULAR_FAMILIES)
@@ -1098,8 +1116,8 @@ class TestSimulateMeasurement:
         probes = [haar_random_state(9, seed=seed) for seed in range(5)]
         monkeypatch.setattr(np.random, "default_rng", lambda seed: Recorder())
         for probe in probes:
-            simulate_measurement(s, probe, QUANTUM, 1000, seed=0)
-            assert drawn[-1] == perr_of_state(s, probe, QUANTUM)
+            stats = simulate_measurement(s, probe, QUANTUM, 1000, seed=0)
+            assert drawn[-1] == perr_of_state(s, probe, QUANTUM) == stats.p_err
             assert abs(drawn[-1] - s.p0) <= 1e-15
         assert len(drawn) == 5
 
@@ -1245,15 +1263,18 @@ class TestSuites:
 
         budget = oracle_mod.LEMMA_STACK_BYTES
         assert all(b <= budget for runs in stacks.values() for _, b in runs)
-        # blocks of whole 6 x 6 stacks: 4 groups, as many d = 6 trials as fit
-        block = 4 * (budget // (6 * 6 * item))
-        assert len(stacks["_single_negative_margins"]) <= 4 * -(-10_000 // block)
-        assert sum(t for t, _ in stacks["_single_negative_margins"]) == 10_000
-        # convexity keeps 4 trials of each of its 6 groups a block, the last
-        # block (16 of 1,000 trials) aside
-        trials = [t for t, _ in stacks["_convexity_margins"]]
-        assert len(trials) == 6 * -(-1000 // 24)
-        assert trials[:-6] == [4] * (len(trials) - 6) and sum(trials) == 1000
+        for name, n, groups in (("_single_negative_margins", 10_000, 4), ("_ground_level_margins", 1000, 4),
+                                ("_linearity_margins", 1000, 4), ("_convexity_margins", 1000, 6)):
+            # a group's stacks run back to back, and neighbouring groups differ
+            # in their trial's bytes; each group keeps its share of the trials
+            runs = [list(run) for _, run in itertools.groupby(stacks[name], lambda tb: tb[1] // tb[0])]
+            assert [sum(t for t, _ in run) for run in runs] == [len(range(i, n, groups)) for i in range(groups)]
+            for run in runs:
+                # every stack full but the last: as many of the group's trials as fit
+                full = min(budget // (run[0][1] // run[0][0]), sum(t for t, _ in run))
+                assert [t for t, _ in run[:-1]] == [full] * (len(run) - 1) and run[-1][0] <= full
+        assert len(stacks["_single_negative_margins"]) == 12
+        assert len(stacks["_convexity_margins"]) == 54
 
     def test_oracle_suite_default_config_hits_1e6(self, oracle_suite_7):
         # the default 32x2000 search pins every bundled scenario to the
@@ -1298,39 +1319,45 @@ class TestSuites:
     # the digests hold for one LAPACK build (computed with numpy 2.4.6 /
     # OpenBLAS on x86-64). Earlier, the conventional hypothesis difference
     # became p1 eta rho + gamma rho_E (model.omega), which moved two
-    # worst_margin fields by at most 1.2e-16. The suite draws each check's
-    # instances in blocks, one rng call per array for each group (dimension
-    # and branch or mode) of a block, and checks each group as one stack.
-    # A block used to be 24 trials for every check; it is now sized by the
-    # matrix bytes of its largest group's stack (LEMMA_STACK_BYTES), so the
-    # single-negative, ground-level and linearity checks draw 1,932, 856 and
-    # 964 trials a block (convexity keeps 24). The draws moved, so all three
-    # digests were regenerated, once every check reported 0 violations and
-    # a worst margin >= 0 and criterion 4 still saw trials
-    # [10000, 1000, 1000, 1000]. With 24-trial blocks they were, in order,
-    # bdde4f9c..., 69a08b6e... and 2c082c59...
+    # worst_margin fields by at most 1.2e-16. The suite draws each group
+    # (dimension and branch or mode) of a check as stacks, one rng call per
+    # array a stack, and checks each stack at once. The draws used to run in
+    # blocks of 24 trials for every check; then in blocks sized by the matrix
+    # bytes of the check's largest group (LEMMA_STACK_BYTES): 1,932, 856, 964
+    # and 24 trials. Each time the draws moved, so all three digests were
+    # regenerated, once every check reported 0 violations and a worst margin
+    # >= 0 and criterion 4 still saw trials [10000, 1000, 1000, 1000]. With
+    # 24-trial blocks they were, in order, bdde4f9c..., 69a08b6e... and
+    # 2c082c59...; with largest-group blocks f4eb1514..., 8795cb3c... and
+    # bcd5a55f... Now each group runs its own trials in stacks sized by its
+    # own matrices (4 to 4,352 trials), and the regrouped draws moved the
+    # worst margins of one to three checks in each payload.
     @pytest.mark.parametrize("seed, trials, digest", [
-        (0, 400, "f4eb15140eb7d9295a8b48ba91b66f14b3e39920aafbb6b6959a42776ed32bc9"),
-        (7, 2000, "8795cb3c2baad043582ab79960ca9d2541309009832a1f1b5082cce3ad4755b0"),
-    ])
+        (0, 400, "4e51d18f39b54234673ba8606efd4633582502e73941e72a63d31c8a3a38e08c"),
+        (7, 2000, "f423ec38f43f5b9bf36e3d66cefa53bdfcafb7e2185fef373d5f8c5f24f51815"),
+    ], ids=["0-400", "7-2000"])
     def test_lemma_suite_golden_payload(self, seed, trials, digest):
         assert _digest(run_lemma_suite(seed=seed, trials=trials)) == digest
 
     def test_lemma_suite_golden_payload_full_size(self, lemma_suite_2026):
         assert _digest(lemma_suite_2026) == (
-            "bcd5a55f552b2bf662fd1637def8807d0e5e82a300cd736d3f9bad8af40b9c46")
+            "a8f119cf5614eef658efb7898b4a13fd195aaa415da7943fe7b56f012d8a78c6")
 
     # Regenerated when simulate_measurement began drawing each case's error
     # count from its exact law, Binomial(trials, one shot's error), in place
     # of one hypothesis and one outcome per trial: the draws moved, so every
     # worst_margin did. All 20 checks have 0 violations and a margin >= 0.
-    # With per-trial draws the digest was 34d5d56d...
+    # With per-trial draws the digest was 34d5d56d... Regenerated again when
+    # each check began to report exact_gap, |the error its count is drawn
+    # at - the closed form|, and to count a gap above ACHIEVED_ERROR_TOL as
+    # a violation: the draws and margins are unchanged, every check gained
+    # the key (at most 1.7e-16). Before, the digest was d21c6f6b...
     def test_montecarlo_suite_golden_payload(self):
         result = run_montecarlo_suite(seed=0, trials=2000)
         assert result["violations"] == 0
         assert min(c["worst_margin"] for c in result["checks"]) >= 0.0
         assert _digest(result) == (
-            "d21c6f6bdb644d2d30dac38dd0019f70996dd40f9e517f992f697d90806b0f15")
+            "f32fe92e06c6cbf24d891ddfc38d8352e5a4d345fa4897b88b7686544636248b")
 
     def test_oracle_suite_reports_budget_stops(self, oracle_suite_7, monkeypatch):
         assert [c["budget_stops"] for c in oracle_suite_7["checks"]] == [0] * 20
@@ -1361,3 +1388,63 @@ class TestSuites:
         for case in cases:
             assert case.mode in (CONVENTIONAL, QUANTUM)
             assert case.analytic_perr() <= min(case.scenario.p0, case.scenario.p1) + 1e-12
+
+
+def _scaled_report(field: str, factor: float):
+    """``report`` with ``field`` (``perr_c`` or ``perr_q``) scaled by ``factor`` on region-III cells."""
+    region = "region_c" if field == "perr_c" else "region_q"
+
+    def faulty(s):
+        r = report(s)
+        if getattr(r, region) == REGION_III:
+            r = dataclasses.replace(r, **{field: getattr(r, field) * factor})
+        return r
+
+    return faulty
+
+
+def _product_probe_fault(monkeypatch):
+    """Quantum claims the conventional error, with the product probe theta_min (x) conj(theta_min)."""
+
+    def faulty(s):
+        r = report(s)
+        return dataclasses.replace(r, perr_q=r.perr_c) if r.region_q == REGION_III else r
+
+    def product(s):
+        theta = s.env.eigenvector(s.env.dim - 1)
+        return np.kron(theta, theta.conj())
+
+    monkeypatch.setattr(oracle_mod, "report", faulty)
+    monkeypatch.setattr(oracle_mod, "optimal_probe_quantum", product)
+
+
+# (fault, the suites that must report a violation): a region-III perr_c or
+# perr_q scaled by a factor, or the product-probe fault
+FAULTS = [
+    *[pytest.param((field, 1.0 + eps), {"montecarlo"}, id=f"{field} x (1{eps:+g})")
+      for field in ("perr_c", "perr_q") for eps in (1e-9, -1e-9, 1e-10, -1e-10)],
+    *[pytest.param((field, 1.0 + 1e-8), {"oracle", "montecarlo"}, id=f"{field} x (1+1e-08)")
+      for field in ("perr_c", "perr_q")],
+    pytest.param("product probe", {"oracle"}, id="product probe claims perr_c"),
+]
+
+
+class TestFaultDetection:
+    """What ``verify`` detects: a faulty closed form, injected where the suites read it.
+
+    The Monte-Carlo suite runs for every fault (a few ms); the oracle suite
+    (about 0.25 s) only for the faults it must catch. The product probe does
+    reach the error it claims, so the Monte-Carlo suite cannot see it, and
+    the oracle's 1e-9 gate is too wide for the smaller scalings.
+    """
+
+    @pytest.mark.parametrize("fault, expected", FAULTS)
+    def test_suites_that_catch_it(self, monkeypatch, fault, expected):
+        if fault == "product probe":
+            _product_probe_fault(monkeypatch)
+        else:
+            monkeypatch.setattr(oracle_mod, "report", _scaled_report(*fault))
+        caught = {"montecarlo"} if run_montecarlo_suite(seed=0)["violations"] else set()
+        if "oracle" in expected and run_oracle_suite(seed=7)["violations"]:
+            caught.add("oracle")
+        assert caught == expected
