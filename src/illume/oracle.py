@@ -70,8 +70,9 @@ from .tolerances import (
 MAX_QUANTUM_SEARCH_DIM = 16
 
 # Cap on the Newton steps of one secular root; they rise monotonically and
-# quadratically onto it, and in the oracle searches a root takes 2-3 steps on
-# average and at most about 10. FLOAT_EPS is their rounding unit.
+# quadratically onto it, and in the oracle suite a batch of roots takes 0.9
+# steps on average (2.4 from the first Newton step) and at most 10. FLOAT_EPS
+# is their rounding unit.
 SECULAR_MAX_STEPS = 30
 FLOAT_EPS = float(np.finfo(float).eps)
 FLOAT_TINY = float(np.nextafter(0.0, 1.0))  # the least subnormal
@@ -92,8 +93,8 @@ ARMIJO_FRACTION = 1e-4
 
 # Probe-vector bytes of one chunk of (cell, restart) rows in a batched search.
 # Each row also keeps 2 LBFGS_MEMORY secant vectors, which count against it:
-# a chunk peaks at 100-120 times that (13-15 MiB at d = 2, 4, 8), and twice
-# as many rows ran at most 10% faster.
+# a chunk peaks at 70-85 times that (9-10.5 MiB at d = 2, 4, 8), and twice as
+# many rows ran at most 10% faster.
 SEARCH_BLOCK_BYTES = 1 << 17
 
 MAX_TRIALS = 2**63 - 1  # most trials of a simulation: numpy's binomial takes an int64 count
@@ -123,6 +124,7 @@ class OracleResult:
     evaluations: int
     iterations: list[int]  # iterations run by each restart
     stops: list[str]  # why each restart stopped: "converged", or "budget" on the iteration cap
+    grad_norms: list[float]  # each restart's final Riemannian gradient norm of mu
 
     @property
     def budget_stops(self) -> int:
@@ -169,39 +171,49 @@ def _top_root(poles: np.ndarray, u: np.ndarray, c: np.ndarray):
     ``F`` and lie below ``top``. So right of ``top``, ``G`` is increasing and
     concave, its tangent lies above it, and a Newton step from a point left
     of the root lands left of it again: ``tau`` rises monotonically and
-    quadratically onto the root. The start ``tau = c w_top``, the first
-    Newton step off the top pole, is left of it, as ``F >= w_top / tau = 1 /
-    c`` there (or the least subnormal, where ``c w_top`` underflows). A row
-    stops once its residual is within rounding of zero, ``tau`` stops rising
-    or its slope overflows (``c^2 w_top`` below about 1e-308), and after
-    ``SECULAR_MAX_STEPS`` steps at most; a root cut short is a lower bound on
-    ``mu``.
+    quadratically onto the root. It starts left of the root, at the root of
+    ``w_top / tau + R / (tau + g) = 1 / c`` (``R`` the weight off the top
+    pole, ``g`` its weighted mean gap: by Jensen's inequality ``F`` is at
+    least the left side), or at ``c w_top``, the first Newton step off the
+    top pole (or the least subnormal), where that is larger. A row stops
+    once its residual is within rounding of zero, ``tau`` stops rising or
+    its slope overflows (``c^2 w_top`` below about 1e-308), and after
+    ``SECULAR_MAX_STEPS`` steps at most; a root cut short is a lower bound
+    on ``mu``.
 
     Returns ``mu`` and the unit top eigenvector ``z ~ (mu - poles)^-1 u``.
     """
     weights = np.abs(u) ** 2
     weighted = weights > 0.0
     top = poles.max(axis=1, initial=-np.inf, where=weighted)
-    gaps = np.where(weighted, top[:, None] - poles, np.inf)  # an infinite gap carries no weight
-    tau = np.maximum(c * np.where(gaps == 0.0, weights, 0.0).sum(axis=1), FLOAT_TINY)
+    below = top[:, None] - poles
+    gaps = np.where(weighted, below, np.inf)  # an infinite gap carries no weight
+    # the start's model, w_top / tau + rest / (tau + mean) = 1 / c: tau^2 + 2 h tau = p
+    w_top, rest = np.vecdot(weights, gaps == 0.0), np.vecdot(weights, gaps > 0.0)
+    mean = np.vecdot(weights, below) / np.maximum(rest, FLOAT_TINY)  # 0 without rest
+    h, p = 0.5 * (mean - c * (w_top + rest)), c * w_top * mean
+    root = np.sqrt(h * h + p) + np.abs(h)
+    tau = np.where(h < 0.0, root, p / np.maximum(root, FLOAT_TINY))
+    tau = np.maximum(np.maximum(tau, c * w_top), FLOAT_TINY)
     active = np.ones(tau.shape, dtype=bool)
     with np.errstate(over="ignore"):  # a slope that overflows stops tau, still left of the root
         for _ in range(SECULAR_MAX_STEPS):
             shifted = tau[:, None] + gaps
             terms = weights / shifted
             f = terms.sum(axis=1)
-            cf = c * f
-            active &= cf - 1.0 > 8.0 * FLOAT_EPS * (cf + 1.0)  # |1/c - F| within rounding, times c
-            if not active.any():
+            excess = c * f - 1.0
+            # |1/c - F| within rounding, times c: excess > 8 eps (excess + 2)
+            active &= excess > 16.0 * FLOAT_EPS / (1.0 - 8.0 * FLOAT_EPS)
+            if not np.count_nonzero(active):
                 break
-            step = (cf - 1.0) * f / (terms / shifted).sum(axis=1)
-            active &= tau + step > tau
-            tau = np.where(active, tau + step, tau)
+            rise = tau + excess * f / (terms / shifted).sum(axis=1)
+            active &= rise > tau
+            tau = np.where(active, rise, tau)
     # z times a power of two near tau (at least 2^-1000, so that gaps / scale
     # stays finite): exact, and its squares cannot overflow
     scale = np.ldexp(1.0, np.maximum(np.frexp(tau)[1], -1000))
     z = u / ((tau[:, None] + gaps) / scale[:, None])  # zero on the deflated entries
-    return top + tau, z / np.linalg.norm(z, axis=1, keepdims=True)
+    return top + tau, z / np.sqrt(np.vecdot(z, z).real)[:, None]
 
 
 def _see_saw_maps(env: EnvironmentState, c: np.ndarray, gamma: np.ndarray, mode: str):
@@ -211,22 +223,21 @@ def _see_saw_maps(env: EnvironmentState, c: np.ndarray, gamma: np.ndarray, mode:
     ``c[i] = p1 eta`` and ``gamma[i] < 0``; every map takes each state's row.
     A probe is a d x k matrix ``X`` (signal rows, idler columns), ``k = d``
     in quantum mode and ``k = 1`` in conventional mode: a probe with a
-    one-dimensional idler, whose marginal is 1. All three maps work in the
+    one-dimensional idler, whose marginal is 1. Both maps work in the
     eigenframe of the absent state ``B`` (``omega = c psi psi^dagger + gamma
     B``), where ``omega`` is ``A + c u u^dagger`` with ``A <= 0`` diagonal
     and ``u`` the probe's coordinates on the products ``theta_i (x) v_k`` of
     the environment basis and the eigenvectors of the idler marginal
     ``rho_B = X^T X*``. So ``omega`` has at most its top eigenvalue ``mu``
     (:func:`_top_root`) above zero, and ``||omega||_1 = 2 max(mu, 0) - tr
-    omega`` (:func:`_trace_norms`). ``values`` returns ``mu`` and the frame:
-    the unit top eigenvector ``z ~ (mu - A)^-1 u``, reshaped d x k, stacked
-    over ``v``, a ``(d + k) x k`` array per state.
-
-    ``ascent`` is the gradient of ``mu`` on the unit sphere, from the frame
-    by Hellmann-Feynman (``d mu = z^dagger d omega z``): ``2 c (z^dagger
-    psi) z + 2 gamma X N``, with ``N = Z^dagger rho_E Z`` built from the
-    reshape ``Z`` of ``z``; its component along ``psi`` (and ``i psi``) is
-    removed, and with it the whole second term when ``k = 1``.
+    omega`` (:func:`_trace_norms`). ``values`` returns ``mu``, the frame (the
+    unit top eigenvector ``z ~ (mu - A)^-1 u``, reshaped d x k, stacked over
+    ``v``, a ``(d + k) x k`` array per state) and the gradient of ``mu`` on
+    the unit sphere, built in the frame it has just solved by Hellmann-Feynman
+    (``d mu = z^dagger d omega z``): ``2 c (z^dagger psi) z + 2 gamma X N``,
+    with ``N = Z^dagger rho_E Z`` from the reshape ``Z`` of ``z``, less its
+    component along ``psi`` and ``i psi`` (all of the second term at ``k =
+    1``).
 
     The target is a top eigenvector of the form ``phi -> tr(S omega(phi))``
     with ``S = 2 z z^dagger - I``. As ``-I <= S <= I``, the form never
@@ -242,26 +253,21 @@ def _see_saw_maps(env: EnvironmentState, c: np.ndarray, gamma: np.ndarray, mode:
     basis = env.basis
 
     def values(states: np.ndarray, rows: np.ndarray):
-        """Top eigenvalues, and the frames their gradients and targets are built from."""
+        """Top eigenvalues, the frames their targets are built from, and their gradients."""
         n = len(states)
         x = states.reshape(n, d, k)
         m, v = np.linalg.eigh(np.swapaxes(x, 1, 2) @ x.conj())  # rho_B = X^T X*
         u = basis.conj() @ x @ v.conj()
         poles = gamma[rows, None, None] * lam[:, None] * np.maximum(m, 0.0)[:, None, :]
         mu, z = _top_root(poles.reshape(n, -1), u.reshape(n, -1), c[rows])
-        return mu, np.concatenate([z.reshape(n, d, k), v], axis=1)
-
-    def ascent(states: np.ndarray, frames: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # N = Z^dagger rho_E Z = v* (z^dagger diag(lambda) z) v^T, z the frame
-        n = len(states)
-        frame, v = frames[:, :d], frames[:, d:]
-        z = (basis.T @ frame @ np.swapaxes(v, 1, 2)).reshape(n, -1)
-        inner = np.swapaxes(frame.conj(), 1, 2) @ (lam[:, None] * frame)
-        mixed = states.reshape(n, d, k) @ v.conj() @ inner @ np.swapaxes(v, 1, 2)
-        overlap = np.einsum("ni,ni->n", z.conj(), states)
-        grad = (2.0 * c[rows] * overlap)[:, None] * z
-        grad += 2.0 * gamma[rows, None] * mixed.reshape(n, -1)
-        return grad - states * np.einsum("ni,ni->n", states.conj(), grad)[:, None]
+        # in the frame, psi is u, N = v* (z^dagger diag(lambda) z) v^T and X v* = u
+        z = z.reshape(n, d, k)
+        inner = np.swapaxes(z.conj(), 1, 2) @ (lam[:, None] * z)
+        overlap = np.vecdot(z.reshape(n, -1), u.reshape(n, -1))
+        grad = (2.0 * c[rows] * overlap)[:, None, None] * z + 2.0 * gamma[rows, None, None] * u @ inner
+        grad = (basis.T @ grad @ np.swapaxes(v, 1, 2)).reshape(n, -1)
+        grad -= states * np.vecdot(states, grad)[:, None]
+        return mu, np.concatenate([z, v], axis=1), grad
 
     def targets(frames: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # the form c z z^dagger + gamma (I (x) M), M = Z^T diag(lambda) Z*: in
@@ -270,11 +276,11 @@ def _see_saw_maps(env: EnvironmentState, c: np.ndarray, gamma: np.ndarray, mode:
         n = len(frames)
         z, v = frames[:, :d], frames[:, d:]
         nu, w = np.linalg.eigh(np.swapaxes(z, 1, 2) @ (lam[:, None] * z.conj()))
-        y = _top_root(np.tile(gamma[rows, None] * nu, (1, d)), (z @ w.conj()).reshape(n, -1),
-                      c[rows])[1].reshape(n, d, k)
+        poles = np.broadcast_to((gamma[rows, None] * nu)[:, None], (n, d, k)).reshape(n, -1)
+        y = _top_root(poles, (z @ w.conj()).reshape(n, -1), c[rows])[1].reshape(n, d, k)
         return (basis.T @ y @ np.swapaxes(v @ w, 1, 2)).reshape(n, -1)
 
-    return values, ascent, targets
+    return values, targets
 
 
 def _trace_norms(mu: np.ndarray, c: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -293,24 +299,27 @@ def _lbfgs_direction(grad: np.ndarray, pairs: np.ndarray, rho: np.ndarray,
     """
     s, y = pairs[:, :, 0].view(float), pairs[:, :, 1].view(float)
     q = grad.view(float).copy()
-    alpha = np.zeros(rho.shape)
-    held = np.flatnonzero(rho.any(axis=0)).tolist()  # slots empty in every row add nothing
-    for j in reversed(held):
-        alpha[:, j] = rho[:, j] * np.einsum("ni,ni->n", s[:, j], q)
-        q -= alpha[:, j, None] * y[:, j]
+    alpha = []
+    for j in reversed(range(rho.shape[1])):
+        alpha.append(rho[:, j] * np.vecdot(s[:, j], q))
+        q -= alpha[-1][:, None] * y[:, j]
     q *= scale[:, None]
-    for j in held:
-        q += (alpha[:, j] - rho[:, j] * np.einsum("ni,ni->n", y[:, j], q))[:, None] * s[:, j]
+    for j in range(rho.shape[1]):
+        q += (alpha.pop() - rho[:, j] * np.vecdot(y[:, j], q))[:, None] * s[:, j]
     return q.view(complex)
+
+
+def _held_slots(rho: np.ndarray) -> int:
+    """The first slot any row holds a pair in: a row's pairs fill a suffix of its slots."""
+    return LBFGS_MEMORY - int(np.count_nonzero(rho.any(axis=0)))
 
 
 def _search(env, c, gamma, mode: str, starts) -> Iterator[OracleResult]:
     """The ascent of :func:`maximize_trace_norm` on rows ``(c[i], gamma[i])``, one per start."""
-    values_of, ascent, targets = _see_saw_maps(env, c, gamma, mode)
+    values_of, targets = _see_saw_maps(env, c, gamma, mode)
     states = np.tile(starts, (len(c) // len(starts), 1))
     n, dim = states.shape
-    mu, frames = values_of(states, np.arange(n))
-    grads = ascent(states, frames, np.arange(n))
+    mu, frames, grads = values_of(states, np.arange(n))
     iterations = np.zeros(n, dtype=int)
     active = np.ones(n, dtype=bool)
     plain = np.ones(n, dtype=bool)  # the row's next move is a plain see-saw move
@@ -331,8 +340,9 @@ def _search(env, c, gamma, mode: str, starts) -> Iterator[OracleResult]:
         quasi = fresh[~plain[fresh]]
         if quasi.size:
             grad = grads[quasi]
-            direction = _lbfgs_direction(grad, pairs[quasi], rho[quasi], scale[quasi])
-            slope = np.einsum("ni,ni->n", grad.view(float), direction.view(float))
+            held = _held_slots(rho[quasi])
+            direction = _lbfgs_direction(grad, pairs[quasi, held:], rho[quasi, held:], scale[quasi])
+            slope = np.vecdot(grad.view(float), direction.view(float))
             flat = quasi[~(slope > 0.0)]  # a model that does not ascend is forgotten
             rho[flat], plain[flat] = 0.0, True
             directions[quasi], slopes[quasi] = direction, slope
@@ -341,14 +351,14 @@ def _search(env, c, gamma, mode: str, starts) -> Iterator[OracleResult]:
             # the see-saw move: the target, phase-aligned to psi, at step length 1
             psi = states[see]
             target = targets(frames[see], see)
-            overlap = np.einsum("ni,ni->n", target.conj(), psi)
+            overlap = np.vecdot(target, psi)
             directions[see] = target * np.exp(1j * np.angle(overlap))[:, None] - psi
         lengths[fresh] = 1.0
 
         psi = states[idx]
         trial = psi + lengths[idx, None] * directions[idx]
-        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-        trial_mu, trial_frames = values_of(trial, idx)
+        trial /= np.sqrt(np.vecdot(trial, trial).real)[:, None]
+        trial_mu, trial_frames, trial_grads = values_of(trial, idx)
         gain = trial_mu - mu[idx]
         see, linear = plain[idx], lengths[idx] * slopes[idx]
         # a quasi-Newton step is taken once it gains ARMIJO_FRACTION of its
@@ -369,34 +379,39 @@ def _search(env, c, gamma, mode: str, starts) -> Iterator[OracleResult]:
         go, new = idx[won], trial[won]
         if go.size == 0:
             continue
-        mu[go], frames[go], states[go] = trial_mu[won], trial_frames[won], new
-        new_grads = ascent(new, trial_frames[won], go)
-        # the new pair s = -P(psi) (P(psi') = 0, so either move's step) and
-        # y = P(grad) - grad', and the kept pairs, transported by the
-        # projection P onto the tangent space at the new state
-        pair = np.stack([-psi[won], grads[go] - new_grads], axis=1)
-        kept = np.concatenate([pairs[go], pair[:, None]], axis=1)
-        kept -= new[:, None, None, :] * np.einsum("ni,nkli->nkl", new.conj(), kept)[..., None]
-        s, y = kept[:, -1, 0].view(float), kept[:, -1, 1].view(float)
-        sy, yy = np.einsum("ni,ni->n", s, y), np.einsum("ni,ni->n", y, y)
+        new_grads, old_grads, psi = trial_grads[won], grads[go], psi[won]
+        mu[go], frames[go], states[go], grads[go] = trial_mu[won], trial_frames[won], new, new_grads
+        # the held pairs, transported by the projection P onto the tangent space
+        # at the new state; the new pair s = -P(psi) (P(psi') = 0, so either
+        # move's step) and y = P(grad) - grad'
+        held = max(_held_slots(rho[go]) - 1, 0)  # and the slot a curved row's pairs shift into
+        kept = pairs[go, held:]
+        flat = kept.reshape(go.size, -1, dim)
+        flat -= new[:, None] * (flat @ new.conj()[:, :, None])
+        s = new * np.vecdot(new, psi)[:, None] - psi
+        y = old_grads - new * np.vecdot(new, old_grads)[:, None] - new_grads
+        sy, yy = np.vecdot(s.view(float), y.view(float)), np.vecdot(y.view(float), y.view(float))
         # a pair enters the memory, and rescales the initial model, only with
         # curvature; without, mu is convex along the step and the initial
         # model grows 4-fold, so that the steps lengthen until mu bends
         curved = sy > 0.0
-        kept[~curved, 1:] = kept[~curved, :-1]
-        pairs[go] = kept[:, 1:]
-        rho[go[curved]] = np.column_stack([rho[go[curved], 1:], 1.0 / sy[curved]])
+        kept[curved, :-1] = kept[curved, 1:]
+        kept[curved, -1, 0], kept[curved, -1, 1] = s[curved], y[curved]
+        pairs[go, held:] = kept
+        bent = go[curved]
+        rho[bent, :-1], rho[bent, -1] = rho[bent, 1:], 1.0 / sy[curved]
         scale[go] = np.where(curved, sy / np.where(curved, yy, 1.0), 4.0 * scale[go])
-        grads[go] = new_grads
 
     values = _trace_norms(mu, c, gamma)
+    grad_norms = np.sqrt(np.vecdot(grads, grads).real)
     for first in range(0, n, len(starts)):
         rows = slice(first, first + len(starts))
         best = first + int(np.argmax(values[rows]))  # ties: the lowest restart
         value = float(values[best])
         yield OracleResult(value, states[best].copy(), (1.0 - value) / 2.0,
                            len(starts) + int(iterations[rows].sum()), iterations[rows].tolist(),
-                           ["budget" if a else "converged" for a in active[rows].tolist()])
+                           ["budget" if a else "converged" for a in active[rows].tolist()],
+                           grad_norms[rows].tolist())
 
 
 def search_cells(env: EnvironmentState, p0, eta, mode: str, cfg: SearchConfig) -> list[OracleResult]:
@@ -423,7 +438,7 @@ def search_cells(env: EnvironmentState, p0, eta, mode: str, cfg: SearchConfig) -
     found = (result for i in range(0, rows.size, block) for result in
              _search(env, c[rows[i:i + block]], gamma[rows[i:i + block]], mode, starts))
     return [OracleResult(v, starts[0].copy(), (1.0 - v) / 2.0, 0, [0] * RESTARTS,
-                         ["converged"] * RESTARTS)
+                         ["converged"] * RESTARTS, [0.0] * RESTARTS)
             if f else next(found) for f, v in zip(flat, np.abs(c + gamma).tolist())]
 
 

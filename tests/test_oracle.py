@@ -72,10 +72,10 @@ def _scenario_maps(s: Scenario, mode: str):
     top eigenvalues ``mu`` and their frames, ``targets`` the see-saw targets.
     """
     c, gamma = np.array([s.p1 * s.eta]), np.array([s.gamma])
-    values, _, targets = oracle_mod._see_saw_maps(s.env, c, gamma, mode)
+    values, targets = oracle_mod._see_saw_maps(s.env, c, gamma, mode)
 
     def norms(states):
-        mu, frames = values(states, np.zeros(len(states), dtype=int))
+        mu, frames, _ = values(states, np.zeros(len(states), dtype=int))
         return oracle_mod._trace_norms(mu, c, gamma), frames
 
     return norms, lambda frames: targets(frames, np.zeros(len(frames), dtype=int))
@@ -158,6 +158,7 @@ class TestMaximizeTraceNorm:
         monkeypatch.setattr(oracle_mod, "_top_root", no_root)
         result = maximize_trace_norm(s, mode, cheap)
         assert result.iterations == [0] * oracle_mod.RESTARTS
+        assert result.grad_norms == [0.0] * oracle_mod.RESTARTS
         assert result.evaluations == result.budget_stops == 0
         assert result.perr == (1.0 - result.best_value) / 2.0
         rng = np.random.default_rng(1)
@@ -365,12 +366,12 @@ class TestSeeSawSearch:
             env = EnvironmentState(base.env.spectrum, random_unitary(rng, d).T)
             s = Scenario(base.p0, base.eta, env)
             c, gamma = np.array([s.p1 * s.eta]), np.array([s.gamma])
-            values, ascent, _ = oracle_mod._see_saw_maps(env, c, gamma, mode)
+            values, _ = oracle_mod._see_saw_maps(env, c, gamma, mode)
             psi = haar_random_state(d if mode == CONVENTIONAL else d * d, rng)
-            mu, frames = values(psi[None], np.zeros(1, dtype=int))
+            mu, _, grads = values(psi[None], np.zeros(1, dtype=int))
             if mu[0] < 1e-3:
                 continue  # mu <= 0 is not seen by the trace norm
-            grad = ascent(psi[None], frames, np.zeros(1, dtype=int))[0]
+            grad = grads[0]
             assert abs(np.vdot(psi, grad)) <= 1e-13  # tangent and horizontal
 
             def mu_of(phi):
@@ -415,9 +416,9 @@ class TestSeeSawSearch:
 
     @pytest.mark.parametrize("mode", [CONVENTIONAL, QUANTUM])
     def test_each_probe_is_solved_once(self, monkeypatch, search_budget, mode):
-        # a values batch solves the top root of every state it scores, and
-        # keeps the frame, from which the gradients of the states taken and
-        # the see-saw targets are built; a target batch solves only the
+        # a values batch solves the top root of every state it scores, builds
+        # its gradient from the frame, and keeps the frame, from which the
+        # see-saw targets are built; a target batch solves only the
         # second root, in both modes: conventional mode is the same frame
         # with a one-dimensional idler; evaluations counts the states the
         # values batches scored
@@ -432,8 +433,15 @@ class TestSeeSawSearch:
             return spy
 
         def maps(*args):
-            values, ascent, targets = see_saw_maps(*args)
-            return counted("values", values), counted("ascent", ascent), counted("targets", targets)
+            values, targets = see_saw_maps(*args)
+
+            def scored(*args):
+                mu, frames, grads = values(*args)
+                calls["gradients"] += 1
+                rows["gradients"] += len(grads)
+                return mu, frames, grads
+
+            return counted("values", scored), counted("targets", targets)
 
         monkeypatch.setattr(oracle_mod, "_top_root", counted("roots", top_root))
         monkeypatch.setattr(oracle_mod, "_see_saw_maps", maps)
@@ -447,11 +455,50 @@ class TestSeeSawSearch:
         # one trial state per active restart
         assert calls["values"] == 1 + max(result.iterations)
         assert result.evaluations == 4 + sum(result.iterations)
-        # a gradient for the starts and for each state taken; a target batch
-        # for the first move and for each plain move after a stall
-        assert calls["ascent"] <= calls["values"] and rows["ascent"] <= result.evaluations
+        # a gradient batch with each values batch, a row for each state it
+        # scores; a target batch for the first move and for each plain move
+        # after a stall
+        assert calls["gradients"] <= calls["values"] and rows["gradients"] <= result.evaluations
         assert 1 <= calls["targets"] < calls["values"] - 1
         assert 4 <= rows["targets"] < sum(result.iterations)
+
+    def test_records_each_restarts_final_gradient_norm(self):
+        # each restart's last gradient comes with its result; on the bundled
+        # region-III cases the best restart stops where it vanishes
+        cfg = SearchConfig(seed=7)
+        cases = [case for case in bundled_scenarios()
+                 if classify(case.scenario)[1 if case.mode == QUANTUM else 0] == REGION_III]
+        assert len(cases) >= 10
+        for case in cases:
+            s = case.scenario
+            result = maximize_trace_norm(s, case.mode, cfg)
+            assert len(result.grad_norms) == oracle_mod.RESTARTS
+            values, _ = oracle_mod._see_saw_maps(s.env, np.array([s.p1 * s.eta]), np.array([s.gamma]),
+                                                 case.mode)
+            best = np.linalg.norm(values(result.best_state[None], np.zeros(1, dtype=int))[2])
+            assert best <= 1e-6, case.name
+            assert min(abs(best - g) for g in result.grad_norms) <= 1e-12, case.name
+
+    @pytest.mark.parametrize("mode, spectrum", [
+        (QUANTUM, [0.6, 0.4]),
+        (CONVENTIONAL, [0.3, 0.2, 0.15, 0.12, 0.1, 0.06, 0.05, 0.02]),
+    ], ids=["quantum-d2", "conventional-d8"])
+    def test_search_memory_fits_its_chunk(self, mode, spectrum):
+        # 64 searched cells: one full chunk at quantum d = 2, two at
+        # conventional d = 8; a chunk's probe vectors, secant pairs and
+        # temporaries peak within 120 times SEARCH_BLOCK_BYTES. An untraced
+        # search first makes the process's one-time allocations
+        env, cfg = EnvironmentState(spectrum), SearchConfig(seed=7)
+        p0, eta = np.repeat(np.linspace(0.3, 0.45, 8), 8), np.tile(np.linspace(0.7, 0.9, 8), 8)
+        assert (ScenarioStack(p0, eta, None).gamma < 0.0).all()  # every cell is searched
+        oracle_mod.search_cells(env, p0[:1], eta[:1], mode, cfg)
+        tracemalloc.start()
+        try:
+            oracle_mod.search_cells(env, p0, eta, mode, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 120 * oracle_mod.SEARCH_BLOCK_BYTES
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("mode", [CONVENTIONAL, QUANTUM])
@@ -753,12 +800,12 @@ class TestTopRoot:
         error = _assert_matches_dense(np.array([[0.0, -1.0]]), np.array([[faint, 1.0]]), np.array([1e-3]))
         assert np.max(error) <= 1e-14  # no overshoot beyond rounding
 
-    @pytest.mark.parametrize("steps", [1, 2, 3])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 3])
     @pytest.mark.parametrize("family", SECULAR_FAMILIES)
     def test_cut_short_root_never_overshoots(self, monkeypatch, steps, family):
         # Newton's method on 1/F rises onto the root, so a root stopped by
         # the step cap is a lower bound on mu, and the search can only fall
-        # short of the closed form
+        # short of the closed form; with no step, the start itself is one
         monkeypatch.setattr(oracle_mod, "SECULAR_MAX_STEPS", steps)
         for seed in range(20):
             poles, u, c = _secular_rows(seed, family)
@@ -1297,14 +1344,21 @@ class TestSuites:
         # the roots' last bits moved, and with them seven worst_margins and
         # one "trials". All 20 checks still have 0 violations, 0 budget stops
         # and a margin >= 0; the evaluations went from 5,061 to 5,057 in
-        # total. Before, the digest was 720edf8e...
+        # total. Before, the digest was 720edf8e... Regenerated again when
+        # each root began from a two-pole model's root, the gradient came
+        # from the solve that scores a probe and the secant memory was
+        # transported by one batched product: the roots' and gradients'
+        # last bits moved, and with them five worst_margins. All 20 checks
+        # still have 0 violations, 0 budget stops and a margin >= 0, and
+        # every "trials" is unchanged (5,057 in total). Before, the digest
+        # was acc4b4ff...
         result = oracle_suite_7
         assert result["violations"] == 0
         assert len(result["checks"]) == 20
         assert min(c["worst_margin"] for c in result["checks"]) >= 0.0
         assert [c["budget_stops"] for c in result["checks"]] == [0] * 20
         assert _digest(result) == (
-            "acc4b4ffc07cb3ed53f2bf7dca520ecc37e5fb56fdf5a6ae02981fe88e4e6206")
+            "f72f52fb0fa15c003f70c35af84c9e76f68a425fc4a04100b5f7eccbb003fa4f")
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_oracle_suite_clean_at_other_seeds(self, seed):
@@ -1370,7 +1424,8 @@ class TestSuites:
             stops.append(len(stops) % 3)
             reasons = ["budget"] * stops[-1] + ["converged"] * (2 - stops[-1])
             return oracle_mod.OracleResult(best_value=0.0, best_state=np.ones(1), perr=0.5,
-                                           evaluations=1, iterations=[1, 1], stops=reasons)
+                                           evaluations=1, iterations=[1, 1], stops=reasons,
+                                           grad_norms=[0.0, 0.0])
 
         monkeypatch.setattr(oracle_mod, "maximize_trace_norm", search)
         assert [c["budget_stops"] for c in run_oracle_suite(seed=3)["checks"]] == stops
@@ -1423,8 +1478,8 @@ def _product_probe_fault(monkeypatch):
 FAULTS = [
     *[pytest.param((field, 1.0 + eps), {"montecarlo"}, id=f"{field} x (1{eps:+g})")
       for field in ("perr_c", "perr_q") for eps in (1e-9, -1e-9, 1e-10, -1e-10)],
-    *[pytest.param((field, 1.0 + 1e-8), {"oracle", "montecarlo"}, id=f"{field} x (1+1e-08)")
-      for field in ("perr_c", "perr_q")],
+    *[pytest.param((field, 1.0 + eps), {"oracle", "montecarlo"}, id=f"{field} x (1{eps:+g})")
+      for field in ("perr_c", "perr_q") for eps in (1e-8, -1e-8)],
     pytest.param("product probe", {"oracle"}, id="product probe claims perr_c"),
 ]
 
