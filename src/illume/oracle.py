@@ -93,8 +93,8 @@ ARMIJO_FRACTION = 1e-4
 
 # Probe-vector bytes of one chunk of (cell, restart) rows in a batched search.
 # Each row also keeps 2 LBFGS_MEMORY secant vectors, which count against it:
-# a chunk peaks at 70-85 times that (9-10.5 MiB at d = 2, 4, 8), and twice as
-# many rows ran at most 10% faster.
+# a chunk peaks at 80-100 times that (10-12.5 MiB at d = 2, 4, 8), and twice
+# as many rows ran at most 10% faster.
 SEARCH_BLOCK_BYTES = 1 << 17
 
 MAX_TRIALS = 2**63 - 1  # most trials of a simulation: numpy's binomial takes an int64 count
@@ -299,19 +299,15 @@ def _lbfgs_direction(grad: np.ndarray, pairs: np.ndarray, rho: np.ndarray,
     """
     s, y = pairs[:, :, 0].view(float), pairs[:, :, 1].view(float)
     q = grad.view(float).copy()
-    alpha = []
-    for j in reversed(range(rho.shape[1])):
-        alpha.append(rho[:, j] * np.vecdot(s[:, j], q))
-        q -= alpha[-1][:, None] * y[:, j]
+    alpha = np.zeros(rho.shape)
+    held = np.flatnonzero(rho.any(axis=0)).tolist()  # slots empty in every row add nothing
+    for j in reversed(held):
+        alpha[:, j] = rho[:, j] * np.vecdot(s[:, j], q)
+        q -= alpha[:, j, None] * y[:, j]
     q *= scale[:, None]
-    for j in range(rho.shape[1]):
-        q += (alpha.pop() - rho[:, j] * np.vecdot(y[:, j], q))[:, None] * s[:, j]
+    for j in held:
+        q += (alpha[:, j] - rho[:, j] * np.vecdot(y[:, j], q))[:, None] * s[:, j]
     return q.view(complex)
-
-
-def _held_slots(rho: np.ndarray) -> int:
-    """The first slot any row holds a pair in: a row's pairs fill a suffix of its slots."""
-    return LBFGS_MEMORY - int(np.count_nonzero(rho.any(axis=0)))
 
 
 def _search(env, c, gamma, mode: str, starts) -> Iterator[OracleResult]:
@@ -340,8 +336,7 @@ def _search(env, c, gamma, mode: str, starts) -> Iterator[OracleResult]:
         quasi = fresh[~plain[fresh]]
         if quasi.size:
             grad = grads[quasi]
-            held = _held_slots(rho[quasi])
-            direction = _lbfgs_direction(grad, pairs[quasi, held:], rho[quasi, held:], scale[quasi])
+            direction = _lbfgs_direction(grad, pairs[quasi], rho[quasi], scale[quasi])
             slope = np.vecdot(grad.view(float), direction.view(float))
             flat = quasi[~(slope > 0.0)]  # a model that does not ascend is forgotten
             rho[flat], plain[flat] = 0.0, True
@@ -384,10 +379,8 @@ def _search(env, c, gamma, mode: str, starts) -> Iterator[OracleResult]:
         # the held pairs, transported by the projection P onto the tangent space
         # at the new state; the new pair s = -P(psi) (P(psi') = 0, so either
         # move's step) and y = P(grad) - grad'
-        held = max(_held_slots(rho[go]) - 1, 0)  # and the slot a curved row's pairs shift into
-        kept = pairs[go, held:]
-        flat = kept.reshape(go.size, -1, dim)
-        flat -= new[:, None] * (flat @ new.conj()[:, :, None])
+        kept = pairs[go]
+        kept -= new[:, None, None] * (kept @ new.conj()[:, None, :, None])
         s = new * np.vecdot(new, psi)[:, None] - psi
         y = old_grads - new * np.vecdot(new, old_grads)[:, None] - new_grads
         sy, yy = np.vecdot(s.view(float), y.view(float)), np.vecdot(y.view(float), y.view(float))
@@ -397,7 +390,7 @@ def _search(env, c, gamma, mode: str, starts) -> Iterator[OracleResult]:
         curved = sy > 0.0
         kept[curved, :-1] = kept[curved, 1:]
         kept[curved, -1, 0], kept[curved, -1, 1] = s[curved], y[curved]
-        pairs[go, held:] = kept
+        pairs[go] = kept
         bent = go[curved]
         rho[bent, :-1], rho[bent, -1] = rho[bent, 1:], 1.0 / sy[curved]
         scale[go] = np.where(curved, sy / np.where(curved, yy, 1.0), 4.0 * scale[go])

@@ -458,7 +458,7 @@ class TestSeeSawSearch:
         # a gradient batch with each values batch, a row for each state it
         # scores; a target batch for the first move and for each plain move
         # after a stall
-        assert calls["gradients"] <= calls["values"] and rows["gradients"] <= result.evaluations
+        assert calls["gradients"] == calls["values"] and rows["gradients"] == result.evaluations
         assert 1 <= calls["targets"] < calls["values"] - 1
         assert 4 <= rows["targets"] < sum(result.iterations)
 
