@@ -24,6 +24,7 @@ from illume import (
     perr_conventional,
     perr_quantum,
 )
+from illume.oracle import random_density
 
 env = EnvironmentState([0.5, 0.3, 0.2])
 cfg = SearchConfig(seed=7)
@@ -50,9 +51,7 @@ ok_rank_one = ok_bound = 0
 n = 500
 for t in range(n):
     d = (2, 3, 4)[t % 3]
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
+    rho = random_density(rng, d)
     ok_rank_one += check_single_negative_eigenvalue(
         rho, float(rng.uniform(0.01, 2.0)), haar_random_state(d, rng)
     )

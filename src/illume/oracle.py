@@ -93,8 +93,8 @@ ARMIJO_FRACTION = 1e-4
 
 # Probe-vector bytes of one chunk of (cell, restart) rows in a batched search.
 # Each row also keeps 2 LBFGS_MEMORY secant vectors, which count against it:
-# a chunk peaks at 80-100 times that (10-12.5 MiB at d = 2, 4, 8), and twice
-# as many rows ran at most 10% faster.
+# a full chunk peaks at 63-67 times that (8-8.5 MiB at d = 2, 4, 8), and
+# twice as many rows ran at most 10% faster.
 SEARCH_BLOCK_BYTES = 1 << 17
 
 MAX_TRIALS = 2**63 - 1  # most trials of a simulation: numpy's binomial takes an int64 count
@@ -365,10 +365,9 @@ def _search(env, c, gamma, mode: str, starts) -> Iterator[OracleResult]:
         with np.errstate(divide="ignore", invalid="ignore"):
             lengths[idx] *= np.where(won, 1.0, np.clip(0.5 * linear / (linear - gain), 0.1, 0.5))
         retry[idx] = again = ~won & ~see & (lengths[idx] * slopes[idx] > SEARCH_CONVERGED_GAIN)
-        # a restart has converged once a plain see-saw move gains no more
-        # trace norm; a quasi-Newton step that stalls is followed by a plain move
-        norm_gain = 2.0 * (np.maximum(trial_mu, 0.0) - np.maximum(mu[idx], 0.0))
-        active[idx[see & (norm_gain <= SEARCH_CONVERGED_GAIN)]] = False
+        # a restart has converged once a plain see-saw move gains no more mu (the
+        # trace norm is flat where mu < 0); a quasi-Newton step that stalls is followed by one
+        active[idx[see & (2.0 * gain <= SEARCH_CONVERGED_GAIN)]] = False
         plain[idx] = ~see & ~again & (~won | (gain <= SEARCH_CONVERGED_GAIN))
 
         go, new = idx[won], trial[won]
@@ -376,11 +375,9 @@ def _search(env, c, gamma, mode: str, starts) -> Iterator[OracleResult]:
             continue
         new_grads, old_grads, psi = trial_grads[won], grads[go], psi[won]
         mu[go], frames[go], states[go], grads[go] = trial_mu[won], trial_frames[won], new, new_grads
-        # the held pairs, transported by the projection P onto the tangent space
-        # at the new state; the new pair s = -P(psi) (P(psi') = 0, so either
-        # move's step) and y = P(grad) - grad'
-        kept = pairs[go]
-        kept -= new[:, None, None] * (kept @ new.conj()[:, None, :, None])
+        # the new pair, P projecting onto the tangent space at the new state: s =
+        # -P(psi) (P(psi') = 0, so either move's step), y = P(grad) - grad'. Held
+        # pairs are not transported: the model only steers; Armijo and the see-saw decide
         s = new * np.vecdot(new, psi)[:, None] - psi
         y = old_grads - new * np.vecdot(new, old_grads)[:, None] - new_grads
         sy, yy = np.vecdot(s.view(float), y.view(float)), np.vecdot(y.view(float), y.view(float))
@@ -388,11 +385,9 @@ def _search(env, c, gamma, mode: str, starts) -> Iterator[OracleResult]:
         # curvature; without, mu is convex along the step and the initial
         # model grows 4-fold, so that the steps lengthen until mu bends
         curved = sy > 0.0
-        kept[curved, :-1] = kept[curved, 1:]
-        kept[curved, -1, 0], kept[curved, -1, 1] = s[curved], y[curved]
-        pairs[go] = kept
         bent = go[curved]
-        rho[bent, :-1], rho[bent, -1] = rho[bent, 1:], 1.0 / sy[curved]
+        pairs[bent, :-1], rho[bent, :-1] = pairs[bent, 1:], rho[bent, 1:]
+        pairs[bent, -1, 0], pairs[bent, -1, 1], rho[bent, -1] = s[curved], y[curved], 1.0 / sy[curved]
         scale[go] = np.where(curved, sy / np.where(curved, yy, 1.0), 4.0 * scale[go])
 
     values = _trace_norms(mu, c, gamma)
@@ -448,8 +443,8 @@ def maximize_trace_norm(s: Scenario, mode: str, cfg: SearchConfig) -> OracleResu
     and never a closed-form quantity. The gradient is projected onto the
     tangent space of the unit sphere (and off the phase direction ``i
     psi``), a step ``t p`` is retracted by normalizing ``psi + t p``, and the
-    last ``LBFGS_MEMORY`` secant pairs ``(s, y)`` are transported to each new
-    state by that projection. A step is taken once it gains
+    last ``LBFGS_MEMORY`` secant pairs ``(s, y)`` steer it as written, each
+    projected at its own state and never transported. A step is taken once it gains
     ``ARMIJO_FRACTION`` of its first-order gain (Armijo); a failed step is
     retried shorter in the next iteration, so every accepted step raises
     ``mu`` and every restart is monotone. A pair without curvature does not
@@ -465,7 +460,8 @@ def maximize_trace_norm(s: Scenario, mode: str, cfg: SearchConfig) -> OracleResu
     quasi-Newton step that gains at most ``SEARCH_CONVERGED_GAIN`` (or one
     that cannot be shortened further, as where ``mu`` is degenerate and the
     Armijo test keeps failing), a restart has converged once a plain move
-    gains at most ``SEARCH_CONVERGED_GAIN`` of trace norm; otherwise it stops
+    gains at most ``SEARCH_CONVERGED_GAIN / 2`` of ``mu`` (so at most
+    ``SEARCH_CONVERGED_GAIN`` of trace norm, flat where ``mu < 0``); otherwise it stops
     after ``STEPS_PER_RESTART`` iterations (a budget stop). Each iteration
     scores one trial state per restart, and ``evaluations`` counts every
     trace norm computed, the starts included; a flat scenario

@@ -7,6 +7,7 @@ outer loop. Plotting is out of scope; the CSV is the deliverable.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -29,7 +30,7 @@ MAX_ORACLE_CELLS = 4096
 _ORACLE_BUDGET = MAX_ORACLE_CELLS * 2**4
 # Most cells the CSV renders at once: a row of up to 2,048 eta steps is one
 # chunk (one string per run of one region pair) and a wider row is split, so the
-# write holds one chunk, not a row, beside its eta strings (73 bytes an eta step).
+# write holds one chunk and its column's eta strings, not a row's (2 bytes an eta step).
 CSV_BLOCK_CELLS = 2048
 
 
@@ -150,11 +151,13 @@ def _csv_chunks(table: SweepTable):
     # pair is the labels, the two texts, the advantage (0 in (I, I) and (II, II),
     # else a slot) and any oracle slots; `formats` says which of perr_c, perr_q
     # and the advantage a pair formats. A run of one pair is its eta strings
-    # (formatted once per table) joined on the tail and the row's p0 string.
+    # (formatted once while consecutive rows render their chunk column, so once
+    # per table up to CSV_BLOCK_CELLS wide) joined on the tail and the row's p0 string.
     fields = CSV_FIELDS if table.oracle_perr_c is None else CSV_ORACLE_FIELDS
     slots = ",%.12g" * (len(fields) - 7) + "\n"
     formats = np.array([[a == 2, b == 2, not a == b < 2] for a in range(3) for b in range(3)])
-    etas = list(map("%.12g,".__mod__, table.eta))
+    eta_texts = functools.lru_cache(maxsize=1)(
+        lambda j: list(map("%.12g,".__mod__, table.eta[j:j + CSV_BLOCK_CELLS].tolist())))
     g = table.grid
     oracle = () if table.oracle_perr_c is None else (table.oracle_perr_c, table.oracle_perr_q)
     yield ",".join(fields) + "\n"
@@ -163,15 +166,15 @@ def _csv_chunks(table: SweepTable):
         tails = [f"{c},{q},{texts[a]},{texts[b]},{0 if a == b < 2 else '%.12g'}{slots}"
                  for a, c in enumerate(REGIONS) for b, q in enumerate(REGIONS)]
         pairs = g.region_c[i] * len(REGIONS) + g.region_q[i]
-        for j in range(0, len(etas), CSV_BLOCK_CELLS):
-            s = slice(j, j + CSV_BLOCK_CELLS)
+        for j in range(0, table.eta.size, CSV_BLOCK_CELLS):
+            s, etas = slice(j, j + CSV_BLOCK_CELLS), eta_texts(j)
             chunk = pairs[s]
             cuts = [0, *(np.flatnonzero(chunk[1:] != chunk[:-1]) + 1).tolist(), chunk.size]
             keep = np.ones((chunk.size, 3 + len(oracle)), dtype=bool)
             keep[:, :3] = formats[chunk]
             pc, pq = g.perr_c[i, s], g.perr_q[i, s]
             numbers = np.stack([pc, pq, pc - pq, *(o[i, s] for o in oracle)], axis=1)[keep]
-            yield "".join(sep + (tails[p] + sep).join(etas[j + a:j + b]) + tails[p]
+            yield "".join(sep + (tails[p] + sep).join(etas[a:b]) + tails[p]
                           for p, a, b in zip(chunk[cuts[:-1]].tolist(), cuts, cuts[1:])
                           ) % tuple(numbers.tolist())
 

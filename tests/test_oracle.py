@@ -45,6 +45,7 @@ from illume import (
     run_sweep,
     simulate_measurement,
 )
+from illume import model as model_mod
 from illume import oracle as oracle_mod
 from illume.model import ScenarioStack
 from illume.tolerances import ORACLE_AGREEMENT_TOL
@@ -296,18 +297,22 @@ class TestSeeSawSearch:
     def test_restart_without_positive_eigenvalue_moves_on(self, search_budget, mode):
         # just above the measuring threshold most probes give omega no
         # positive eigenvalue; the search must still climb from there, not
-        # count its first flat step as convergence
+        # count its first flat step as convergence. The nearer the threshold,
+        # the more starts have a first plain move that gains mu but no trace
+        # norm: a stop on the trace norm's gain failed 9 of 10 conventional
+        # seeds at 0.002 and 10 of 10 at 0.001, each after 1 iteration
         env = EnvironmentState([0.6, 0.3, 0.1])
         r = report(Scenario(0.8, 0.5, env))
-        if mode == CONVENTIONAL:
-            s, exact = Scenario(0.8, r.eta_c + 0.02, env), perr_conventional
-        else:
-            s, exact = Scenario(0.8, r.eta_q + 0.02, env), perr_quantum
         search_budget(1)
-        for k in range(10):
-            result = maximize_trace_norm(s, mode, SearchConfig(seed=k))
-            assert abs(result.perr - exact(s)) <= 1e-9
-            assert result.iterations[0] > 1
+        for offset in (0.02, 0.002, 0.001):
+            if mode == CONVENTIONAL:
+                s, exact = Scenario(0.8, r.eta_c + offset, env), perr_conventional
+            else:
+                s, exact = Scenario(0.8, r.eta_q + offset, env), perr_quantum
+            for k in range(10):
+                result = maximize_trace_norm(s, mode, SearchConfig(seed=k))
+                assert abs(result.perr - exact(s)) <= 1e-9, (offset, k)
+                assert result.iterations[0] > 1, (offset, k)
 
     @pytest.mark.parametrize("mode", [CONVENTIONAL, QUANTUM])
     def test_single_restart_is_monotone(self, search_budget, mode):
@@ -486,8 +491,9 @@ class TestSeeSawSearch:
     def test_search_memory_fits_its_chunk(self, mode, spectrum):
         # 64 searched cells: one full chunk at quantum d = 2, two at
         # conventional d = 8; a chunk's probe vectors, secant pairs and
-        # temporaries peak within 120 times SEARCH_BLOCK_BYTES. An untraced
-        # search first makes the process's one-time allocations
+        # temporaries peak within 80 times SEARCH_BLOCK_BYTES (67x and 63x;
+        # 87x and 83x while the secant memory was transported at every step).
+        # An untraced search first makes the process's one-time allocations
         env, cfg = EnvironmentState(spectrum), SearchConfig(seed=7)
         p0, eta = np.repeat(np.linspace(0.3, 0.45, 8), 8), np.tile(np.linspace(0.7, 0.9, 8), 8)
         assert (ScenarioStack(p0, eta, None).gamma < 0.0).all()  # every cell is searched
@@ -498,7 +504,7 @@ class TestSeeSawSearch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 120 * oracle_mod.SEARCH_BLOCK_BYTES
+        assert peak <= 80 * oracle_mod.SEARCH_BLOCK_BYTES
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("mode", [CONVENTIONAL, QUANTUM])
@@ -1351,14 +1357,22 @@ class TestSuites:
         # last bits moved, and with them five worst_margins. All 20 checks
         # still have 0 violations, 0 budget stops and a margin >= 0, and
         # every "trials" is unchanged (5,057 in total). Before, the digest
-        # was acc4b4ff...
+        # was acc4b4ff... Regenerated again when a restart began to stop on
+        # its plain move's gain of mu, not of trace norm (flat where mu < 0),
+        # and the secant memory stopped being transported: the region-II
+        # cases, whose restarts used to stop after one flat move, now climb
+        # (region2-conv 64 -> 318 evaluations, likely-absent-region2-quant
+        # 64 -> 185), and the paths' last bits moved, so six worst_margins
+        # and eight "trials" changed. All 20 checks still have 0 violations,
+        # 0 budget stops and a margin >= 0; the evaluations went from 5,057
+        # to 5,406 in total. Before, the digest was f72f52fb...
         result = oracle_suite_7
         assert result["violations"] == 0
         assert len(result["checks"]) == 20
         assert min(c["worst_margin"] for c in result["checks"]) >= 0.0
         assert [c["budget_stops"] for c in result["checks"]] == [0] * 20
         assert _digest(result) == (
-            "f72f52fb0fa15c003f70c35af84c9e76f68a425fc4a04100b5f7eccbb003fa4f")
+            "f34a21fa13fc0465bce9163ed1ea04b135263ed374c0966754f80007274af34b")
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_oracle_suite_clean_at_other_seeds(self, seed):
@@ -1473,11 +1487,23 @@ def _product_probe_fault(monkeypatch):
     monkeypatch.setattr(oracle_mod, "optimal_probe_quantum", product)
 
 
+def _harmonic_fault(monkeypatch, factor: float):
+    """Every environment holds its ``lambda_harmonic`` scaled by ``factor``, set where it is built."""
+    build = model_mod.EnvironmentState.__init__
+
+    def faulty(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        self.lambda_harmonic *= factor
+
+    monkeypatch.setattr(model_mod.EnvironmentState, "__init__", faulty)
+
+
 # (fault, the suites that must report a violation): a region-III perr_c or
-# perr_q scaled by a factor, or the product-probe fault
+# perr_q scaled by a factor, an environment's lambda_harmonic scaled by one,
+# or the product-probe fault
 FAULTS = [
     *[pytest.param((field, 1.0 + eps), {"montecarlo"}, id=f"{field} x (1{eps:+g})")
-      for field in ("perr_c", "perr_q") for eps in (1e-9, -1e-9, 1e-10, -1e-10)],
+      for field in ("perr_c", "perr_q", "lambda_harmonic") for eps in (1e-9, -1e-9, 1e-10, -1e-10)],
     *[pytest.param((field, 1.0 + eps), {"oracle", "montecarlo"}, id=f"{field} x (1{eps:+g})")
       for field in ("perr_c", "perr_q") for eps in (1e-8, -1e-8)],
     pytest.param("product probe", {"oracle"}, id="product probe claims perr_c"),
@@ -1497,6 +1523,8 @@ class TestFaultDetection:
     def test_suites_that_catch_it(self, monkeypatch, fault, expected):
         if fault == "product probe":
             _product_probe_fault(monkeypatch)
+        elif fault[0] == "lambda_harmonic":
+            _harmonic_fault(monkeypatch, fault[1])
         else:
             monkeypatch.setattr(oracle_mod, "report", _scaled_report(*fault))
         caught = {"montecarlo"} if run_montecarlo_suite(seed=0)["violations"] else set()
