@@ -15,16 +15,15 @@ with a one-dimensional idler, so both modes share the frame), so its top
 eigenvalue ``mu``, and with it the trace norm, follows from the top root of
 a secular equation (the rank-one eigenvalue update of Bunch, Nielsen and
 Sorensen). Each probe is solved once: the solve that scores it also gives
-the top eigenvector, kept with the probe, from which the gradient of ``mu``
-follows by Hellmann-Feynman, and the see-saw target by a second root after
-an eigendecomposition of the idler's dimension. That is
-O(d^3) per probe where a dense ``eigvalsh`` of the d^2 x d^2 quantum
-``omega`` costs O(d^6). The search climbs ``mu`` by Riemannian L-BFGS on the
-unit sphere (Absil, Mahony and Sepulchre, *Optimization Algorithms on Matrix
-Manifolds*, ch. 7-8; Nocedal and Wright, *Numerical Optimization*, ch. 7),
-and a plain see-saw move certifies where it stops. The dense
-``perr_of_state``, which also scores every simulated measurement, is the
-independent recheck that the tests and the benchmark run on search results.
+the top eigenvector, from which the gradient of ``mu`` follows by
+Hellmann-Feynman. That is O(d^3) per probe where a dense ``eigvalsh`` of the
+d^2 x d^2 quantum ``omega`` costs O(d^6). The search climbs ``mu`` by
+Riemannian L-BFGS on the unit sphere (Absil, Mahony and Sepulchre,
+*Optimization Algorithms on Matrix Manifolds*, ch. 7-8; Nocedal and Wright,
+*Numerical Optimization*, ch. 7), and a plain gradient step certifies where
+it stops. The dense ``perr_of_state``, which also scores every simulated
+measurement, is the independent recheck that the tests and the benchmark run
+on search results.
 """
 
 from __future__ import annotations
@@ -70,9 +69,8 @@ from .tolerances import (
 MAX_QUANTUM_SEARCH_DIM = 16
 
 # Cap on the Newton steps of one secular root; they rise monotonically and
-# quadratically onto it, and in the oracle suite a batch of roots takes 0.9
-# steps on average (2.4 from the first Newton step) and at most 10. FLOAT_EPS
-# is their rounding unit.
+# quadratically onto it, and in the oracle suite (seed 7) a batch of roots
+# takes 3.1 steps on average and at most 11. FLOAT_EPS is their rounding unit.
 SECULAR_MAX_STEPS = 30
 FLOAT_EPS = float(np.finfo(float).eps)
 FLOAT_TINY = float(np.nextafter(0.0, 1.0))  # the least subnormal
@@ -85,15 +83,16 @@ FLOAT_TINY = float(np.nextafter(0.0, 1.0))  # the least subnormal
 LEMMA_STACK_BYTES = 4 * 17 * 16**2 * 16
 
 # Secant pairs (s, y) each restart of the quasi-Newton ascent keeps, and the
-# share of the first-order gain an accepted step must reach (Armijo). With 8
-# pairs the ill-conditioned quantum d = 5 test case takes 187 iterations, with
-# 10 it takes 136, and 12 or 16 ran no faster on the benchmark searches.
+# share of the first-order gain an accepted step must reach (Armijo). On the
+# ill-conditioned quantum d = 5 test case the slowest restart takes 165
+# iterations with 8 pairs and 147 with 10 (138 with 12, 109 with 16); 12 or 16
+# pairs ran no faster on the benchmark searches when last timed.
 LBFGS_MEMORY = 10
 ARMIJO_FRACTION = 1e-4
 
 # Probe-vector bytes of one chunk of (cell, restart) rows in a batched search.
 # Each row also keeps 2 LBFGS_MEMORY secant vectors, which count against it:
-# a full chunk peaks at 63-67 times that (8-8.5 MiB at d = 2, 4, 8), and
+# a full chunk peaks at 59-62 times that (7.3-7.8 MiB at d = 2, 4, 8), and
 # twice as many rows ran at most 10% faster.
 SEARCH_BLOCK_BYTES = 1 << 17
 
@@ -171,11 +170,9 @@ def _top_root(poles: np.ndarray, u: np.ndarray, c: np.ndarray):
     ``F`` and lie below ``top``. So right of ``top``, ``G`` is increasing and
     concave, its tangent lies above it, and a Newton step from a point left
     of the root lands left of it again: ``tau`` rises monotonically and
-    quadratically onto the root. It starts left of the root, at the root of
-    ``w_top / tau + R / (tau + g) = 1 / c`` (``R`` the weight off the top
-    pole, ``g`` its weighted mean gap: by Jensen's inequality ``F`` is at
-    least the left side), or at ``c w_top``, the first Newton step off the
-    top pole (or the least subnormal), where that is larger. A row stops
+    quadratically onto the root. It starts at ``c w_top``, the first Newton
+    step off the top pole (or the least subnormal, where that underflows),
+    left of the root, as ``F >= w_top / tau = 1 / c`` there. A row stops
     once its residual is within rounding of zero, ``tau`` stops rising or
     its slope overflows (``c^2 w_top`` below about 1e-308), and after
     ``SECULAR_MAX_STEPS`` steps at most; a root cut short is a lower bound
@@ -186,15 +183,8 @@ def _top_root(poles: np.ndarray, u: np.ndarray, c: np.ndarray):
     weights = np.abs(u) ** 2
     weighted = weights > 0.0
     top = poles.max(axis=1, initial=-np.inf, where=weighted)
-    below = top[:, None] - poles
-    gaps = np.where(weighted, below, np.inf)  # an infinite gap carries no weight
-    # the start's model, w_top / tau + rest / (tau + mean) = 1 / c: tau^2 + 2 h tau = p
-    w_top, rest = np.vecdot(weights, gaps == 0.0), np.vecdot(weights, gaps > 0.0)
-    mean = np.vecdot(weights, below) / np.maximum(rest, FLOAT_TINY)  # 0 without rest
-    h, p = 0.5 * (mean - c * (w_top + rest)), c * w_top * mean
-    root = np.sqrt(h * h + p) + np.abs(h)
-    tau = np.where(h < 0.0, root, p / np.maximum(root, FLOAT_TINY))
-    tau = np.maximum(np.maximum(tau, c * w_top), FLOAT_TINY)
+    gaps = np.where(weighted, top[:, None] - poles, np.inf)  # an infinite gap carries no weight
+    tau = np.maximum(c * np.vecdot(weights, gaps == 0.0), FLOAT_TINY)
     active = np.ones(tau.shape, dtype=bool)
     with np.errstate(over="ignore"):  # a slope that overflows stops tau, still left of the root
         for _ in range(SECULAR_MAX_STEPS):
@@ -216,44 +206,33 @@ def _top_root(poles: np.ndarray, u: np.ndarray, c: np.ndarray):
     return top + tau, z / np.sqrt(np.vecdot(z, z).real)[:, None]
 
 
-def _see_saw_maps(env: EnvironmentState, c: np.ndarray, gamma: np.ndarray, mode: str):
-    """Batched top eigenvalues of ``omega(psi)``, their gradients and see-saw targets.
+def _mu_map(env: EnvironmentState, c: np.ndarray, gamma: np.ndarray, mode: str):
+    """Batched top eigenvalues of ``omega(psi)`` and their gradients on the unit sphere.
 
     Row ``i`` of the stack is a searched cell of :func:`search_cells`, with
-    ``c[i] = p1 eta`` and ``gamma[i] < 0``; every map takes each state's row.
+    ``c[i] = p1 eta`` and ``gamma[i] < 0``; the map takes each state's row.
     A probe is a d x k matrix ``X`` (signal rows, idler columns), ``k = d``
     in quantum mode and ``k = 1`` in conventional mode: a probe with a
-    one-dimensional idler, whose marginal is 1. Both maps work in the
+    one-dimensional idler, whose marginal is 1. The map works in the
     eigenframe of the absent state ``B`` (``omega = c psi psi^dagger + gamma
     B``), where ``omega`` is ``A + c u u^dagger`` with ``A <= 0`` diagonal
     and ``u`` the probe's coordinates on the products ``theta_i (x) v_k`` of
     the environment basis and the eigenvectors of the idler marginal
     ``rho_B = X^T X*``. So ``omega`` has at most its top eigenvalue ``mu``
     (:func:`_top_root`) above zero, and ``||omega||_1 = 2 max(mu, 0) - tr
-    omega`` (:func:`_trace_norms`). ``values`` returns ``mu``, the frame (the
-    unit top eigenvector ``z ~ (mu - A)^-1 u``, reshaped d x k, stacked over
-    ``v``, a ``(d + k) x k`` array per state) and the gradient of ``mu`` on
-    the unit sphere, built in the frame it has just solved by Hellmann-Feynman
-    (``d mu = z^dagger d omega z``): ``2 c (z^dagger psi) z + 2 gamma X N``,
-    with ``N = Z^dagger rho_E Z`` from the reshape ``Z`` of ``z``, less its
-    component along ``psi`` and ``i psi`` (all of the second term at ``k =
-    1``).
-
-    The target is a top eigenvector of the form ``phi -> tr(S omega(phi))``
-    with ``S = 2 z z^dagger - I``. As ``-I <= S <= I``, the form never
-    exceeds ``||omega(phi)||_1``, and it equals it at ``psi`` when ``mu >=
-    0``. It is ``c z z^dagger + gamma (I (x) M)`` plus a constant, with ``M
-    = Z^T diag(lambda) Z*`` in the frame: in the eigenbasis of ``M`` a
-    diagonal plus a rank-one term again, whose top eigenvector is a second
-    secular root (``z`` itself when ``k = 1``, where the poles are equal).
+    omega`` (:func:`_trace_norms`). The map returns ``mu`` and its gradient,
+    built in the frame it has just solved from the unit top eigenvector ``z
+    ~ (mu - A)^-1 u`` by Hellmann-Feynman (``d mu = z^dagger d omega z``):
+    ``2 c (z^dagger psi) z + 2 gamma X N``, with ``N = Z^dagger rho_E Z``
+    from the d x k reshape ``Z`` of ``z``, less its component along ``psi``
+    and ``i psi`` (all of the second term at ``k = 1``).
     """
     d = env.dim
     k = probe_dim(d, mode) // d  # the idler's dimension: 1 without one
     lam = env.spectrum
     basis = env.basis
 
-    def values(states: np.ndarray, rows: np.ndarray):
-        """Top eigenvalues, the frames their targets are built from, and their gradients."""
+    def mu_of(states: np.ndarray, rows: np.ndarray):
         n = len(states)
         x = states.reshape(n, d, k)
         m, v = np.linalg.eigh(np.swapaxes(x, 1, 2) @ x.conj())  # rho_B = X^T X*
@@ -267,20 +246,9 @@ def _see_saw_maps(env: EnvironmentState, c: np.ndarray, gamma: np.ndarray, mode:
         grad = (2.0 * c[rows] * overlap)[:, None, None] * z + 2.0 * gamma[rows, None, None] * u @ inner
         grad = (basis.T @ grad @ np.swapaxes(v, 1, 2)).reshape(n, -1)
         grad -= states * np.vecdot(states, grad)[:, None]
-        return mu, np.concatenate([z, v], axis=1), grad
+        return mu, grad
 
-    def targets(frames: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # the form c z z^dagger + gamma (I (x) M), M = Z^T diag(lambda) Z*: in
-        # the eigenbasis W of M, poles gamma nu_k on every environment row
-        # plus c z' z'^dagger
-        n = len(frames)
-        z, v = frames[:, :d], frames[:, d:]
-        nu, w = np.linalg.eigh(np.swapaxes(z, 1, 2) @ (lam[:, None] * z.conj()))
-        poles = np.broadcast_to((gamma[rows, None] * nu)[:, None], (n, d, k)).reshape(n, -1)
-        y = _top_root(poles, (z @ w.conj()).reshape(n, -1), c[rows])[1].reshape(n, d, k)
-        return (basis.T @ y @ np.swapaxes(v @ w, 1, 2)).reshape(n, -1)
-
-    return values, targets
+    return mu_of
 
 
 def _trace_norms(mu: np.ndarray, c: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -312,14 +280,14 @@ def _lbfgs_direction(grad: np.ndarray, pairs: np.ndarray, rho: np.ndarray,
 
 def _search(env, c, gamma, mode: str, starts) -> Iterator[OracleResult]:
     """The ascent of :func:`maximize_trace_norm` on rows ``(c[i], gamma[i])``, one per start."""
-    values_of, targets = _see_saw_maps(env, c, gamma, mode)
+    mu_of = _mu_map(env, c, gamma, mode)
     states = np.tile(starts, (len(c) // len(starts), 1))
     n, dim = states.shape
-    mu, frames, grads = values_of(states, np.arange(n))
+    mu, grads = mu_of(states, np.arange(n))
     iterations = np.zeros(n, dtype=int)
     active = np.ones(n, dtype=bool)
-    plain = np.ones(n, dtype=bool)  # the row's next move is a plain see-saw move
-    retry = np.zeros(n, dtype=bool)  # the row retries its quasi-Newton direction, shorter
+    plain = np.ones(n, dtype=bool)  # the row's next move is a plain gradient step
+    retry = np.zeros(n, dtype=bool)  # the row retries its direction, shorter
     directions = np.zeros_like(states)
     slopes = np.zeros(n)  # first-order gain of mu along each direction
     lengths = np.ones(n)
@@ -333,51 +301,46 @@ def _search(env, c, gamma, mode: str, starts) -> Iterator[OracleResult]:
             break
         iterations[idx] += 1
         fresh = idx[~retry[idx]]
+        directions[fresh], lengths[fresh] = grads[fresh], 1.0  # the plain move
         quasi = fresh[~plain[fresh]]
         if quasi.size:
             grad = grads[quasi]
             direction = _lbfgs_direction(grad, pairs[quasi], rho[quasi], scale[quasi])
-            slope = np.vecdot(grad.view(float), direction.view(float))
-            flat = quasi[~(slope > 0.0)]  # a model that does not ascend is forgotten
+            ascends = np.vecdot(grad.view(float), direction.view(float)) > 0.0
+            flat = quasi[~ascends]  # a model that does not ascend is forgotten
             rho[flat], plain[flat] = 0.0, True
-            directions[quasi], slopes[quasi] = direction, slope
-        see = fresh[plain[fresh]]
-        if see.size:
-            # the see-saw move: the target, phase-aligned to psi, at step length 1
-            psi = states[see]
-            target = targets(frames[see], see)
-            overlap = np.vecdot(target, psi)
-            directions[see] = target * np.exp(1j * np.angle(overlap))[:, None] - psi
-        lengths[fresh] = 1.0
+            directions[quasi[ascends]] = direction[ascends]
+        slopes[fresh] = np.vecdot(grads[fresh].view(float), directions[fresh].view(float))
 
         psi = states[idx]
         trial = psi + lengths[idx, None] * directions[idx]
         trial /= np.sqrt(np.vecdot(trial, trial).real)[:, None]
-        trial_mu, trial_frames, trial_grads = values_of(trial, idx)
+        trial_mu, trial_grads = mu_of(trial, idx)
         gain = trial_mu - mu[idx]
-        see, linear = plain[idx], lengths[idx] * slopes[idx]
-        # a quasi-Newton step is taken once it gains ARMIJO_FRACTION of its
-        # first-order gain; otherwise the next iteration retries it shorter,
-        # at the peak of the quadratic through mu, the slope and this trial
-        # (kept within [0.1, 0.5] of this length), unless its first-order
-        # gain would fall to SEARCH_CONVERGED_GAIN
-        won = np.where(see, gain > 0.0, gain >= ARMIJO_FRACTION * linear)
+        was_plain, linear = plain[idx], lengths[idx] * slopes[idx]
+        # a step is taken once it gains ARMIJO_FRACTION of its first-order
+        # gain; otherwise the next iteration retries it shorter, at the peak
+        # of the quadratic through mu, the slope and this trial (kept within
+        # [0.1, 0.5] of this length), unless its first-order gain would fall
+        # to SEARCH_CONVERGED_GAIN
+        won = gain >= ARMIJO_FRACTION * linear
         with np.errstate(divide="ignore", invalid="ignore"):
             lengths[idx] *= np.where(won, 1.0, np.clip(0.5 * linear / (linear - gain), 0.1, 0.5))
-        retry[idx] = again = ~won & ~see & (lengths[idx] * slopes[idx] > SEARCH_CONVERGED_GAIN)
-        # a restart has converged once a plain see-saw move gains no more mu (the
-        # trace norm is flat where mu < 0); a quasi-Newton step that stalls is followed by one
-        active[idx[see & (2.0 * gain <= SEARCH_CONVERGED_GAIN)]] = False
-        plain[idx] = ~see & ~again & (~won | (gain <= SEARCH_CONVERGED_GAIN))
+        retry[idx] = again = ~won & (lengths[idx] * slopes[idx] > SEARCH_CONVERGED_GAIN)
+        # a restart has converged once a plain move, not retried, fails or gains no
+        # more mu (the trace norm is flat where mu < 0); a quasi-Newton step that
+        # stalls is followed by one
+        active[idx[was_plain & ~again & (~won | (2.0 * gain <= SEARCH_CONVERGED_GAIN))]] = False
+        plain[idx] = np.where(again, was_plain, ~was_plain & (~won | (gain <= SEARCH_CONVERGED_GAIN)))
 
         go, new = idx[won], trial[won]
         if go.size == 0:
             continue
         new_grads, old_grads, psi = trial_grads[won], grads[go], psi[won]
-        mu[go], frames[go], states[go], grads[go] = trial_mu[won], trial_frames[won], new, new_grads
+        mu[go], states[go], grads[go] = trial_mu[won], new, new_grads
         # the new pair, P projecting onto the tangent space at the new state: s =
-        # -P(psi) (P(psi') = 0, so either move's step), y = P(grad) - grad'. Held
-        # pairs are not transported: the model only steers; Armijo and the see-saw decide
+        # -P(psi) (P(psi') = 0), y = P(grad) - grad'. Held pairs are not
+        # transported: the model only steers; the Armijo test and the plain move decide
         s = new * np.vecdot(new, psi)[:, None] - psi
         y = old_grads - new * np.vecdot(new, old_grads)[:, None] - new_grads
         sy, yy = np.vecdot(s.view(float), y.view(float)), np.vecdot(y.view(float), y.view(float))
@@ -436,34 +399,32 @@ def maximize_trace_norm(s: Scenario, mode: str, cfg: SearchConfig) -> OracleResu
     A batched Riemannian L-BFGS ascent over the restarts. Each restart climbs
     ``mu``, the top eigenvalue of ``omega(psi)``: the trace norm ``2 max(mu,
     0) - (p1 - p0)`` never falls when ``mu`` rises, and where ``mu < 0``
-    only ``mu`` still moves. Values, gradients and see-saw targets come from
-    the structured maps of :func:`_see_saw_maps`, which use ``omega``'s
-    definition and exact linear algebra only: top roots of secular
-    equations and d x d eigendecompositions, never the dense n x n ``omega``
-    and never a closed-form quantity. The gradient is projected onto the
-    tangent space of the unit sphere (and off the phase direction ``i
-    psi``), a step ``t p`` is retracted by normalizing ``psi + t p``, and the
-    last ``LBFGS_MEMORY`` secant pairs ``(s, y)`` steer it as written, each
-    projected at its own state and never transported. A step is taken once it gains
-    ``ARMIJO_FRACTION`` of its first-order gain (Armijo); a failed step is
-    retried shorter in the next iteration, so every accepted step raises
-    ``mu`` and every restart is monotone. A pair without curvature does not
-    enter the memory; the initial model grows instead, so the steps lengthen
-    where ``mu`` is convex along them.
+    only ``mu`` still moves. Values and gradients come from the structured
+    map of :func:`_mu_map`, which uses ``omega``'s definition and exact
+    linear algebra only: top roots of secular equations and d x d
+    eigendecompositions, never the dense n x n ``omega`` and never a
+    closed-form quantity. The gradient is projected onto the tangent space of
+    the unit sphere (and off the phase direction ``i psi``), a step ``t p``
+    is retracted by normalizing ``psi + t p``, and the last ``LBFGS_MEMORY``
+    secant pairs ``(s, y)`` steer it as written, each projected at its own
+    state and never transported. A pair without curvature does not enter the
+    memory; the initial model grows instead, so the steps lengthen where
+    ``mu`` is convex along them.
 
-    The plain see-saw move, which rests on ``||w||_1 = max tr(S w)`` over
-    ``-I <= S <= I``, takes ``psi'``, the top eigenvector of ``phi -> tr(S
-    omega(phi))`` with ``S = 2 z z^dagger - I``, ``z`` the top eigenvector
-    of ``omega(psi)``, phase-aligned to ``psi``. It is the first move of
-    every restart, the move where the quasi-Newton direction does not
-    ascend (its memory is then dropped), and the certificate: after a
-    quasi-Newton step that gains at most ``SEARCH_CONVERGED_GAIN`` (or one
-    that cannot be shortened further, as where ``mu`` is degenerate and the
-    Armijo test keeps failing), a restart has converged once a plain move
-    gains at most ``SEARCH_CONVERGED_GAIN / 2`` of ``mu`` (so at most
-    ``SEARCH_CONVERGED_GAIN`` of trace norm, flat where ``mu < 0``); otherwise it stops
-    after ``STEPS_PER_RESTART`` iterations (a budget stop). Each iteration
-    scores one trial state per restart, and ``evaluations`` counts every
+    The plain move is the gradient step at length 1. It is the first move of
+    every restart, and the move where the quasi-Newton direction does not
+    ascend (its memory is then dropped). Either move is taken once it gains
+    ``ARMIJO_FRACTION`` of its first-order gain (Armijo); a failed move is
+    retried shorter in the next iteration, while its first-order gain stays
+    above ``SEARCH_CONVERGED_GAIN``, so every accepted move raises ``mu`` and
+    every restart is monotone. The plain move is also the certificate: after
+    a quasi-Newton step that gains at most ``SEARCH_CONVERGED_GAIN`` (or one
+    that cannot be shortened further), a restart has converged once a plain
+    move gains at most ``SEARCH_CONVERGED_GAIN / 2`` of ``mu`` (so at most
+    ``SEARCH_CONVERGED_GAIN`` of trace norm, flat where ``mu < 0``) or fails
+    and cannot be shortened further; otherwise it stops after
+    ``STEPS_PER_RESTART`` iterations (a budget stop). Each iteration scores
+    one trial state per restart, and ``evaluations`` counts every
     trace norm computed, the starts included; a flat scenario
     (:func:`search_cells`) is not searched and computes none. ``stops``
     records why each restart stopped, ``"converged"`` or ``"budget"``.

@@ -24,7 +24,7 @@ LEMMA_MARGIN_TOL = 1e-10    # slack of the linearity and convexity margins
 MIXTURE_WEIGHT_TOL = 1e-12  # mixture weights at or below this drop out of the convexity check
 
 # Oracle search.
-SEARCH_CONVERGED_GAIN = 1e-13  # a restart stops once a plain see-saw move gains no more
+SEARCH_CONVERGED_GAIN = 1e-13  # a restart stops once a plain gradient step gains no more
 ORACLE_AGREEMENT_TOL = 1e-9    # |search perr - closed-form perr| the oracle suite accepts
 
 # Monte-Carlo suite.
