@@ -90,10 +90,9 @@ LEMMA_STACK_BYTES = 4 * 17 * 16**2 * 16
 LBFGS_MEMORY = 10
 ARMIJO_FRACTION = 1e-4
 
-# Probe-vector bytes of one chunk of (cell, restart) rows in a batched search.
-# Each row also keeps 2 LBFGS_MEMORY secant vectors, which count against it:
-# a full chunk peaks at 59-62 times that (7.3-7.8 MiB at d = 2, 4, 8), and
-# twice as many rows ran at most 10% faster.
+# Probe-vector bytes of one chunk of (cell, restart) rows in a batched search. Each
+# row's 2 LBFGS_MEMORY secant vectors count against it: a full chunk peaks at 58-63
+# times that (7.3-7.9 MiB at d = 2, 4, 8); twice as many rows ran at most 10% faster.
 SEARCH_BLOCK_BYTES = 1 << 17
 
 MAX_TRIALS = 2**63 - 1  # most trials of a simulation: numpy's binomial takes an int64 count
@@ -206,49 +205,39 @@ def _top_root(poles: np.ndarray, u: np.ndarray, c: np.ndarray):
     return top + tau, z / np.sqrt(np.vecdot(z, z).real)[:, None]
 
 
-def _mu_map(env: EnvironmentState, c: np.ndarray, gamma: np.ndarray, mode: str):
-    """Batched top eigenvalues of ``omega(psi)`` and their gradients on the unit sphere.
+def _mu_map(lam: np.ndarray, c: np.ndarray, gamma: np.ndarray, states: np.ndarray):
+    """Top eigenvalues of ``omega(psi)`` and their gradients on the unit sphere, row by row.
 
-    Row ``i`` of the stack is a searched cell of :func:`search_cells`, with
-    ``c[i] = p1 eta`` and ``gamma[i] < 0``; the map takes each state's row.
-    A probe is a d x k matrix ``X`` (signal rows, idler columns), ``k = d``
-    in quantum mode and ``k = 1`` in conventional mode: a probe with a
-    one-dimensional idler, whose marginal is 1. The map works in the
-    eigenframe of the absent state ``B`` (``omega = c psi psi^dagger + gamma
-    B``), where ``omega`` is ``A + c u u^dagger`` with ``A <= 0`` diagonal
-    and ``u`` the probe's coordinates on the products ``theta_i (x) v_k`` of
-    the environment basis and the eigenvectors of the idler marginal
-    ``rho_B = X^T X*``. So ``omega`` has at most its top eigenvalue ``mu``
-    (:func:`_top_root`) above zero, and ``||omega||_1 = 2 max(mu, 0) - tr
-    omega`` (:func:`_trace_norms`). The map returns ``mu`` and its gradient,
-    built in the frame it has just solved from the unit top eigenvector ``z
-    ~ (mu - A)^-1 u`` by Hellmann-Feynman (``d mu = z^dagger d omega z``):
-    ``2 c (z^dagger psi) z + 2 gamma X N``, with ``N = Z^dagger rho_E Z``
-    from the d x k reshape ``Z`` of ``z``, less its component along ``psi``
-    and ``i psi`` (all of the second term at ``k = 1``).
+    Row ``i`` is a searched cell of :func:`search_cells`, ``c[i] = p1 eta``
+    and ``gamma[i] < 0``, with its probe in its environment's eigenframe,
+    where ``rho_E = diag(lam[i])``: a d x k matrix ``X`` (signal rows, idler
+    columns; conventional mode is ``k = 1``, an idler whose marginal is 1).
+    In the eigenframe of the absent state ``B`` (``omega = c psi psi^dagger +
+    gamma B``), the products of the environment's eigenvectors and those of
+    the idler marginal ``rho_B = X^T X*``, ``omega`` is ``A + c u u^dagger``,
+    ``A <= 0`` diagonal and ``u`` the probe, so it has at most its top
+    eigenvalue ``mu`` (:func:`_top_root`) above zero, and ``||omega||_1 = 2
+    max(mu, 0) - tr omega`` (:func:`_trace_norms`). The gradient of ``mu`` in
+    the coordinates of ``X`` follows from the unit top eigenvector ``z ~ (mu
+    - A)^-1 u`` by Hellmann-Feynman (``d mu = z^dagger d omega z``): ``2 c
+    (z^dagger psi) z + 2 gamma X N``, ``N = Z^dagger diag(lam) Z`` with ``Z``
+    the d x k reshape of ``z``, less its component along ``psi`` and ``i
+    psi`` (all of the second term at ``k = 1``).
     """
-    d = env.dim
-    k = probe_dim(d, mode) // d  # the idler's dimension: 1 without one
-    lam = env.spectrum
-    basis = env.basis
-
-    def mu_of(states: np.ndarray, rows: np.ndarray):
-        n = len(states)
-        x = states.reshape(n, d, k)
-        m, v = np.linalg.eigh(np.swapaxes(x, 1, 2) @ x.conj())  # rho_B = X^T X*
-        u = basis.conj() @ x @ v.conj()
-        poles = gamma[rows, None, None] * lam[:, None] * np.maximum(m, 0.0)[:, None, :]
-        mu, z = _top_root(poles.reshape(n, -1), u.reshape(n, -1), c[rows])
-        # in the frame, psi is u, N = v* (z^dagger diag(lambda) z) v^T and X v* = u
-        z = z.reshape(n, d, k)
-        inner = np.swapaxes(z.conj(), 1, 2) @ (lam[:, None] * z)
-        overlap = np.vecdot(z.reshape(n, -1), u.reshape(n, -1))
-        grad = (2.0 * c[rows] * overlap)[:, None, None] * z + 2.0 * gamma[rows, None, None] * u @ inner
-        grad = (basis.T @ grad @ np.swapaxes(v, 1, 2)).reshape(n, -1)
-        grad -= states * np.vecdot(states, grad)[:, None]
-        return mu, grad
-
-    return mu_of
+    n, d = lam.shape
+    x = states.reshape(n, d, -1)
+    m, v = np.linalg.eigh(np.swapaxes(x, 1, 2) @ x.conj())  # rho_B = X^T X*
+    u = x @ v.conj()
+    poles = gamma[:, None, None] * lam[:, :, None] * np.maximum(m, 0.0)[:, None, :]
+    mu, z = _top_root(poles.reshape(n, -1), u.reshape(n, -1), c)
+    # in the frame, psi is u, N = v* (z^dagger diag(lambda) z) v^T and X v* = u
+    z = z.reshape(x.shape)
+    inner = np.swapaxes(z.conj(), 1, 2) @ (lam[:, :, None] * z)
+    overlap = np.vecdot(z.reshape(n, -1), u.reshape(n, -1))
+    grad = (2.0 * c * overlap)[:, None, None] * z + 2.0 * gamma[:, None, None] * u @ inner
+    grad = (grad @ np.swapaxes(v, 1, 2)).reshape(n, -1)
+    grad -= states * np.vecdot(states, grad)[:, None]
+    return mu, grad
 
 
 def _trace_norms(mu: np.ndarray, c: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -278,12 +267,10 @@ def _lbfgs_direction(grad: np.ndarray, pairs: np.ndarray, rho: np.ndarray,
     return q.view(complex)
 
 
-def _search(env, c, gamma, mode: str, starts) -> Iterator[OracleResult]:
-    """The ascent of :func:`maximize_trace_norm` on rows ``(c[i], gamma[i])``, one per start."""
-    mu_of = _mu_map(env, c, gamma, mode)
-    states = np.tile(starts, (len(c) // len(starts), 1))
+def _search(lam, c, gamma, states) -> Iterator[OracleResult]:
+    """The ascent of :func:`maximize_trace_norm` from ``states``: a result per ``RESTARTS`` rows."""
     n, dim = states.shape
-    mu, grads = mu_of(states, np.arange(n))
+    mu, grads = _mu_map(lam, c, gamma, states)
     iterations = np.zeros(n, dtype=int)
     active = np.ones(n, dtype=bool)
     plain = np.ones(n, dtype=bool)  # the row's next move is a plain gradient step
@@ -315,7 +302,7 @@ def _search(env, c, gamma, mode: str, starts) -> Iterator[OracleResult]:
         psi = states[idx]
         trial = psi + lengths[idx, None] * directions[idx]
         trial /= np.sqrt(np.vecdot(trial, trial).real)[:, None]
-        trial_mu, trial_grads = mu_of(trial, idx)
+        trial_mu, trial_grads = _mu_map(lam[idx], c[idx], gamma[idx], trial)
         gain = trial_mu - mu[idx]
         was_plain, linear = plain[idx], lengths[idx] * slopes[idx]
         # a step is taken once it gains ARMIJO_FRACTION of its first-order
@@ -355,39 +342,51 @@ def _search(env, c, gamma, mode: str, starts) -> Iterator[OracleResult]:
 
     values = _trace_norms(mu, c, gamma)
     grad_norms = np.sqrt(np.vecdot(grads, grads).real)
-    for first in range(0, n, len(starts)):
-        rows = slice(first, first + len(starts))
+    for first in range(0, n, RESTARTS):
+        rows = slice(first, first + RESTARTS)
         best = first + int(np.argmax(values[rows]))  # ties: the lowest restart
         value = float(values[best])
         yield OracleResult(value, states[best].copy(), (1.0 - value) / 2.0,
-                           len(starts) + int(iterations[rows].sum()), iterations[rows].tolist(),
+                           RESTARTS + int(iterations[rows].sum()), iterations[rows].tolist(),
                            ["budget" if a else "converged" for a in active[rows].tolist()],
                            grad_norms[rows].tolist())
 
 
-def search_cells(env: EnvironmentState, p0, eta, mode: str, cfg: SearchConfig) -> list[OracleResult]:
-    """:func:`maximize_trace_norm` on each scenario ``(p0[i], eta[i], env)``, bit for bit.
+def search_cells(envs, p0, eta, mode: str, cfg: SearchConfig) -> list[OracleResult]:
+    """:func:`maximize_trace_norm` on each scenario ``(p0[i], eta[i], envs[i])``, bit for bit.
 
-    The ``RESTARTS`` Haar starts are one draw from ``default_rng(cfg.seed)``,
+    ``envs`` is one environment, or one per cell, of one dimension. The
+    ``RESTARTS`` Haar starts are one draw from ``default_rng(cfg.seed)``,
     made whether or not a cell is searched. A flat cell (``gamma >= 0``, or
     ``p1 eta`` below ``gamma``'s rounding) is not searched: every probe gives
     ``|p1 eta + gamma|``, and its result holds restart 0's start, no
-    evaluation and no iteration, and each restart counts as converged. One
-    search runs over the other cells' (cell, restart) rows, in chunks of
-    whole cells whose probe vectors fit ``SEARCH_BLOCK_BYTES``.
+    evaluation and no iteration, and each restart counts as converged. The
+    other cells' (cell, restart) rows run as one search, in chunks of whole
+    cells whose probe vectors fit ``SEARCH_BLOCK_BYTES``, each cell in its
+    environment's eigenframe (:func:`_mu_map`): its starts ``X`` (d x k) go
+    in once, as ``basis^* X``, and its best state comes out once, ``basis^T X``.
     """
-    if require_mode(mode) == QUANTUM and env.dim > MAX_QUANTUM_SEARCH_DIM:
-        raise ValueError(f"quantum search supports environment dimension <= "
-                         f"{MAX_QUANTUM_SEARCH_DIM}, got {env.dim}")
     cells = ScenarioStack(np.asarray(p0, float), np.asarray(eta, float), None)  # p1, gamma: no env
+    envs = np.broadcast_to(np.array(envs, dtype=object), cells.p0.shape)
+    (d,) = {env.dim for env in envs.flat}  # a ValueError unless the cells share one
+    if require_mode(mode) == QUANTUM and d > MAX_QUANTUM_SEARCH_DIM:
+        raise ValueError(f"quantum search supports environment dimension <= "
+                         f"{MAX_QUANTUM_SEARCH_DIM}, got {d}")
     c, gamma = cells.p1 * cells.eta, cells.gamma
     flat = (gamma >= 0.0) | (c <= FLOAT_EPS * -gamma)  # omega >= 0, or c u u^dagger rounds away
-    rng = np.random.default_rng(cfg.seed)
-    starts = haar_random_state(probe_dim(env.dim, mode), rng, (RESTARTS,))
-    rows = np.repeat(np.flatnonzero(~flat), len(starts))
-    block = max(1, SEARCH_BLOCK_BYTES // starts.nbytes) * len(starts)  # rows of whole cells
-    found = (result for i in range(0, rows.size, block) for result in
-             _search(env, c[rows[i:i + block]], gamma[rows[i:i + block]], mode, starts))
+    starts = haar_random_state(probe_dim(d, mode), np.random.default_rng(cfg.seed), (RESTARTS,))
+    searched, found = np.flatnonzero(~flat), []
+    per_chunk = max(1, SEARCH_BLOCK_BYTES // starts.nbytes)  # whole cells
+    for i in range(0, searched.size, per_chunk):
+        chunk = searched[i:i + per_chunk]
+        bases = np.stack([env.basis for env in envs[chunk]])
+        lam = np.repeat(np.stack([env.spectrum for env in envs[chunk]]), RESTARTS, axis=0)
+        frame = (bases[:, None].conj() @ starts.reshape(RESTARTS, d, -1)).reshape(len(lam), -1)
+        rows = np.repeat(chunk, RESTARTS)
+        for basis, result in zip(bases, _search(lam, c[rows], gamma[rows], frame)):
+            result.best_state = (basis.T @ result.best_state.reshape(d, -1)).ravel()
+            found.append(result)
+    found = iter(found)
     return [OracleResult(v, starts[0].copy(), (1.0 - v) / 2.0, 0, [0] * RESTARTS,
                          ["converged"] * RESTARTS, [0.0] * RESTARTS)
             if f else next(found) for f, v in zip(flat, np.abs(c + gamma).tolist())]
@@ -752,11 +751,17 @@ def run_oracle_suite(seed: int = 0) -> dict:
     ``SearchConfig.tolerance``, 1e-9 (two-sided: the search must neither
     beat the claimed optimum nor fall short of reaching it). Each check also
     reports ``budget_stops``, the restarts that ended on the iteration cap.
+    The cases of one mode and environment dimension run as one search.
     """
     cfg = SearchConfig(seed=seed)
+    cases, results = bundled_scenarios(), {}
+    for mode, d in dict.fromkeys((case.mode, case.scenario.env.dim) for case in cases):
+        group = [case for case in cases if (case.mode, case.scenario.env.dim) == (mode, d)]
+        envs, p0, eta = zip(*((c.scenario.env, c.scenario.p0, c.scenario.eta) for c in group))
+        results.update(zip(group, search_cells(envs, p0, eta, mode, cfg)))
     checks = []
-    for case in bundled_scenarios():
-        result = maximize_trace_norm(case.scenario, case.mode, cfg)
+    for case in cases:
+        result = results[case]
         diff = abs(result.perr - case.analytic_perr())
         margin = cfg.tolerance - diff
         checks.append(

@@ -51,6 +51,9 @@ from illume.model import ScenarioStack
 from illume.tolerances import ORACLE_AGREEMENT_TOL
 
 SKEW3 = [0.5, 0.3, 0.2]
+# SKEW3 in the computational basis and in a seeded random complex one
+SKEW3_ENVS = [EnvironmentState(SKEW3),
+              EnvironmentState(SKEW3, random_unitary(np.random.default_rng(12), 3).T)]
 # 2x2 matrices that are not density matrices, with the error each must raise
 NOT_DENSITY = [
     ([[0.5, 9.0], [0.0, 0.5]], "Hermitian"),
@@ -66,18 +69,34 @@ def cheap(search_budget):
     return SearchConfig(seed=3)
 
 
-def _scenario_map(s: Scenario, mode: str):
-    """The search map of one scenario: a one-row stack, with every state on row 0.
+def _scenario_mu(s: Scenario, mode: str):
+    """The search map of one scenario, on states of its mode in the computational basis.
 
-    It gives the trace norms ``2 max(mu, 0) - (c + gamma)`` of the top
-    eigenvalues ``mu`` and the gradients of ``mu``.
+    Every state is a row of the scenario: it goes into the environment's
+    eigenframe (``basis^* X`` of its d x k matrix ``X``), and its gradient
+    comes back (``basis^T``). It gives the top eigenvalues ``mu`` and the
+    gradients of ``mu``.
     """
-    c, gamma = np.array([s.p1 * s.eta]), np.array([s.gamma])
-    mu_of = oracle_mod._mu_map(s.env, c, gamma, mode)
+    basis, d = s.env.basis, s.env.dim
+    k = 1 if mode == CONVENTIONAL else d
+
+    def mapped(states):
+        n = len(states)
+        frame = (basis.conj() @ states.reshape(n, d, k)).reshape(n, -1)
+        mu, grads = oracle_mod._mu_map(np.tile(s.env.spectrum, (n, 1)), np.full(n, s.p1 * s.eta),
+                                       np.full(n, s.gamma), frame)
+        return mu, (basis.T @ grads.reshape(n, d, k)).reshape(n, -1)
+
+    return mapped
+
+
+def _scenario_map(s: Scenario, mode: str):
+    """:func:`_scenario_mu` giving the trace norms ``2 max(mu, 0) - (c + gamma)`` for ``mu``."""
+    mapped = _scenario_mu(s, mode)
 
     def norms(states):
-        mu, grads = mu_of(states, np.zeros(len(states), dtype=int))
-        return oracle_mod._trace_norms(mu, c, gamma), grads
+        mu, grads = mapped(states)
+        return oracle_mod._trace_norms(mu, s.p1 * s.eta, s.gamma), grads
 
     return norms
 
@@ -169,18 +188,25 @@ class TestMaximizeTraceNorm:
             assert abs(result.best_value - norm) <= 1e-12
 
     def test_conventional_search_finds_optimum(self):
-        s = Scenario(0.5, 0.6, EnvironmentState(SKEW3))
-        result = maximize_trace_norm(s, CONVENTIONAL, SearchConfig(seed=7))
-        assert abs(result.perr - 0.26) <= 1e-6
-        overlap = abs(np.vdot(s.env.eigenvector(2), result.best_state)) ** 2
-        assert overlap >= 1.0 - 1e-4
+        # in the computational basis and in a random complex one: the search
+        # climbs in the environment's eigenframe, and its best state comes
+        # back to the basis where the dense error and theta_min see it
+        for env in SKEW3_ENVS:
+            s = Scenario(0.5, 0.6, env)
+            result = maximize_trace_norm(s, CONVENTIONAL, SearchConfig(seed=7))
+            assert abs(result.perr - 0.26) <= 1e-6
+            assert abs(perr_of_state(s, result.best_state, CONVENTIONAL) - result.perr) <= 1e-12
+            overlap = abs(np.vdot(s.env.eigenvector(2), result.best_state)) ** 2
+            assert overlap >= 1.0 - 1e-4
 
     def test_quantum_search_matches_formula(self):
-        s = Scenario(0.5, 0.6, EnvironmentState(SKEW3))
-        result = maximize_trace_norm(s, QUANTUM, SearchConfig(seed=7))
-        target = perr_quantum(s)
-        assert abs(result.perr - target) <= 1e-6
-        assert result.perr >= target - 1e-6  # search never beats the claimed optimum
+        for env in SKEW3_ENVS:
+            s = Scenario(0.5, 0.6, env)
+            result = maximize_trace_norm(s, QUANTUM, SearchConfig(seed=7))
+            target = perr_quantum(s)
+            assert abs(result.perr - target) <= 1e-6
+            assert result.perr >= target - 1e-6  # search never beats the claimed optimum
+            assert abs(perr_of_state(s, result.best_state, QUANTUM) - result.perr) <= 1e-12
 
     def test_result_internal_consistency(self, cheap):
         s = Scenario(0.5, 0.4, EnvironmentState([0.5, 0.5]))
@@ -346,10 +372,9 @@ class TestSeeSawSearch:
             base = random_scenario(rng, d, gamma_negative=True)
             env = EnvironmentState(base.env.spectrum, random_unitary(rng, d).T)
             s = Scenario(base.p0, base.eta, env)
-            c, gamma = np.array([s.p1 * s.eta]), np.array([s.gamma])
-            mu_of = oracle_mod._mu_map(env, c, gamma, mode)
+            c, gamma = s.p1 * s.eta, s.gamma
             psi = haar_random_state(d if mode == CONVENTIONAL else d * d, rng)
-            mu, grads = mu_of(psi[None], np.zeros(1, dtype=int))
+            mu, grads = _scenario_mu(s, mode)(psi[None])
             if mu[0] < 1e-3:
                 continue  # mu <= 0 is not seen by the trace norm
             grad = grads[0]
@@ -357,7 +382,7 @@ class TestSeeSawSearch:
 
             def mu_of(phi):
                 phi = phi / np.linalg.norm(phi)
-                return (1.0 - 2.0 * perr_of_state(s, phi, mode) + c[0] + gamma[0]) / 2.0
+                return (1.0 - 2.0 * perr_of_state(s, phi, mode) + c + gamma) / 2.0
 
             tangents = [xi - psi * np.vdot(psi, xi)
                         for xi in haar_random_state(psi.size, rng, (3,))]
@@ -411,19 +436,14 @@ class TestSeeSawSearch:
                 return fn(*args)
             return spy
 
-        def mapped(*args):
-            mu_of = mu_map(*args)
-
-            def scored(*args):
-                mu, grads = mu_of(*args)
-                calls["gradients"] += 1
-                rows["gradients"] += len(grads)
-                return mu, grads
-
-            return counted("values", scored)
+        def scored(*args):
+            mu, grads = mu_map(*args)
+            calls["gradients"] += 1
+            rows["gradients"] += len(grads)
+            return mu, grads
 
         monkeypatch.setattr(oracle_mod, "_top_root", counted("roots", top_root))
-        monkeypatch.setattr(oracle_mod, "_mu_map", mapped)
+        monkeypatch.setattr(oracle_mod, "_mu_map", counted("values", scored))
         s = Scenario(0.5, 0.6, EnvironmentState(SKEW3))
         assert classify(s)[1] == REGION_III
         search_budget(4)
@@ -480,12 +500,13 @@ class TestSeeSawSearch:
     def test_batched_cells_equal_their_own_searches(self, monkeypatch, search_budget, mode, d):
         # cells of a batched search, chunked two at a time, against a search
         # of each scenario alone; the flat cells 0 and 3 (gamma >= 0) join no
-        # chunk, so the three others make a chunk of two and one of one
+        # chunk, so the three others make a chunk of two and one of one. The
+        # cells lie in one environment, then cells 2 and 3 in a second one, of
+        # another spectrum and a random complex basis: the chunk of two spans both
         env = EnvironmentState([0.6, 0.4] if d == 2 else SKEW3)
+        other = EnvironmentState([0.7, 0.3] if d == 2 else [0.6, 0.3, 0.1],
+                                 random_unitary(np.random.default_rng(d), d).T)
         p0, eta = [0.3, 0.5, 0.45, 0.2, 0.6], [0.5, 0.7, 0.9, 0.1, 0.95]
-        cells = [Scenario(a, b, env) for a, b in zip(p0, eta)]
-        assert [s.gamma >= 0.0 for s in cells] == [True, False, False, True, False]
-        assert classify(cells[1]) == (REGION_III, REGION_III)
         search_budget(3)
         cfg = SearchConfig(seed=5)
         dim = d if mode == CONVENTIONAL else d * d
@@ -493,23 +514,41 @@ class TestSeeSawSearch:
         chunks = collections.Counter()
         search = oracle_mod._search
 
-        def spy(env, c, *args):
+        def spy(lam, c, *args):
             chunks[c.size // 3] += 1
-            return search(env, c, *args)
+            return search(lam, c, *args)
 
         monkeypatch.setattr(oracle_mod, "_search", spy)
-        batched = oracle_mod.search_cells(env, p0, eta, mode, cfg)
-        assert chunks == {2: 1, 1: 1}
-        for s, got in zip(cells, batched):
-            alone = maximize_trace_norm(s, mode, cfg)
-            assert got.best_state.tobytes() == alone.best_state.tobytes()
-            assert (got.best_value, got.perr, got.evaluations, got.iterations, got.budget_stops) == (
-                alone.best_value, alone.perr, alone.evaluations, alone.iterations,
-                alone.budget_stops)
+        for envs in ([env] * 5, [env, env, other, other, env]):
+            cells = [Scenario(a, b, e) for a, b, e in zip(p0, eta, envs)]
+            assert [s.gamma >= 0.0 for s in cells] == [True, False, False, True, False]
+            assert classify(cells[1]) == (REGION_III, REGION_III)
+            chunks.clear()
+            batched = oracle_mod.search_cells(envs, p0, eta, mode, cfg)
+            assert chunks == {2: 1, 1: 1}
+            for s, got in zip(cells, batched):
+                alone = maximize_trace_norm(s, mode, cfg)
+                assert got.best_state.tobytes() == alone.best_state.tobytes()
+                assert (got.best_value, got.perr, got.evaluations, got.iterations,
+                        got.budget_stops) == (alone.best_value, alone.perr, alone.evaluations,
+                                              alone.iterations, alone.budget_stops)
         chunks.clear()
         flat = oracle_mod.search_cells(env, [0.3, 0.6, 0.4], [0.5, 0.0, 1e-200], mode, cfg)
         assert not chunks
         assert [r.evaluations for r in flat] == [0, 0, 0]
+
+    @pytest.mark.parametrize("mode", [CONVENTIONAL, QUANTUM])
+    def test_unmoved_search_returns_its_best_start(self, search_budget, mode):
+        # with no iteration every restart stays at its start, drawn in the
+        # computational basis: the best state is one of the draws whatever
+        # the environment's basis, and it scores the reported error
+        search_budget(4, 0)
+        s = Scenario(0.5, 0.6, SKEW3_ENVS[1])
+        result = maximize_trace_norm(s, mode, SearchConfig(seed=4))
+        assert result.stops == ["budget"] * 4
+        starts = haar_random_state(3 if mode == CONVENTIONAL else 9, np.random.default_rng(4), (4,))
+        assert min(np.abs(start - result.best_state).max() for start in starts) <= 1e-15
+        assert abs(perr_of_state(s, result.best_state, mode) - result.perr) <= 1e-12
 
     @pytest.mark.parametrize("field, value", [
         ("restarts", 2.5), ("restarts", True), ("restarts", "4"),
@@ -1407,21 +1446,32 @@ class TestSuites:
 
     def test_oracle_suite_reports_budget_stops(self, oracle_suite_7, monkeypatch):
         assert [c["budget_stops"] for c in oracle_suite_7["checks"]] == [0] * 20
-        # each check copies its search's budget_stops; every search gets the
-        # default config at the suite's seed
-        stops = []
+        # the cases run as one search per (mode, d), each with the default
+        # config at the suite's seed, and each check copies its own cell's
+        # budget_stops: cell (p0, eta) of each search gets round(10 p0 + 7 eta) % 3
+        searches = []
 
-        def search(s, mode, cfg):
+        def search(envs, p0, eta, mode, cfg):
             assert cfg == SearchConfig(seed=3)
-            stops.append(len(stops) % 3)
-            reasons = ["budget"] * stops[-1] + ["converged"] * (2 - stops[-1])
-            return oracle_mod.OracleResult(best_value=0.0, best_state=np.ones(1), perr=0.5,
-                                           evaluations=1, iterations=[1, 1], stops=reasons,
-                                           grad_norms=[0.0, 0.0])
+            (d,) = {env.dim for env in envs}
+            searches.append((mode, d))
+            results = []
+            for a, b in zip(p0, eta):
+                n = round(10.0 * a + 7.0 * b) % 3
+                results.append(oracle_mod.OracleResult(
+                    best_value=0.0, best_state=np.ones(1), perr=0.5, evaluations=1,
+                    iterations=[1, 1], stops=["budget"] * n + ["converged"] * (2 - n),
+                    grad_norms=[0.0, 0.0]))
+            return results
 
-        monkeypatch.setattr(oracle_mod, "maximize_trace_norm", search)
-        assert [c["budget_stops"] for c in run_oracle_suite(seed=3)["checks"]] == stops
-        assert len(stops) == 20
+        monkeypatch.setattr(oracle_mod, "search_cells", search)
+        checks = run_oracle_suite(seed=3)["checks"]
+        assert sorted(searches) == [(CONVENTIONAL, 2), (CONVENTIONAL, 3), (CONVENTIONAL, 4),
+                                    (QUANTUM, 2), (QUANTUM, 3)]
+        expected = [round(10.0 * case.scenario.p0 + 7.0 * case.scenario.eta) % 3
+                    for case in bundled_scenarios()]
+        assert [c["budget_stops"] for c in checks] == expected
+        assert len(set(expected)) == 3
 
     def test_montecarlo_suite_clean(self):
         result = run_montecarlo_suite(seed=11, trials=20_000)
