@@ -49,18 +49,18 @@ def eta_guess_absent(p0: float, p1: float, lam: float) -> float:
     return ratio * lam / (1.0 - lam)
 
 
-def _solve_mode(s: Scenario, star: float, absent: float, lam: float) -> tuple[str, float]:
-    # Region and minimal error in one mode: the scalar form of _grid_mode, line
-    # for line. Boundary equalities (within BOUNDARY_TOL in eta) are labeled III;
+def _solve_mode(p0: float, p1: float, eta: float, gamma: float, present: bool, absent: float,
+                lam: float) -> tuple[str, float]:
+    # Region and minimal error in one mode, given the region-I test `present`
+    # that both share: the scalar form of solve_grid's per-mode step, line for
+    # line. Boundary equalities (within BOUNDARY_TOL in eta) are labeled III;
     # the region-III formula is continuous there, so the reported error agrees.
     # p0 = 1 needs no case of its own: p1 = 0 puts the absent boundary at inf.
-    if s.p0 <= 0.0:
-        return REGION_I, s.p0
-    if s.p0 < s.p1 and s.eta < star - BOUNDARY_TOL:
-        return REGION_I, s.p0
-    if s.p0 > s.p1 and s.eta < absent - BOUNDARY_TOL:
-        return REGION_II, s.p1
-    return REGION_III, s.p0 + s.gamma * (1.0 - lam)
+    if present:
+        return REGION_I, p0
+    if p0 > p1 and eta < absent - BOUNDARY_TOL:
+        return REGION_II, p1
+    return REGION_III, p0 + gamma * (1.0 - lam)
 
 
 def classify(s: Scenario) -> tuple[str, str]:
@@ -114,20 +114,15 @@ def _absent_boundary(ratio: np.ndarray, p1: np.ndarray, lam: float) -> np.ndarra
     return np.where(p1 > 0.0, edge, np.inf)
 
 
-def _grid_mode(p0, p1, eta, star, absent, lam: float):
-    # Array form of _solve_mode; rows are p0, columns eta.
-    code = np.select(
-        [
-            p0 <= 0.0,
-            (p0 < p1) & (eta < star - BOUNDARY_TOL),
-            (p0 > p1) & (eta < absent - BOUNDARY_TOL),
-        ],
-        [0, 0, 1],
-        default=2,
-    ).astype(np.int8)
-    gamma = p1 * (1.0 - eta) - p0
-    perr = np.choose(code, [p0, p1, p0 + gamma * (1.0 - lam)])
-    return code, perr
+def _grid_mode(p0, p1, eta, gamma, present, above, absent, lam: float):
+    # Array form of _solve_mode; rows are p0, columns eta, `above` is p0 > p1 per
+    # row. The region-III formula fills every cell, and the guesses overwrite it.
+    guess_absent = eta < np.where(above, absent - BOUNDARY_TOL, -np.inf)[:, None]
+    perr = gamma * (1.0 - lam)
+    perr += p0
+    np.copyto(perr, p1, where=guess_absent)
+    np.copyto(perr, p0, where=present)
+    return np.where(present, np.int8(0), np.int8(2)) - guess_absent, perr
 
 
 def solve_grid(p0, eta, lambda_d: float, lambda_h: float) -> GridSolution:
@@ -149,13 +144,14 @@ def solve_grid(p0, eta, lambda_d: float, lambda_h: float) -> GridSolution:
         ratio = p0 / p1 - 1.0
         eta_c = _absent_boundary(ratio, p1, lambda_d)
         eta_q = _absent_boundary(ratio, p1, lambda_h)
-    rows = p0[:, None], p1[:, None], eta, star[:, None]
-    region_c, perr_c = _grid_mode(*rows, eta_c[:, None], lambda_d)
-    region_q, perr_q = _grid_mode(*rows, eta_q[:, None], lambda_h)
-    return GridSolution(
-        eta_star=star, eta_c=eta_c, eta_q=eta_q,
-        region_c=region_c, region_q=region_q, perr_c=perr_c, perr_q=perr_q,
-    )
+    # what both modes share: gamma and region I (p0 = 0, or p0 < p1 below eta*)
+    gamma = p1[:, None] * (1.0 - eta) - p0[:, None]
+    below = np.where(p0 < p1, star - BOUNDARY_TOL, -np.inf)  # region I's eta limit, if p0 > 0
+    present = eta < np.where(p0 <= 0.0, np.inf, below)[:, None]
+    shared = p0[:, None], p1[:, None], eta, gamma, present, p0 > p1
+    region_c, perr_c = _grid_mode(*shared, eta_c, lambda_d)
+    region_q, perr_q = _grid_mode(*shared, eta_q, lambda_h)
+    return GridSolution(star, eta_c, eta_q, region_c, region_q, perr_c, perr_q)
 
 
 def optimal_probe_conventional(s: Scenario) -> np.ndarray:
@@ -229,20 +225,13 @@ class DetectionReport:
 
 def report(s: Scenario) -> DetectionReport:
     """Classify, evaluate both minimal errors, boundaries and the Schmidt spectrum."""
-    star = eta_star(s.p0, s.p1)
+    p0, eta, p1, gamma = s.p0, s.eta, s.p1, s.gamma  # once for both modes
+    star = eta_star(p0, p1)
+    present = p0 <= 0.0 or (p0 < p1 and eta < star - BOUNDARY_TOL)
     lam_d, lam_h = s.env.lambda_min, s.env.lambda_harmonic
-    eta_c = eta_guess_absent(s.p0, s.p1, lam_d)
-    eta_q = eta_guess_absent(s.p0, s.p1, lam_h)
-    region_c, perr_c = _solve_mode(s, star, eta_c, lam_d)
-    region_q, perr_q = _solve_mode(s, star, eta_q, lam_h)
-    return DetectionReport(
-        region_c=region_c,
-        region_q=region_q,
-        perr_c=perr_c,
-        perr_q=perr_q,
-        advantage=perr_c - perr_q,
-        eta_star=star,
-        eta_c=eta_c,
-        eta_q=eta_q,
-        mu_sq=schmidt_squares(s.env),
-    )
+    eta_c = eta_guess_absent(p0, p1, lam_d)
+    eta_q = eta_guess_absent(p0, p1, lam_h)
+    region_c, perr_c = _solve_mode(p0, p1, eta, gamma, present, eta_c, lam_d)
+    region_q, perr_q = _solve_mode(p0, p1, eta, gamma, present, eta_q, lam_h)
+    return DetectionReport(region_c, region_q, perr_c, perr_q, perr_c - perr_q, star, eta_c, eta_q,
+                           schmidt_squares(s.env))

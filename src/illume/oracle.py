@@ -123,6 +123,7 @@ class OracleResult:
     iterations: list[int]  # iterations run by each restart
     stops: list[str]  # why each restart stopped: "converged", or "budget" on the iteration cap
     grad_norms: list[float]  # each restart's final Riemannian gradient norm of mu
+    gains: list[float]  # the gain of mu of each restart's last move, NaN if it made none
 
     @property
     def budget_stops(self) -> int:
@@ -281,6 +282,7 @@ def _search(lam, c, gamma, states) -> Iterator[OracleResult]:
     pairs = np.zeros((n, LBFGS_MEMORY, 2, dim), dtype=complex)  # secant pairs, oldest first
     rho = np.zeros((n, LBFGS_MEMORY))
     scale = np.ones(n)  # the initial inverse-Hessian model, a multiple of the identity
+    gains = np.full(n, np.nan)  # each row's gain of mu at its last move
 
     for _ in range(STEPS_PER_RESTART):
         idx = np.flatnonzero(active)
@@ -303,7 +305,7 @@ def _search(lam, c, gamma, states) -> Iterator[OracleResult]:
         trial = psi + lengths[idx, None] * directions[idx]
         trial /= np.sqrt(np.vecdot(trial, trial).real)[:, None]
         trial_mu, trial_grads = _mu_map(lam[idx], c[idx], gamma[idx], trial)
-        gain = trial_mu - mu[idx]
+        gains[idx] = gain = trial_mu - mu[idx]
         was_plain, linear = plain[idx], lengths[idx] * slopes[idx]
         # a step is taken once it gains ARMIJO_FRACTION of its first-order
         # gain; otherwise the next iteration retries it shorter, at the peak
@@ -349,7 +351,7 @@ def _search(lam, c, gamma, states) -> Iterator[OracleResult]:
         yield OracleResult(value, states[best].copy(), (1.0 - value) / 2.0,
                            RESTARTS + int(iterations[rows].sum()), iterations[rows].tolist(),
                            ["budget" if a else "converged" for a in active[rows].tolist()],
-                           grad_norms[rows].tolist())
+                           grad_norms[rows].tolist(), gains[rows].tolist())
 
 
 def search_cells(envs, p0, eta, mode: str, cfg: SearchConfig) -> list[OracleResult]:
@@ -388,7 +390,7 @@ def search_cells(envs, p0, eta, mode: str, cfg: SearchConfig) -> list[OracleResu
             found.append(result)
     found = iter(found)
     return [OracleResult(v, starts[0].copy(), (1.0 - v) / 2.0, 0, [0] * RESTARTS,
-                         ["converged"] * RESTARTS, [0.0] * RESTARTS)
+                         ["converged"] * RESTARTS, [0.0] * RESTARTS, [np.nan] * RESTARTS)
             if f else next(found) for f, v in zip(flat, np.abs(c + gamma).tolist())]
 
 

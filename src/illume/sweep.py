@@ -21,16 +21,16 @@ CSV_FIELDS = ("p0", "eta", "region_c", "region_q", "perr_c", "perr_q", "advantag
 CSV_ORACLE_FIELDS = CSV_FIELDS + ("oracle_perr_c", "oracle_perr_q")
 
 # Largest grid a spec may ask for (2001 x 2001), checked before anything is built.
-# A sweep peaks at 42 bytes a cell (tracemalloc, 1001 x 1001); its CSV is streamed.
+# A sweep peaks at 28 bytes a cell (tracemalloc, 1001 x 1001); its CSV is streamed.
 MAX_GRID_CELLS = 4_000_000
 # Oracle sweep caps. Each cell runs two trace-norm searches whose cost grows
 # steeply with d (see the README). Charging d^4 per cell against the budget
 # of a 64 x 64 grid at d = 2 admits 4,096 cells at d = 2, 256 at d = 4 and 16 at d = 8.
 MAX_ORACLE_CELLS = 4096
 _ORACLE_BUDGET = MAX_ORACLE_CELLS * 2**4
-# Most cells the CSV renders at once: a row of up to 2,048 eta steps is one
-# chunk (one string per run of one region pair) and a wider row is split, so the
-# write holds one chunk and its column's eta strings, not a row's (2 bytes an eta step).
+# Most cells the CSV renders at once: a tile is max(1, CSV_BLOCK_CELLS // width)
+# whole rows when a row fits and one row's CSV_BLOCK_CELLS-wide slice when not, so
+# the write holds one tile and its column's eta text, not a row's (0.5 bytes an eta step).
 CSV_BLOCK_CELLS = 2048
 
 
@@ -143,40 +143,54 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
                       stage_s={"grid": t1 - t0, "oracle": time.perf_counter() - t1})
 
 
+def _eta_text(eta) -> tuple[str, list[int]]:
+    # One text of "%.12g," strings, one per eta step, and where each one starts (and the end)
+    text = ("%.12g," * eta.size) % tuple(eta.tolist())
+    ends = np.flatnonzero(np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord(",")) + 1
+    return text, [0, *ends.tolist()]
+
+
 def _csv_chunks(table: SweepTable):
-    # The header, then each p0 row in chunks of at most CSV_BLOCK_CELLS cells,
-    # each chunk one % call. In regions I and II the minimal error is the prior
-    # whatever eta is, so a row bakes each mode's error text by region code: its
-    # p0 text, its p1 text, or a %.12g slot. The tail of a (region_c, region_q)
-    # pair is the labels, the two texts, the advantage (0 in (I, I) and (II, II),
-    # else a slot) and any oracle slots; `formats` says which of perr_c, perr_q
-    # and the advantage a pair formats. A run of one pair is its eta strings
-    # (formatted once while consecutive rows render their chunk column, so once
-    # per table up to CSV_BLOCK_CELLS wide) joined on the tail and the row's p0 string.
+    # The header, then tiles of at most CSV_BLOCK_CELLS cells, each one % call.
+    # In regions I and II the minimal error is the prior whatever eta is, so a
+    # row bakes each mode's error text by region code: its p0 text, its p1 text,
+    # or a %.12g slot. The tail of a (region_c, region_q) pair is the labels, the
+    # two texts, the advantage (0 in (I, I) and (II, II), else a slot) and any
+    # oracle slots; `formats` says which numbers a pair formats. A run of one pair
+    # within one row is its slice of the eta text (formatted once while tiles
+    # share their columns, so once per table when a row fits), each eta string
+    # followed by the tail and the next cell's p0 string.
     fields = CSV_FIELDS if table.oracle_perr_c is None else CSV_ORACLE_FIELDS
-    slots = ",%.12g" * (len(fields) - 7) + "\n"
-    formats = np.array([[a == 2, b == 2, not a == b < 2] for a in range(3) for b in range(3)])
-    eta_texts = functools.lru_cache(maxsize=1)(
-        lambda j: list(map("%.12g,".__mod__, table.eta[j:j + CSV_BLOCK_CELLS].tolist())))
-    g = table.grid
     oracle = () if table.oracle_perr_c is None else (table.oracle_perr_c, table.oracle_perr_q)
+    slots = ",%.12g" * len(oracle) + "\n"
+    formats = np.array([[a == 2, b == 2, not a == b < 2, *[True] * len(oracle)]
+                        for a in range(3) for b in range(3)])
+    tails = [(f"{c},{q},", a + 1, b + 1, f",{0 if a == b < 2 else '%.12g'}{slots}")
+             for a, c in enumerate(REGIONS) for b, q in enumerate(REGIONS)]
+    g, width = table.grid, table.eta.size
+    rows, span = max(1, CSV_BLOCK_CELLS // width), min(width, CSV_BLOCK_CELLS)
+    eta_texts = functools.lru_cache(maxsize=1)(lambda j: _eta_text(table.eta[j:j + span]))
     yield ",".join(fields) + "\n"
-    for i, p0 in enumerate(map(float, table.p0)):
-        sep, texts = "%.12g," % p0, ("%.12g" % p0, "%.12g" % (1.0 - p0), "%.12g")
-        tails = [f"{c},{q},{texts[a]},{texts[b]},{0 if a == b < 2 else '%.12g'}{slots}"
-                 for a, c in enumerate(REGIONS) for b, q in enumerate(REGIONS)]
-        pairs = g.region_c[i] * len(REGIONS) + g.region_q[i]
-        for j in range(0, table.eta.size, CSV_BLOCK_CELLS):
-            s, etas = slice(j, j + CSV_BLOCK_CELLS), eta_texts(j)
-            chunk = pairs[s]
-            cuts = [0, *(np.flatnonzero(chunk[1:] != chunk[:-1]) + 1).tolist(), chunk.size]
-            keep = np.ones((chunk.size, 3 + len(oracle)), dtype=bool)
-            keep[:, :3] = formats[chunk]
-            pc, pq = g.perr_c[i, s], g.perr_q[i, s]
-            numbers = np.stack([pc, pq, pc - pq, *(o[i, s] for o in oracle)], axis=1)[keep]
-            yield "".join(sep + (tails[p] + sep).join(etas[a:b]) + tails[p]
-                          for p, a, b in zip(chunk[cuts[:-1]].tolist(), cuts, cuts[1:])
-                          ) % tuple(numbers.tolist())
+    for i in range(0, table.p0.size, rows):
+        # per row: its p0 string, then the error texts indexed by region code + 1
+        texts = [("%.12g," % p, "%.12g" % p, "%.12g" % (1.0 - p), "%.12g")
+                 for p in table.p0[i:i + rows].tolist()]
+        for j in range(0, width, span):
+            tile, (etas, at) = np.s_[i:i + rows, j:j + span], eta_texts(j)
+            w, pairs = len(at) - 1, (g.region_c[tile] * len(REGIONS) + g.region_q[tile]).ravel()
+            cut = pairs[1:] != pairs[:-1]
+            cut[w - 1::w] = True  # a run also ends with its row
+            starts = [0, *(np.flatnonzero(cut) + 1).tolist()]
+            pc, pq = g.perr_c[tile].ravel(), g.perr_q[tile].ravel()
+            columns = [pc, pq, pc - pq, *(o[tile].ravel() for o in oracle)]
+            runs = []
+            for a, b, p in zip(starts, [*starts[1:], pairs.size], pairs[starts].tolist()):
+                (r, a), (labels, x, y, rest) = divmod(a, w), tails[p]
+                sep, tail = texts[r][0], f"{labels}{texts[r][x]},{texts[r][y]}{rest}"
+                cells = etas[at[a]:at[b - r * w] - 1]  # the run's eta strings, less the last comma
+                runs.append(f"{sep}{cells.replace(',', ',' + tail + sep)},{tail}")
+            runs = "".join(runs)  # the tile's template: its runs are freed before the % call
+            yield runs % tuple(np.stack(columns, axis=1)[formats[pairs]].tolist())
 
 
 def records_to_csv(table: SweepTable) -> str:
@@ -185,7 +199,7 @@ def records_to_csv(table: SweepTable) -> str:
 
 
 def write_csv(table: SweepTable, path) -> None:
-    """Stream the CSV one chunk at a time; identical specs yield byte-identical files."""
+    """Stream the CSV one tile at a time; identical specs yield byte-identical files."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(_csv_chunks(table))
 

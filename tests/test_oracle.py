@@ -48,7 +48,7 @@ from illume import (
 from illume import model as model_mod
 from illume import oracle as oracle_mod
 from illume.model import ScenarioStack
-from illume.tolerances import ORACLE_AGREEMENT_TOL
+from illume.tolerances import ORACLE_AGREEMENT_TOL, SEARCH_CONVERGED_GAIN
 
 SKEW3 = [0.5, 0.3, 0.2]
 # SKEW3 in the computational basis and in a seeded random complex one
@@ -179,6 +179,7 @@ class TestMaximizeTraceNorm:
         result = maximize_trace_norm(s, mode, cheap)
         assert result.iterations == [0] * oracle_mod.RESTARTS
         assert result.grad_norms == [0.0] * oracle_mod.RESTARTS
+        assert np.isnan(result.gains).all() and len(result.gains) == oracle_mod.RESTARTS
         assert result.evaluations == result.budget_stops == 0
         assert result.perr == (1.0 - result.best_value) / 2.0
         rng = np.random.default_rng(1)
@@ -471,6 +472,26 @@ class TestSeeSawSearch:
             best = np.linalg.norm(_scenario_map(s, case.mode)(result.best_state[None])[1])
             assert best <= 1e-6, case.name
             assert min(abs(best - g) for g in result.grad_norms) <= 1e-12, case.name
+
+    def test_records_each_restarts_final_gain(self):
+        # the stop rule: a restart converges once its last plain move gains at most
+        # SEARCH_CONVERGED_GAIN / 2 of mu, or fails with a first-order gain of at
+        # most 1e-12 (and so gains under ARMIJO_FRACTION of that); a flat cell
+        # is not searched, and its restarts, which made no move, record NaN
+        cfg = SearchConfig(seed=7)
+        cases = [case for case in bundled_scenarios()
+                 if classify(case.scenario)[1 if case.mode == QUANTUM else 0] == REGION_III]
+        assert len(cases) >= 10
+        searched = 0
+        for case in cases:
+            result = maximize_trace_norm(case.scenario, case.mode, cfg)
+            assert len(result.gains) == oracle_mod.RESTARTS
+            for gain, stop, steps in zip(result.gains, result.stops, result.iterations):
+                assert np.isnan(gain) == (steps == 0), case.name
+                if stop == "converged" and steps:
+                    searched += 1
+                    assert gain <= SEARCH_CONVERGED_GAIN / 2, (case.name, gain)
+        assert searched >= 10 * oracle_mod.RESTARTS
 
     @pytest.mark.parametrize("mode, spectrum", [
         (QUANTUM, [0.6, 0.4]),
@@ -1461,7 +1482,7 @@ class TestSuites:
                 results.append(oracle_mod.OracleResult(
                     best_value=0.0, best_state=np.ones(1), perr=0.5, evaluations=1,
                     iterations=[1, 1], stops=["budget"] * n + ["converged"] * (2 - n),
-                    grad_norms=[0.0, 0.0]))
+                    grad_norms=[0.0, 0.0], gains=[0.0, 0.0]))
             return results
 
         monkeypatch.setattr(oracle_mod, "search_cells", search)

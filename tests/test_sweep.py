@@ -42,6 +42,10 @@ SKEW3 = [0.5, 0.3, 0.2]
 # completely mixed d = 2 on a 7 x 7 grid: every row has one or more runs of
 # (I, I), (II, II), (II, III) or (III, III) cells
 MIXED2_7X7 = SweepSpec((0.0, 1.0, 7), (0.0, 1.0, 7), EnvironmentState([0.5, 0.5]))
+# the same environment on 2-wide rows of weak reflection: (I, I) rows, then
+# (III, III) and (II, II) ones, so tiles of whole rows hold runs of one pair
+# that continue across a row start
+MIXED2_NARROW = SweepSpec((0.0, 1.0, 7), (0.0, 0.2, 2), EnvironmentState([0.5, 0.5]))
 
 _weights = st.lists(st.floats(0.01, 1.0), min_size=2, max_size=8)
 SPECTRA = st.one_of(
@@ -373,7 +377,7 @@ class TestCsv:
          "afdcbe026fd653d72a6a00a9e54568a2cd14728c7e812285c6eeeaa5e41e8dca"),
         (SweepSpec((0.35, 1.0, 131), (0.0, 0.3, 61), EnvironmentState.completely_mixed(10)),
          "077ec527b24cc0cf13ece1b44223646c9cff30a478edef9601c0fe9628f39651"),
-        # rows of CSV_BLOCK_CELLS + 1 cells, rendered in two chunks; the digest
+        # rows of CSV_BLOCK_CELLS + 1 cells, rendered in two tiles each; the digest
         # is that of the renderer before chunking, which formatted cell by cell
         (SweepSpec((0.2, 0.8, 3), (0.0, 1.0, 2049), EnvironmentState([0.6, 0.3, 0.1])),
          "895e3022d586c7466b15baa9955e0839775aacbd80f0164c3bc0f11524122fa3"),
@@ -383,7 +387,7 @@ class TestCsv:
         (SweepSpec((0.0, 1.0, 201), (0.0, 1.0, 201), EnvironmentState([0.5, 0.5])),
          "915d30326760f743dac0cdfa67f61fc8898fa58dabad51ee75a6d175adb70367"),
         # the same regions on 2049-wide rows, whose runs of one region pair
-        # cross the CSV_BLOCK_CELLS chunk edge
+        # cross the CSV_BLOCK_CELLS tile edge
         (SweepSpec((0.0, 1.0, 41), (0.0, 1.0, 2049), EnvironmentState([0.5, 0.5])),
          "24d9c6217c7f933d921cfc3a34209056087cb143664b3a69541971419fabedac"),
     ])
@@ -392,18 +396,23 @@ class TestCsv:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_block_size(self):
-        # 201- and 1001-wide rows are one chunk; the 2049-wide golden rows are split
+        # 201-wide rows render 10 to a tile and 1001-wide rows 2; the 2049-wide
+        # golden rows are split
         assert 1001 <= CSV_BLOCK_CELLS < 2049
 
     @settings(max_examples=200, deadline=None)
-    @given(spec=sweep_specs(), block=st.sampled_from([1, 2, 3, CSV_BLOCK_CELLS]))
+    @given(spec=sweep_specs(), block=st.sampled_from([1, 2, 3, 4, 6, 9, CSV_BLOCK_CELLS]))
     @example(spec=SweepSpec((0.0, 1.0, 3), (0.0, 1.0, 3), EnvironmentState([1.0])),  # d = 1
              block=CSV_BLOCK_CELLS)
     @example(spec=MIXED2_7X7, block=1)
     @example(spec=MIXED2_7X7, block=2)
     @example(spec=MIXED2_7X7, block=3)
+    @example(spec=MIXED2_NARROW, block=4)
+    @example(spec=MIXED2_NARROW, block=6)
+    @example(spec=MIXED2_NARROW, block=9)
     def test_equals_per_cell_rendering(self, spec, block):
-        # blocks of 1-3 cells split the 2-7 wide rows, as CSV_BLOCK_CELLS splits wider ones
+        # blocks of 1-3 cells split the 2-7 wide rows, as CSV_BLOCK_CELLS splits wider
+        # ones; blocks of 4-9 cells hold 2-4 of the 2-wide rows, the last tile partial
         table = run_sweep(spec)
         with mock.patch.object(sweep_module, "CSV_BLOCK_CELLS", block):
             assert records_to_csv(table) == per_cell_csv(table)
@@ -421,7 +430,7 @@ class TestCsv:
         search_budget(2, 50)
         spec = SweepSpec(p0_range, eta_range, EnvironmentState(spectrum), oracle=SearchConfig(seed=1))
         table = run_sweep(spec)
-        for block in (1, 2, 3, CSV_BLOCK_CELLS):
+        for block in (1, 2, 3, 4, 6, 9, CSV_BLOCK_CELLS):
             with mock.patch.object(sweep_module, "CSV_BLOCK_CELLS", block):
                 text = records_to_csv(table)
             assert text == per_cell_csv(table)
@@ -444,19 +453,34 @@ class TestCsv:
         write_csv(table, tmp_path / "grid.csv")
         assert (tmp_path / "grid.csv").read_bytes() == records_to_csv(table).encode("utf-8")
 
+    @staticmethod
+    def write_peak(spec, path) -> int:
+        table = run_sweep(spec)
+        tracemalloc.start()
+        try:
+            write_csv(table, path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_streamed_peak_memory_does_not_grow_with_p0_steps(self, tmp_path):
-        # the CSV is written one p0 row at a time, so 16 times the rows at a
-        # fixed eta width must not raise the write's own allocation peak
-        peaks = []
-        for steps in (16, 256):
-            table = run_sweep(SweepSpec((0.0, 1.0, steps), (0.0, 1.0, 51), EnvironmentState(SKEW3)))
-            tracemalloc.start()
-            try:
-                write_csv(table, tmp_path / "grid.csv")
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        # the CSV is written one tile at a time, 40 rows of 51 cells, so 8 times
+        # the rows (3 and 24 full tiles) must not raise the write's own
+        # allocation peak. The peak is the heaviest tile's, which over (0, 1)
+        # lies just above p0 = 0.5, where 40-row tiles fall only at fine p0
+        # steps: there the peak rises from 406 KB at 64 rows to 507 KB at 512
+        # and 511 KB at 4,096. The band (0.4, 0.6) holds such tiles at both
+        # sizes (513 and 511 KB).
+        peaks = [self.write_peak(SweepSpec((0.4, 0.6, steps), (0.0, 1.0, 51), EnvironmentState(SKEW3)),
+                                 tmp_path / "grid.csv") for steps in (120, 960)]
         assert peaks[1] <= 1.1 * peaks[0]
+
+    @pytest.mark.parametrize("p0_steps, eta_steps", [(201, 201), (41, 1001)])
+    def test_streamed_peak_memory_is_one_tile(self, tmp_path, p0_steps, eta_steps):
+        # the write holds one tile: 10 rows of 201 cells or 2 rows of 1001 (420
+        # and 460 KB; 1001 x 1001, the same tiles, read 496 KB in 15-27 s traced)
+        spec = SweepSpec((0.0, 1.0, p0_steps), (0.0, 1.0, eta_steps), EnvironmentState(SKEW3))
+        assert self.write_peak(spec, tmp_path / "grid.csv") <= 2**20
 
     def test_streamed_peak_memory_is_bounded_at_wide_rows(self, tmp_path):
         # eta-width twin of the test above: a row is rendered CSV_BLOCK_CELLS
